@@ -70,7 +70,6 @@ from .stochastic import (
     TrajectoryPlan,
     ensemble_average,
     evolve_trajectory,
-    sample_step_hamiltonian,
 )
 
 __all__ = [
@@ -118,7 +117,6 @@ __all__ = [
     "optimal_avg_fidelity",
     "printed_weak_noise_channel",
     "propagator_matrix",
-    "sample_step_hamiltonian",
     "single_excitation_hamiltonian",
     "standard_noise_spec",
     "transfer_amplitude",

@@ -73,6 +73,8 @@ class ConfigError(ValueError):
 
 def _parse_eta(raw: object) -> float | dict[tuple[int, int], float]:
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        if not math.isfinite(raw):
+            raise ConfigError("eta", "must be finite")
         if raw < 0:
             raise ConfigError("eta", "must be nonnegative")
         return float(raw)
@@ -88,6 +90,8 @@ def _parse_eta(raw: object) -> float | dict[tuple[int, int], float]:
                 raise ConfigError("eta", f"edge key {key!r} is not a pair of integers") from None
             if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
                 raise ConfigError("eta", f"strength for edge {key!r} must be a nonnegative number")
+            if not math.isfinite(value):
+                raise ConfigError("eta", f"strength for edge {key!r} must be finite")
             out[(k, l)] = float(value)
         if not out:
             raise ConfigError("eta", "per-edge map must not be empty")
@@ -106,6 +110,8 @@ def _require_int(raw: object, name: str, minimum: int) -> int:
 def _require_number(raw: object, name: str) -> float:
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         raise ConfigError(name, "must be a number")
+    if not math.isfinite(raw):
+        raise ConfigError(name, "must be finite")
     return float(raw)
 
 
@@ -352,15 +358,15 @@ def run_simulate(config: ExperimentConfig, threads: int = 1) -> list[ScanRecord]
         a, b = _PROBE.amplitudes()
         psi = np.zeros(config.n + 1, dtype=complex)
         psi[0], psi[config.input_vertex] = a, b
-        for t in times:
-            plan = stochastic.TrajectoryPlan(
-                n_traj=config.n_traj,
-                dt=config.dt,
-                t_final=float(t),
-                master_seed=config.master_seed,
-                noise=spec,
-            )
-            result = stochastic.ensemble_average(plan, h, psi, threads=threads)
+        plan = stochastic.TrajectoryPlan(
+            n_traj=config.n_traj,
+            dt=config.dt,
+            t_final=float(times[-1]),
+            master_seed=config.master_seed,
+            noise=spec,
+        )
+        results = stochastic.ensemble_average(plan, h, psi, threads=threads, times=times)
+        for t, result in zip(times, results):
             params = lindblad.extract_channel(
                 result.rho_mean, _PROBE, config.input_vertex, config.output_vertex
             )
@@ -650,6 +656,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 1
+    except np.linalg.LinAlgError as err:
+        # a ValueError subclass, but a failure of the numerics, not the input
+        print(f"numeric failure: {err}", file=sys.stderr)
+        return 2
     except ValueError as err:
         # engine-level argument rejections (step too coarse for the
         # rate, geometry violations) are configuration problems too

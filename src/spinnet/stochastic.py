@@ -15,11 +15,20 @@ Determinism contract: trajectory j draws from its own counter-based
 stream keyed by (master_seed, j), trajectories are processed in fixed
 batches, and partial sums are reduced in batch order after all workers
 finish. Results are therefore bit-identical for any thread count.
+
+Time grids: an ensemble read at many times steps each batch once, up
+to the latest time, and takes the moments at every time on the way.
+Each time gets the bytes of an independent single-time ensemble, on
+any grid: a time between step boundaries is reached by a tail step on
+a copy of the states, from the noise row a single-time run would draw
+there. Noise is drawn a fixed number of steps at a time, so the noise
+held per batch is bounded by that chunk, not by the horizon.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,7 +40,6 @@ from .network import NoiseSpec, require_hermitian
 __all__ = [
     "TrajectoryPlan",
     "EnsembleResult",
-    "sample_step_hamiltonian",
     "evolve_trajectory",
     "ensemble_average",
 ]
@@ -39,6 +47,11 @@ __all__ = [
 # Trajectories per kernel invocation. Fixed (not tied to thread count)
 # so the reduction order never depends on parallelism.
 _BATCH = 256
+
+# Steps of noise each trajectory draws at once. The noise held per batch
+# is then at most _CHUNK x _BATCH x edges normals, whatever the horizon;
+# at 256 the per-call cost of a draw is about 1% of the stepping.
+_CHUNK = 256
 
 # Per-step couplings stay modest under the eta*dt and ||H||*dt bounds,
 # so the series converges in a few dozen terms at most.
@@ -86,31 +99,6 @@ def _edge_arrays(spec: NoiseSpec, dim: int) -> tuple[list[tuple[int, int]], np.n
     return pairs, np.asarray(strengths)
 
 
-def sample_step_hamiltonian(
-    hamiltonian: np.ndarray,
-    spec: NoiseSpec,
-    dt: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw one piecewise-constant step Hamiltonian H + sum g_kl (|k><l| + |l><k|).
-
-    Couplings are independent zero-mean normals of variance 2 eta / dt,
-    one per unordered noisy pair. Zero strength contributes exactly
-    nothing (the scale collapses the draw to 0.0), so the eta = 0 limit
-    returns H unchanged.
-    """
-    h = require_hermitian(hamiltonian)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    pairs, strengths = _edge_arrays(spec, h.shape[0])
-    out = np.array(h, dtype=float, copy=True)
-    draws = rng.normal(0.0, np.sqrt(2.0 * strengths / dt))
-    for (k, l), g in zip(pairs, draws):
-        out[k, l] += g
-        out[l, k] += g
-    return out
-
-
 def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
@@ -153,29 +141,57 @@ def _split_horizon(t: float, dt: float) -> tuple[int, float]:
     return n_full, remainder
 
 
-def _propagate_batch(
+def _noise_rows(
+    rngs: list[np.random.Generator], n_rows: int, n_edges: int
+) -> Iterator[np.ndarray]:
+    """Yield the batch's standard normals one step (row) at a time.
+
+    Each trajectory draws _CHUNK rows per call into one reused buffer,
+    so a yielded row is valid only until the next is requested. Philox
+    normals come in sequence, so the rows equal those of a single
+    whole-horizon draw: the chunk length sets the memory held, never
+    the numbers.
+    """
+    buffer = np.empty((len(rngs), min(_CHUNK, n_rows), n_edges))
+    for start in range(0, n_rows, _CHUNK):
+        rows = min(_CHUNK, n_rows - start)
+        for rng, block in zip(rngs, buffer):
+            rng.standard_normal(out=block[:rows])
+        yield from buffer[:, :rows].swapaxes(0, 1)
+
+
+def _sweep(
     h: np.ndarray,
     pairs: list[tuple[int, int]],
     strengths: np.ndarray,
     states: np.ndarray,
-    t: float,
+    times: Sequence[float],
     dt: float,
     rngs: list[np.random.Generator],
-) -> np.ndarray:
-    n_full, remainder = _split_horizon(t, dt)
-    n_edges = len(pairs)
-    # one draw call per trajectory for the whole horizon keeps the
-    # stream layout identical whether a trajectory runs alone or in a
-    # batch
-    main = np.stack([rng.standard_normal((n_full, n_edges)) for rng in rngs])
-    tail = np.stack([rng.standard_normal(n_edges) for rng in rngs]) if remainder else None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Step the batch once up to the latest time, yielding (index, states) at each time.
+
+    A time that is a whole number n of steps yields the states as they
+    stand. Any other time applies a tail step to a copy of the states,
+    driven by noise row n at the variance of the tail's own length;
+    the main path then takes row n at the full-step variance. A
+    trajectory run to that time alone draws the same row as its tail,
+    so every time gets the bytes of an independent single-time run.
+    """
+    marks = sorted((*_split_horizon(t, dt), i) for i, t in enumerate(times))
+    n_rows = max(n_full + (remainder > 0) for n_full, remainder, _ in marks)
+    rows = _noise_rows(rngs, n_rows, len(pairs))
     sigma = np.sqrt(2.0 * strengths / dt)
-    for s in range(n_full):
-        states = _taylor_step(states, h, pairs, main[:, s, :] * sigma, dt)
-    if remainder:
-        sigma_tail = np.sqrt(2.0 * strengths / remainder)
-        states = _taylor_step(states, h, pairs, tail * sigma_tail, remainder)
-    return states
+    step, row = 0, next(rows, None)
+    for n_full, remainder, i in marks:
+        while step < n_full:
+            states = _taylor_step(states, h, pairs, row * sigma, dt)
+            step, row = step + 1, next(rows, None)
+        if remainder:
+            sigma_tail = np.sqrt(2.0 * strengths / remainder)
+            yield i, _taylor_step(states, h, pairs, row * sigma_tail, remainder)
+        else:
+            yield i, states
 
 
 def _check_preconditions(h: np.ndarray, spec: NoiseSpec, dt: float) -> None:
@@ -217,7 +233,7 @@ def evolve_trajectory(
         raise ValueError("initial state must be normalized")
     pairs, strengths = _edge_arrays(spec, h.shape[0])
     states = psi0[np.newaxis, :].copy()
-    states = _propagate_batch(h, pairs, strengths, states, t, dt, [_stream(seed, stream_index)])
+    [(_, states)] = _sweep(h, pairs, strengths, states, [t], dt, [_stream(seed, stream_index)])
     return states[0]
 
 
@@ -226,8 +242,15 @@ def ensemble_average(
     hamiltonian: np.ndarray,
     psi0: np.ndarray,
     threads: int = 1,
-) -> EnsembleResult:
+    times: Sequence[float] | None = None,
+) -> EnsembleResult | list[EnsembleResult]:
     """Average |psi><psi| over the planned trajectory ensemble.
+
+    Without ``times`` the ensemble is read at ``plan.t_final`` and one
+    result is returned. With ``times`` (each in [0, plan.t_final]) every
+    batch is stepped once, up to the latest of them, and one result per
+    time is returned in their order; each is bit-identical to the
+    single-time ensemble at that time.
 
     Workers process disjoint fixed-size batches; the per-batch partial
     sums are combined in batch order once all of them exist, so the
@@ -241,6 +264,9 @@ def ensemble_average(
         raise ValueError(f"state shape {psi0.shape} does not match dimension {h.shape[0]}")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
+    grid = [plan.t_final] if times is None else [float(t) for t in times]
+    if not grid or not all(0.0 <= t <= plan.t_final for t in grid):
+        raise ValueError(f"times must be a nonempty list within [0, t_final = {plan.t_final}]")
     pairs, strengths = _edge_arrays(plan.noise, h.shape[0])
     dim = h.shape[0]
 
@@ -248,10 +274,12 @@ def ensemble_average(
         stop = min(start + _BATCH, plan.n_traj)
         rngs = [_stream(plan.master_seed, j) for j in range(start, stop)]
         states = np.broadcast_to(psi0, (stop - start, dim)).copy()
-        states = _propagate_batch(h, pairs, strengths, states, plan.t_final, plan.dt, rngs)
-        first = np.einsum("bi,bj->ij", states, states.conj())
-        pops = np.abs(states) ** 2
-        second = np.einsum("bi,bj->ij", pops, pops)
+        first = np.empty((len(grid), dim, dim), dtype=complex)
+        second = np.empty((len(grid), dim, dim))
+        for i, states in _sweep(h, pairs, strengths, states, grid, plan.dt, rngs):
+            first[i] = np.einsum("bi,bj->ij", states, states.conj())
+            pops = np.abs(states) ** 2
+            second[i] = np.einsum("bi,bj->ij", pops, pops)
         return first, second
 
     starts = range(0, plan.n_traj, _BATCH)
@@ -261,12 +289,13 @@ def ensemble_average(
     else:
         partials = [run_batch(s) for s in starts]
 
-    first = np.zeros((dim, dim), dtype=complex)
-    second = np.zeros((dim, dim))
+    first = np.zeros((len(grid), dim, dim), dtype=complex)
+    second = np.zeros((len(grid), dim, dim))
     for part_first, part_second in partials:
         first += part_first
         second += part_second
     mean = first / plan.n_traj
     variance = np.maximum(second / plan.n_traj - np.abs(mean) ** 2, 0.0)
     std_err = np.sqrt(variance / plan.n_traj)
-    return EnsembleResult(NetworkState(mean), std_err, plan.n_traj)
+    results = [EnsembleResult(NetworkState(m), e, plan.n_traj) for m, e in zip(mean, std_err)]
+    return results[0] if times is None else results

@@ -65,7 +65,10 @@ class TestCriterion1NoPerfectTransfer:
 
 
 class TestCriterion2OracleTriple:
-    CELLS = [(eta, t) for eta in (0.25, 1.0, 4.0) for t in (0.5, 1.0, 1.5 * math.pi)]
+    # 9 noisy cells: each eta is one trajectory pass read at the three
+    # times, bit-identical to a separate ensemble per cell
+    ETAS = (0.25, 1.0, 4.0)
+    TIMES = (0.5, 1.0, 1.5 * math.pi)
 
     def test_three_engines_agree(self, criterion_log):
         h = sn.single_excitation_hamiltonian(sn.complete_graph(4))
@@ -75,19 +78,19 @@ class TestCriterion2OracleTriple:
         psi[0], psi[1] = a, b
 
         worst_sigma = 0.0
-        for eta, t in self.CELLS:
+        for eta in self.ETAS:
             spec = sn.standard_noise_spec(4, 2, eta)
             plan = sn.TrajectoryPlan(
-                n_traj=20000, dt=1e-3, t_final=t, master_seed=SEED, noise=spec
+                n_traj=20000, dt=1e-3, t_final=self.TIMES[-1], master_seed=SEED, noise=spec
             )
-            ensemble = sn.ensemble_average(plan, h, psi, threads=1)
-            exact = lindblad.evolve(
-                sn.complete_network_liouvillian(4, 2, eta), start, t, method="exact"
-            )
-            sigma = np.maximum(ensemble.std_err, 1e-30)
-            worst_sigma = max(
-                worst_sigma, float((np.abs(ensemble.rho_mean.rho - exact.rho) / sigma).max())
-            )
+            ensembles = sn.ensemble_average(plan, h, psi, threads=1, times=self.TIMES)
+            liou = sn.complete_network_liouvillian(4, 2, eta)
+            for t, ensemble in zip(self.TIMES, ensembles):
+                exact = lindblad.evolve(liou, start, t, method="exact")
+                sigma = np.maximum(ensemble.std_err, 1e-30)
+                worst_sigma = max(
+                    worst_sigma, float((np.abs(ensemble.rho_mean.rho - exact.rho) / sigma).max())
+                )
 
         # noiseless master equation is the unitary engine
         worst_unitary = 0.0

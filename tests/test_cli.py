@@ -7,12 +7,14 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spinnet.cli import (
     CSV_HEADER,
     ConfigError,
     ExperimentConfig,
+    main,
     records_to_csv,
     run_scan_fig1,
     run_scan_fig2,
@@ -127,6 +129,16 @@ class TestCsvShape:
         assert len(records) == 1
         assert 0.5 <= records[0].fidelity <= 1.0
 
+    def test_trajectory_grid_rows_equal_one_point_runs(self):
+        # one pass over the grid writes the bytes of a run at each time
+        # alone; the grid has t = 0 and times off the dt grid
+        grid = _cfg(method="trajectories", n_traj=40, t_min=0.0, t_max=0.1505, t_steps=4)
+        rows = records_to_csv(run_simulate(grid, threads=2)).splitlines()[1:]
+        assert len(rows) == 4
+        for t, row in zip(grid.times(), rows):
+            alone = _cfg(method="trajectories", n_traj=40, t_min=float(t), t_max=float(t), t_steps=1)
+            assert records_to_csv(run_simulate(alone)).splitlines()[1:] == [row]
+
 
 class TestFigureScans:
     def test_fig1_grid_contains_landmarks(self):
@@ -150,6 +162,40 @@ class TestFigureScans:
         records = run_scan_fig3({"m_values": [2, 4], "t_steps": 10})
         assert {r.m for r in records} == {2, 4}
         assert all(r.n == 10 for r in records)
+
+
+def _main(args, config, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = main([*args, "--config", str(path)])
+    return code, capsys.readouterr().err
+
+
+class TestFailureExits:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("t_max", float("nan")),
+            ("dt", float("inf")),
+            ("eta", float("nan")),
+            ("eta", {"3-4": float("inf")}),
+        ],
+    )
+    def test_non_finite_number_exits_1_naming_field(self, field, value, tmp_path, capsys):
+        config = {"n": 4, "m": 2, "t_steps": 2, "method": "trajectories", field: value}
+        code, err = _main(["simulate"], config, tmp_path, capsys)
+        assert code == 1
+        assert f"field '{field}'" in err and "must be finite" in err
+
+    def test_linalg_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        def broken_eig(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", broken_eig)
+        config = {"n": 4, "m": 2, "eta": 1.0, "t_steps": 2, "method": "lindblad"}
+        code, err = _main(["simulate"], config, tmp_path, capsys)
+        assert code == 2
+        assert err.startswith("numeric failure:")
 
 
 class TestEndToEnd:

@@ -3,19 +3,21 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spinnet import stochastic
 from spinnet.lindblad import complete_network_liouvillian, evolve, initial_network_state
-from spinnet.network import complete_graph, single_excitation_hamiltonian, standard_noise_spec
-from spinnet.propagator import BlochInput
-from spinnet.stochastic import (
-    TrajectoryPlan,
-    ensemble_average,
-    evolve_trajectory,
-    sample_step_hamiltonian,
+from spinnet.network import (
+    NoiseSpec,
+    complete_graph,
+    single_excitation_hamiltonian,
+    standard_noise_spec,
 )
+from spinnet.propagator import BlochInput
+from spinnet.stochastic import TrajectoryPlan, ensemble_average, evolve_trajectory
 
 PROBE = BlochInput(math.pi / 2, 0.0)
 
@@ -48,24 +50,38 @@ class TestTrajectoryPlan:
 
 
 class TestStepSampling:
-    def test_sample_perturbs_only_noisy_pairs(self):
-        h, spec, _ = _setup(5, 2, 1.0)
-        rng = np.random.default_rng(3)
-        sample = sample_step_hamiltonian(h, spec, 1e-3, rng)
-        diff = sample - h
-        nz = {tuple(ix) for ix in np.argwhere(np.abs(diff) > 0)}
-        assert nz <= {(4, 5), (5, 4)}
-        assert np.max(np.abs(diff - diff.conj().T)) == 0.0
+    """The engine's own noise draws, seen through one step of a trajectory.
 
-    def test_sample_variance_scales_inversely_with_dt(self):
-        h, spec, _ = _setup(4, 2, 2.0)
-        rng = np.random.default_rng(5)
-        dt = 1e-3
-        draws = np.array(
-            [sample_step_hamiltonian(h, spec, dt, rng)[3, 4] - h[3, 4] for _ in range(4000)]
-        )
-        # couplings are N(0, 2 eta / dt)
-        assert draws.var() == pytest.approx(2 * 2.0 / dt, rel=0.1)
+    Under a zero Hamiltonian with a single noisy edge (k, l), one step
+    of length dt started on k leaves sin^2(g dt) on l, where g is the
+    sampled coupling; for g ~ N(0, 2 eta / dt) that has mean
+    (1 - exp(-4 eta dt)) / 2 = 2 eta dt (1 - O(eta dt)).
+    """
+
+    def test_noise_moves_population_only_along_noisy_edge(self):
+        h = np.zeros((6, 6))
+        spec = NoiseSpec((4, 5), 1.0)
+        psi = np.zeros(6, dtype=complex)
+        psi[4] = 1.0
+        for j in range(20):
+            out = evolve_trajectory(h, spec, psi, 0.05, 1e-3, 3, stream_index=j)
+            assert np.all(out[[0, 1, 2, 3]] == 0.0)
+            assert abs(out[5]) > 0.0
+            assert abs(np.vdot(out, out).real - 1.0) < 1e-12
+
+    def test_step_population_matches_coupling_variance(self):
+        eta = 2.0
+        h = np.zeros((5, 5))
+        spec = NoiseSpec((3, 4), eta)
+        psi = np.zeros(5, dtype=complex)
+        psi[3] = 1.0
+        for dt in (1e-3, 1e-4):
+            moved = [
+                abs(evolve_trajectory(h, spec, psi, dt, dt, 5, stream_index=j)[4]) ** 2
+                for j in range(4000)
+            ]
+            # relative standard error of the mean is sqrt(2 / 4000) = 2.2%
+            assert np.mean(moved) == pytest.approx(2 * eta * dt, rel=0.1)
 
 
 class TestSingleTrajectory:
@@ -165,3 +181,101 @@ class TestEnsemble:
         plan = TrajectoryPlan(20, 1e-3, 0.5005, 3, spec)
         r = ensemble_average(plan, h, psi)
         assert abs(np.trace(r.rho_mean.rho).real - 1.0) < 1e-9
+
+
+def _restart_reference(h, spec, psi, t, dt, seed, index):
+    """One trajectory by the restart schedule: from t = 0, the whole
+    horizon's noise in one draw, the full steps, then a tail step on
+    the next normals at the variance of the tail's length."""
+    rng = stochastic._stream(seed, index)
+    edges = spec.edge_strengths()
+    pairs, strengths = list(edges), np.array(list(edges.values()))
+    n_full, remainder = stochastic._split_horizon(t, dt)
+    state = psi[np.newaxis, :].astype(complex)
+    h = h.astype(complex)
+    for row in rng.standard_normal((n_full, len(pairs))):
+        couplings = row[np.newaxis, :] * np.sqrt(2.0 * strengths / dt)
+        state = stochastic._taylor_step(state, h, pairs, couplings, dt)
+    if remainder:
+        couplings = rng.standard_normal((1, len(pairs))) * np.sqrt(2.0 * strengths / remainder)
+        state = stochastic._taylor_step(state, h, pairs, couplings, remainder)
+    return state[0]
+
+
+class TestTimeGrid:
+    """One pass over a time grid gives the bytes of separate single-time runs.
+
+    Three noisy edges, so a draw laid out by edge rather than by step
+    would change the numbers.
+    """
+
+    # t = 0, times on and off the dt grid, two times inside the step
+    # [0.1, 0.101), and a horizon of 300 steps, several noise chunks
+    TIMES = [0.0, 0.0005, 0.1, 0.1002, 0.1007, 0.2, 0.3, 0.3004]
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.rho_mean.rho, b.rho_mean.rho)
+            assert np.array_equal(a.std_err, b.std_err)
+
+    def test_trajectory_matches_restart_schedule(self, monkeypatch):
+        h, spec, psi = _setup(5, 3)
+        for chunk in (1, 7, stochastic._CHUNK):
+            monkeypatch.setattr(stochastic, "_CHUNK", chunk)
+            for t in self.TIMES:
+                got = evolve_trajectory(h, spec, psi, t, 1e-3, 42, stream_index=5)
+                assert np.array_equal(got, _restart_reference(h, spec, psi, t, 1e-3, 42, 5))
+
+    def _separate(self, h, spec, psi, n_traj, threads):
+        return [
+            ensemble_average(TrajectoryPlan(n_traj, 1e-3, t, 42, spec), h, psi, threads=threads)
+            for t in self.TIMES
+        ]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_multi_time_equals_single_time_calls(self, threads):
+        h, spec, psi = _setup(5, 3)
+        plan = TrajectoryPlan(300, 1e-3, self.TIMES[-1], 42, spec)
+        multi = ensemble_average(plan, h, psi, threads=threads, times=self.TIMES)
+        self._assert_same(multi, self._separate(h, spec, psi, 300, threads))
+        # the order of the requested times is the order of the results
+        backwards = ensemble_average(plan, h, psi, threads=threads, times=self.TIMES[::-1])
+        self._assert_same(backwards[::-1], multi)
+
+    def test_chunk_length_does_not_change_bytes(self, monkeypatch):
+        h, spec, psi = _setup(5, 3)
+        plan = TrajectoryPlan(40, 1e-3, self.TIMES[-1], 42, spec)
+        want = ensemble_average(plan, h, psi, times=self.TIMES)
+        for chunk in (1, 7):
+            monkeypatch.setattr(stochastic, "_CHUNK", chunk)
+            self._assert_same(ensemble_average(plan, h, psi, times=self.TIMES), want)
+
+    def test_times_outside_horizon_rejected(self):
+        h, spec, psi = _setup()
+        plan = TrajectoryPlan(4, 1e-3, 0.2, 42, spec)
+        with pytest.raises(ValueError, match="times"):
+            ensemble_average(plan, h, psi, times=[0.1, 0.3])
+        with pytest.raises(ValueError, match="times"):
+            ensemble_average(plan, h, psi, times=[])
+
+    def test_noise_memory_does_not_grow_with_horizon(self, monkeypatch):
+        # one batch of 256 trajectories on three noisy edges; a draw of
+        # the whole horizon would hold 256 x steps x 3 normals at once,
+        # a chunk of 32 steps holds 256 x 32 x 3
+        monkeypatch.setattr(stochastic, "_CHUNK", 32)
+        h, spec, psi = _setup(5, 3, 1.0)
+        edges = len(spec.edge_strengths())
+        peaks = []
+        for t_final in (0.2, 0.8):
+            plan = TrajectoryPlan(256, 1e-3, t_final, 7, spec)
+            tracemalloc.start()
+            try:
+                ensemble_average(plan, h, psi)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        whole_horizon = 256 * 800 * edges * 8
+        assert peaks[1] < whole_horizon / 2
+        assert peaks[1] < 1.1 * peaks[0]
