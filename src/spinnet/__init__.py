@@ -23,13 +23,16 @@ from .analytics import (
     zeno_limit_channel,
 )
 from .lindblad import (
+    FidelityCurve,
     Liouvillian,
+    LumpedLiouvillian,
     NetworkState,
     build_liouvillian,
     complete_network_liouvillian,
     evolve,
     evolve_at_times,
     extract_channel,
+    fidelity_curve,
     initial_network_state,
 )
 from .network import (
@@ -81,9 +84,11 @@ __all__ = [
     "ConsistencyReport",
     "DeltaStatistic",
     "EnsembleResult",
+    "FidelityCurve",
     "FourNodeClosedForm",
     "Graph",
     "Liouvillian",
+    "LumpedLiouvillian",
     "NetworkState",
     "NoiseSpec",
     "ReportConfig",
@@ -108,6 +113,7 @@ __all__ = [
     "evolve_at_times",
     "evolve_trajectory",
     "extract_channel",
+    "fidelity_curve",
     "first_order_numeric",
     "four_node_closed_form",
     "initial_network_state",

@@ -32,12 +32,9 @@ from .network import (
     standard_noise_spec,
 )
 from .propagator import (
-    BlochInput,
     ChannelParams,
-    avg_fidelity_given_decode,
     bloch_sphere_average,
     optimal_avg_fidelity,
-    propagator_matrix,
     transfer_amplitude,
 )
 
@@ -53,8 +50,6 @@ __all__ = [
     "network_reduction_check",
     "consistency_report",
 ]
-
-_PROBE = BlochInput(math.pi / 2.0, 0.0)
 
 
 def complete_graph_peak_fidelity(n: int) -> float:
@@ -244,29 +239,14 @@ def _fmt(value: complex | float) -> str:
     return f"{value:.12e}"
 
 
-def _noisy_fidelity_curve(n: int, m: int, eta: float, times: np.ndarray) -> np.ndarray:
-    liouville = lindblad.complete_network_liouvillian(n, m, eta)
-    start = lindblad.initial_network_state(n, INPUT_VERTEX, _PROBE)
-    states = lindblad.evolve_at_times(liouville, start, times)
-    out = np.empty(times.size)
-    for k, state in enumerate(states):
-        params = lindblad.extract_channel(state, _PROBE, INPUT_VERTEX, OUTPUT_VERTEX)
-        out[k], _ = optimal_avg_fidelity(params)
-    return out
-
-
 def _max_noisy_fidelity(n: int, m: int, eta: float, t_max: float = 2.0 * math.pi) -> float:
-    liouville = lindblad.complete_network_liouvillian(n, m, eta)
-    start = lindblad.initial_network_state(n, INPUT_VERTEX, _PROBE)
+    engine = lindblad.LumpedLiouvillian(n, m, eta)
 
     def fidelity(t: float) -> float:
-        state = lindblad.evolve_at_times(liouville, start, [t])[0]
-        params = lindblad.extract_channel(state, _PROBE, INPUT_VERTEX, OUTPUT_VERTEX)
-        value, _ = optimal_avg_fidelity(params)
-        return value
+        return float(lindblad.fidelity_curve(engine, [t]).fidelity[0])
 
     grid = np.linspace(0.0, t_max, 801)
-    values = _noisy_fidelity_curve(n, m, eta, grid)
+    values = lindblad.fidelity_curve(engine, grid).fidelity
     best = int(np.argmax(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
@@ -313,10 +293,7 @@ def _check_eta0_unitary_limit() -> ConsistencyCheck:
     n, t = 4, 1.3
     h = single_excitation_hamiltonian(complete_graph(n))
     z_unit = transfer_amplitude(h, t, INPUT_VERTEX, OUTPUT_VERTEX)
-    liouville = lindblad.complete_network_liouvillian(n, 2, 0.0)
-    start = lindblad.initial_network_state(n, INPUT_VERTEX, _PROBE)
-    state = lindblad.evolve(liouville, start, t, method="exact")
-    params = lindblad.extract_channel(state, _PROBE, INPUT_VERTEX, OUTPUT_VERTEX)
+    params = _four_node_engine_channel(0.0, t)
     disc = abs(params.amplitude - z_unit) + abs(params.dephasing - 1.0)
     return ConsistencyCheck(
         name="eta0-lindblad-vs-unitary",
@@ -349,7 +326,7 @@ def _check_bloch_average() -> ConsistencyCheck:
 def _check_trajectories(config: ReportConfig) -> ConsistencyCheck:
     n, m, eta, t = 4, 2, 1.0, 1.0
     liouville = lindblad.complete_network_liouvillian(n, m, eta)
-    start = lindblad.initial_network_state(n, INPUT_VERTEX, _PROBE)
+    start = lindblad.initial_network_state(n, INPUT_VERTEX, lindblad.PROBE)
     target = lindblad.evolve(liouville, start, t, method="exact")
     plan = stochastic.TrajectoryPlan(
         n_traj=config.n_traj,
@@ -359,7 +336,7 @@ def _check_trajectories(config: ReportConfig) -> ConsistencyCheck:
         noise=standard_noise_spec(n, m, eta),
     )
     h = single_excitation_hamiltonian(complete_graph(n))
-    a, b = _PROBE.amplitudes()
+    a, b = lindblad.PROBE.amplitudes()
     psi = np.zeros(n + 1, dtype=complex)
     psi[0], psi[INPUT_VERTEX] = a, b
     result = stochastic.ensemble_average(plan, h, psi, threads=config.threads)
@@ -378,10 +355,7 @@ def _check_trajectories(config: ReportConfig) -> ConsistencyCheck:
 
 
 def _four_node_engine_channel(eta: float, t: float) -> ChannelParams:
-    liouville = lindblad.complete_network_liouvillian(4, 2, eta)
-    start = lindblad.initial_network_state(4, INPUT_VERTEX, _PROBE)
-    state = lindblad.evolve(liouville, start, t, method="exact")
-    return lindblad.extract_channel(state, _PROBE, INPUT_VERTEX, OUTPUT_VERTEX)
+    return lindblad.fidelity_curve(lindblad.LumpedLiouvillian(4, 2, eta), [t]).channels[0]
 
 
 def _check_four_node_z_sq_t0() -> ConsistencyCheck:
@@ -468,7 +442,7 @@ def _check_four_node_continuity() -> list[ConsistencyCheck]:
 def _check_zeno_overlay() -> ConsistencyCheck:
     n, m, eta = 4, 2, 1e3
     times = np.linspace(0.0, 2.0 * math.pi, 161)
-    noisy = _noisy_fidelity_curve(n, m, eta, times)
+    noisy = lindblad.fidelity_curve(lindblad.LumpedLiouvillian(n, m, eta), times).fidelity
     h_eff = zeno_effective_hamiltonian(n, standard_noise_spec(n, m, eta))
     unitary = np.empty_like(noisy)
     for k, t in enumerate(times):

@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .perturbation import (
     first_order_numeric,
     printed_weak_noise_channel,
 )
-from .propagator import BlochInput, ChannelParams, optimal_avg_fidelity, transfer_amplitude
+from .propagator import ChannelParams, transfer_amplitude
 
 __all__ = [
     "ConfigError",
@@ -59,8 +59,6 @@ __all__ = [
 CSV_HEADER = "n,m,eta,t,F,abs_z,lambda,delta,method,seed"
 
 _METHODS = ("unitary", "lindblad", "trajectories", "perturbation-numeric", "perturbation-printed")
-
-_PROBE = BlochInput(math.pi / 2.0, 0.0)
 
 
 class ConfigError(ValueError):
@@ -140,6 +138,12 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("t_min", "t_max", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(name, "must be finite")
+        strengths = self.eta.values() if isinstance(self.eta, dict) else [self.eta]
+        if not all(math.isfinite(value) for value in strengths):
+            raise ConfigError("eta", "must be finite")
         if self.input_vertex == self.output_vertex:
             raise ConfigError("output_vertex", "must differ from input_vertex")
         for name, v in (("input_vertex", self.input_vertex), ("output_vertex", self.output_vertex)):
@@ -299,27 +303,6 @@ def records_to_csv(records: Sequence[ScanRecord]) -> str:
     return "\n".join([CSV_HEADER, *(r.to_csv_row() for r in records)]) + "\n"
 
 
-def _channel_record(
-    config: ExperimentConfig,
-    t: float,
-    params: ChannelParams,
-    delta: float | None = None,
-) -> ScanRecord:
-    fidelity, _ = optimal_avg_fidelity(params)
-    return ScanRecord(
-        n=config.n,
-        m=config.m,
-        eta=config.eta_column(),
-        t=float(t),
-        fidelity=fidelity,
-        abs_z=abs(params.amplitude),
-        dephasing=params.dephasing,
-        delta=delta,
-        method=config.method,
-        seed=config.master_seed,
-    )
-
-
 def run_simulate(config: ExperimentConfig, threads: int = 1) -> list[ScanRecord]:
     """Evaluate the configured engine at every time-grid point.
 
@@ -328,53 +311,16 @@ def run_simulate(config: ExperimentConfig, threads: int = 1) -> list[ScanRecord]
     first-order machinery, which by the permutation symmetry of the
     complete graph depends on the noisy set only through its size.
     """
-    graph = complete_graph(config.n)
-    h = single_excitation_hamiltonian(graph)
     times = config.times()
-    records: list[ScanRecord] = []
-
-    if config.method == "unitary":
-        for t in times:
-            z = transfer_amplitude(h, float(t), config.input_vertex, config.output_vertex)
-            records.append(_channel_record(config, t, ChannelParams(z, 1.0)))
-        return records
-
-    if config.method == "lindblad":
-        spec = config.noise_spec()
-        ops = lindblad_edge_operators(graph, spec, config.input_vertex, config.output_vertex)
-        liouville = lindblad.build_liouvillian(h, ops)
-        start = lindblad.initial_network_state(config.n, config.input_vertex, _PROBE)
-        states = lindblad.evolve_at_times(liouville, start, times)
-        for t, state in zip(times, states):
-            params = lindblad.extract_channel(
-                state, _PROBE, config.input_vertex, config.output_vertex
-            )
-            records.append(_channel_record(config, t, params))
-        return records
-
-    if config.method == "trajectories":
-        spec = config.noise_spec()
-        spec.validate_for(graph, config.input_vertex, config.output_vertex)
-        a, b = _PROBE.amplitudes()
-        psi = np.zeros(config.n + 1, dtype=complex)
-        psi[0], psi[config.input_vertex] = a, b
-        plan = stochastic.TrajectoryPlan(
-            n_traj=config.n_traj,
-            dt=config.dt,
-            t_final=float(times[-1]),
-            master_seed=config.master_seed,
-            noise=spec,
+    if not config.method.startswith("perturbation"):
+        curve = _engine_curve(config, times, threads)
+        return _curve_records(
+            config.n, config.m, config.eta_column(), times, curve, config.master_seed, config.method
         )
-        results = stochastic.ensemble_average(plan, h, psi, threads=threads, times=times)
-        for t, result in zip(times, results):
-            params = lindblad.extract_channel(
-                result.rho_mean, _PROBE, config.input_vertex, config.output_vertex
-            )
-            records.append(_channel_record(config, t, params))
-        return records
 
     # perturbation routes: uniform strength only
     eta = config.uniform_eta()
+    records: list[ScanRecord] = []
     for t in times:
         if config.method == "perturbation-numeric":
             channel = first_order_numeric(config.n, config.m, eta, float(t))
@@ -397,6 +343,74 @@ def run_simulate(config: ExperimentConfig, threads: int = 1) -> list[ScanRecord]
     return records
 
 
+def _engine_curve(
+    config: ExperimentConfig, times: np.ndarray, threads: int
+) -> lindblad.FidelityCurve:
+    graph = complete_graph(config.n)
+    h = single_excitation_hamiltonian(graph)
+    pair = (config.input_vertex, config.output_vertex)
+
+    if config.method == "unitary":
+        return lindblad.FidelityCurve.of(
+            ChannelParams(transfer_amplitude(h, float(t), *pair), 1.0) for t in times
+        )
+
+    if config.method == "lindblad":
+        # scalar noise is a relabelling of the standard placement; only a
+        # per-edge map needs the dense engine
+        if isinstance(config.eta, dict):
+            ops = lindblad_edge_operators(graph, config.noise_spec(), *pair)
+            engine = lindblad.build_liouvillian(h, ops)
+        else:
+            engine = lindblad.LumpedLiouvillian(config.n, config.m, config.eta)
+        return lindblad.fidelity_curve(engine, times, pair)
+
+    spec = config.noise_spec()
+    spec.validate_for(graph, *pair)
+    a, b = lindblad.PROBE.amplitudes()
+    psi = np.zeros(config.n + 1, dtype=complex)
+    psi[0], psi[config.input_vertex] = a, b
+    plan = stochastic.TrajectoryPlan(
+        n_traj=config.n_traj,
+        dt=config.dt,
+        t_final=float(times[-1]),
+        master_seed=config.master_seed,
+        noise=spec,
+    )
+    results = stochastic.ensemble_average(plan, h, psi, threads=threads, times=times)
+    return lindblad.FidelityCurve.of(
+        lindblad.extract_channel(r.rho_mean, lindblad.PROBE, *pair) for r in results
+    )
+
+
+def _curve_records(
+    n: int,
+    m: int,
+    eta: float,
+    times: np.ndarray,
+    curve: lindblad.FidelityCurve,
+    seed: int,
+    method: str = "lindblad",
+    baseline: float | None = None,
+) -> list[ScanRecord]:
+    """One row per time of a fidelity curve, with Delta when a baseline is given."""
+    return [
+        ScanRecord(
+            n=n,
+            m=m,
+            eta=eta,
+            t=float(t),
+            fidelity=float(fidelity),
+            abs_z=abs(params.amplitude),
+            dephasing=params.dephasing,
+            delta=None if baseline is None else max(float(fidelity) - baseline, 0.0),
+            method=method,
+            seed=seed,
+        )
+        for t, fidelity, params in zip(times, curve.fidelity, curve.channels)
+    ]
+
+
 def _delta_records(
     n: int,
     m: int,
@@ -405,29 +419,8 @@ def _delta_records(
     seed: int,
 ) -> list[ScanRecord]:
     """Lindblad channel plus Delta against the analytic noiseless baseline."""
-    baseline = baseline_max_fidelity(n)
-    liouville = lindblad.complete_network_liouvillian(n, m, eta)
-    start = lindblad.initial_network_state(n, 1, _PROBE)
-    states = lindblad.evolve_at_times(liouville, start, times)
-    records = []
-    for t, state in zip(times, states):
-        params = lindblad.extract_channel(state, _PROBE, 1, 2)
-        fidelity, _ = optimal_avg_fidelity(params)
-        records.append(
-            ScanRecord(
-                n=n,
-                m=m,
-                eta=eta,
-                t=float(t),
-                fidelity=fidelity,
-                abs_z=abs(params.amplitude),
-                dephasing=params.dephasing,
-                delta=max(fidelity - baseline, 0.0),
-                method="lindblad",
-                seed=seed,
-            )
-        )
-    return records
+    curve = lindblad.fidelity_curve(lindblad.LumpedLiouvillian(n, m, eta), times)
+    return _curve_records(n, m, eta, times, curve, seed, baseline=baseline_max_fidelity(n))
 
 
 def _fig_overrides(raw: Mapping[str, object], allowed: dict[str, object]) -> dict:
@@ -437,6 +430,13 @@ def _fig_overrides(raw: Mapping[str, object], allowed: dict[str, object]) -> dic
     merged = dict(allowed)
     merged.update(raw)
     return merged
+
+
+def _open_grid(options: Mapping[str, object]) -> np.ndarray:
+    """Open-start time grid of the figure scans: t = k t_max / t_steps, k = 1..t_steps."""
+    t_steps = _require_int(options["t_steps"], "t_steps", 1)
+    t_max = _require_number(options["t_max"], "t_max")
+    return np.arange(1, t_steps + 1) * (t_max / t_steps)
 
 
 def run_scan_fig1(overrides: Mapping[str, object] | None = None, seed: int = 0) -> list[ScanRecord]:
@@ -451,40 +451,15 @@ def run_scan_fig1(overrides: Mapping[str, object] | None = None, seed: int = 0) 
         {"n": 4, "eta_values": list(range(0, 65)), "t_max": 2.0 * math.pi, "t_steps": 64},
     )
     n = _require_int(options["n"], "n", 4)
-    t_steps = _require_int(options["t_steps"], "t_steps", 1)
-    t_max = _require_number(options["t_max"], "t_max")
+    times = _open_grid(options)
     etas = options["eta_values"]
     if not isinstance(etas, Sequence) or isinstance(etas, (str, bytes)) or not etas:
         raise ConfigError("eta_values", "must be a nonempty list of numbers")
-    times = np.arange(1, t_steps + 1) * (t_max / t_steps)
     records: list[ScanRecord] = []
     for eta in etas:
         eta = _require_number(eta, "eta_values")
-        config = ExperimentConfig(
-            n=n, noisy_vertices=tuple(range(3, n + 1)[-(n - 2) :]), eta=eta, method="lindblad"
-        )
-        graph = complete_graph(n)
-        ops = lindblad_edge_operators(graph, config.noise_spec(), 1, 2)
-        liouville = lindblad.build_liouvillian(single_excitation_hamiltonian(graph), ops)
-        start = lindblad.initial_network_state(n, 1, _PROBE)
-        states = lindblad.evolve_at_times(liouville, start, times)
-        for t, state in zip(times, states):
-            params = lindblad.extract_channel(state, _PROBE, 1, 2)
-            fidelity, _ = optimal_avg_fidelity(params)
-            records.append(
-                ScanRecord(
-                    n=n,
-                    m=n - 2,
-                    eta=eta,
-                    t=float(t),
-                    fidelity=fidelity,
-                    abs_z=abs(params.amplitude),
-                    dephasing=params.dephasing,
-                    delta=None,
-                    method="lindblad",
-                    seed=seed,
-                )
-            )
+        curve = lindblad.fidelity_curve(lindblad.LumpedLiouvillian(n, n - 2, eta), times)
+        records.extend(_curve_records(n, n - 2, eta, times, curve, seed))
     return records
 
 
@@ -497,9 +472,7 @@ def run_scan_fig2(overrides: Mapping[str, object] | None = None, seed: int = 0) 
     n_min = _require_int(options["n_min"], "n_min", 4)
     n_max = _require_int(options["n_max"], "n_max", n_min)
     eta = _require_number(options["eta"], "eta")
-    t_steps = _require_int(options["t_steps"], "t_steps", 1)
-    t_max = _require_number(options["t_max"], "t_max")
-    times = np.arange(1, t_steps + 1) * (t_max / t_steps)
+    times = _open_grid(options)
     records: list[ScanRecord] = []
     for n in range(n_min, n_max + 1):
         records.extend(_delta_records(n, n - 2, eta, times, seed))
@@ -514,12 +487,10 @@ def run_scan_fig3(overrides: Mapping[str, object] | None = None, seed: int = 0) 
     )
     n = _require_int(options["n"], "n", 4)
     eta = _require_number(options["eta"], "eta")
-    t_steps = _require_int(options["t_steps"], "t_steps", 1)
-    t_max = _require_number(options["t_max"], "t_max")
+    times = _open_grid(options)
     m_values = options["m_values"]
     if not isinstance(m_values, Sequence) or isinstance(m_values, (str, bytes)) or not m_values:
         raise ConfigError("m_values", "must be a nonempty list of integers")
-    times = np.arange(1, t_steps + 1) * (t_max / t_steps)
     records: list[ScanRecord] = []
     for m in m_values:
         m = _require_int(m, "m_values", 0)

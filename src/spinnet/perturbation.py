@@ -34,7 +34,6 @@ from .network import (
     single_excitation_hamiltonian,
     standard_noise_spec,
 )
-from .propagator import BlochInput, optimal_avg_fidelity
 
 __all__ = [
     "WeakNoiseIntegrals",
@@ -50,8 +49,6 @@ __all__ = [
     "delta_profile",
     "longest_positive_run",
 ]
-
-_PROBE = BlochInput(math.pi / 2.0, 0.0)
 
 
 def beta(n: int, t: float) -> complex:
@@ -239,7 +236,7 @@ def first_order_numeric(
     def propagator(s: float) -> np.ndarray:
         return (vecs * np.exp(-1j * w * s)) @ vecs.conj().T
 
-    a, b = _PROBE.amplitudes()
+    a, b = lindblad.PROBE.amplitudes()
     psi = np.zeros(n + 1, dtype=complex)
     psi[0] = a
     psi[INPUT_VERTEX] = b
@@ -279,7 +276,7 @@ def first_order_numeric(
     acc *= h_step / 3.0
 
     rho_t = u_final @ (rho0 + eta * acc) @ u_final.conj().T
-    params = lindblad.extract_channel(rho_t, _PROBE, INPUT_VERTEX, OUTPUT_VERTEX)
+    params = lindblad.extract_channel(rho_t, lindblad.PROBE, INPUT_VERTEX, OUTPUT_VERTEX)
     z_sq = abs(params.amplitude) ** 2
     lam_z_mod = params.dephasing * z_sq
     return WeakNoiseChannel(
@@ -346,19 +343,11 @@ def delta_profile(
     times: np.ndarray,
     t_grid_for_baseline: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Delta over a whole time grid with a single generator diagonalization."""
+    """Delta over a whole time grid from one lumped master-equation run."""
     _require_noise_geometry(n, m)
-    times = np.asarray(times, dtype=float)
     baseline = baseline_max_fidelity(n, t_grid_for_baseline)
-    liouville = lindblad.complete_network_liouvillian(n, m, eta)
-    start = lindblad.initial_network_state(n, INPUT_VERTEX, _PROBE)
-    states = lindblad.evolve_at_times(liouville, start, times)
-    out = np.empty(times.size)
-    for k, state in enumerate(states):
-        params = lindblad.extract_channel(state, _PROBE, INPUT_VERTEX, OUTPUT_VERTEX)
-        fidelity, _ = optimal_avg_fidelity(params)
-        out[k] = max(fidelity - baseline, 0.0)
-    return out
+    curve = lindblad.fidelity_curve(lindblad.LumpedLiouvillian(n, m, eta), times)
+    return np.maximum(curve.fidelity - baseline, 0.0)
 
 
 def delta_statistic(

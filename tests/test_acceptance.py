@@ -314,7 +314,7 @@ class TestCriterion7Conservation:
 
 class TestCriterion8Determinism:
     @staticmethod
-    def _run(args, config_text, tmp_path, threads=None, tag="cfg"):
+    def _run(args, config_text, tmp_path, threads=None, tag="cfg", blas_threads=None):
         import os
 
         path = tmp_path / f"{tag}.json"
@@ -324,7 +324,33 @@ class TestCriterion8Determinism:
             cmd += ["--threads", str(threads)]
         env = dict(os.environ)
         env.pop("SPINNET_THREADS", None)
+        if blas_threads is not None:
+            for name in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env.pop(name, None)
+            env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
         return subprocess.run(cmd, capture_output=True, env=env)
+
+    def test_bytes_independent_of_blas_threads(self, criterion_log, tmp_path):
+        # large n, where a dense engine's BLAS reductions round
+        # differently per thread count, and the four-node surface
+        cases = {
+            "fig2 n=16..20": ("fig2", '{"n_min": 16, "n_max": 20, "t_steps": 100}'),
+            "fig1 n=4": ("fig1", '{"eta_values": [0, 4, 8], "t_steps": 64}'),
+        }
+        verdicts = {}
+        for label, (command, config) in cases.items():
+            runs = [
+                self._run([command], config, tmp_path, tag=command, blas_threads=k) for k in (1, 2)
+            ]
+            assert all(r.returncode == 0 for r in runs), runs[0].stderr
+            verdicts[label] = runs[0].stdout == runs[1].stdout and len(runs[0].stdout) > 0
+        passed = all(verdicts.values())
+        criterion_log(
+            "8 byte-identical CLI output at OPENBLAS_NUM_THREADS = 1 and 2",
+            passed,
+            ", ".join(f"{label} {'ok' if ok else 'DIFFERS'}" for label, ok in verdicts.items()),
+        )
+        assert passed
 
     def test_byte_identical_output(self, criterion_log, tmp_path):
         sim = (

@@ -6,9 +6,11 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spinnet.cli import (
     CSV_HEADER,
@@ -21,6 +23,8 @@ from spinnet.cli import (
     run_scan_fig3,
     run_simulate,
 )
+from spinnet.lindblad import complete_network_liouvillian
+from spinnet.propagator import complete_graph_transfer_prob
 
 
 def _cfg(**over):
@@ -96,6 +100,31 @@ class TestConfigSchema:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"n": 4, "t_min": 2.0, "t_max": 1.0})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("t_min", float("nan")),
+            ("t_max", float("nan")),
+            ("t_max", float("inf")),
+            ("dt", float("nan")),
+            ("eta", float("nan")),
+            ("eta", {(3, 4): float("inf")}),
+        ],
+    )
+    def test_direct_construction_rejects_non_finite(self, field, value):
+        # every comparison is false on NaN, so the range checks alone
+        # would let it through
+        fields = {"n": 4, "noisy_vertices": (3, 4), field: value}
+        with pytest.raises(ConfigError, match=f"field '{field}'.*must be finite") as err:
+            ExperimentConfig(**fields)
+        assert err.value.field_name == field
+
+    def test_direct_construction_names_first_bad_field(self):
+        nan = float("nan")
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(n=4, t_max=nan, dt=nan, eta=nan)
+        assert err.value.field_name == "t_max"
+
 
 class TestCsvShape:
     def test_header_exact(self):
@@ -148,6 +177,41 @@ class TestFigureScans:
         assert round(3 * math.pi / 2, 12) in times
         assert len(records) == 64
 
+    def test_fig1_exceptional_points_match_expm(self):
+        # eta = 4 and 8 are exceptional points of the four-node generator,
+        # where an eigenbasis loses accuracy; a plain exponential per
+        # point is the reference
+        records = run_scan_fig1({"eta_values": [4, 8], "t_steps": 256})
+        assert len(records) == 512
+        a, b = math.cos(math.pi / 4), math.sin(math.pi / 4)
+        rho0 = np.zeros((5, 5), dtype=complex)
+        rho0[np.ix_([0, 1], [0, 1])] = [[a * a, a * b], [a * b, b * b]]
+        worst = 0.0
+        for eta in (4.0, 8.0):
+            generator = complete_network_liouvillian(4, 2, eta).generator
+            for r in (r for r in records if r.eta == eta):
+                v = scipy.linalg.expm(generator * r.t) @ rho0.reshape(-1, order="F")
+                rho = v.reshape((5, 5), order="F")
+                prob = rho[2, 2].real / (b * b)
+                fidelity = 0.5 + abs(rho[2, 0]) / (3 * a * b) + prob / 6
+                worst = max(worst, abs(r.fidelity - fidelity), abs(r.abs_z - math.sqrt(prob)))
+        assert worst < 1e-12
+
+    def test_fig2_scale_free(self):
+        # n = 10^4 has a dense generator of 10^16 entries; the lumped
+        # engine runs it in milliseconds
+        n, t_steps = 10**4, 50
+        start = time.perf_counter()
+        clean = run_scan_fig2({"n_min": n, "n_max": n, "eta": 0.0, "t_steps": t_steps})
+        noisy = run_scan_fig2({"n_min": n, "n_max": n, "t_steps": t_steps})
+        assert time.perf_counter() - start < 30.0
+        assert len(clean) == len(noisy) == t_steps
+        for r in clean:
+            prob = complete_graph_transfer_prob(n, r.t)
+            assert abs(r.abs_z**2 - prob) < 1e-12
+            assert abs(r.fidelity - (0.5 + math.sqrt(prob) / 3 + prob / 6)) < 1e-12
+        assert max(r.delta for r in noisy) > 0.0
+
     def test_fig1_unknown_override_rejected(self):
         with pytest.raises(ConfigError, match="etas"):
             run_scan_fig1({"etas": [1]})
@@ -187,13 +251,24 @@ class TestFailureExits:
         assert code == 1
         assert f"field '{field}'" in err and "must be finite" in err
 
-    def test_linalg_failure_exits_2(self, tmp_path, capsys, monkeypatch):
-        def broken_eig(matrix):
+    @staticmethod
+    def _broken_eigvalsh_exit(eta, tmp_path, capsys, monkeypatch):
+        # both engines validate states through eigvalsh: the lumped one
+        # for a scalar eta, the dense one for a per-edge map
+        def broken_eigvalsh(matrix):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eig", broken_eig)
-        config = {"n": 4, "m": 2, "eta": 1.0, "t_steps": 2, "method": "lindblad"}
-        code, err = _main(["simulate"], config, tmp_path, capsys)
+        monkeypatch.setattr(np.linalg, "eigvalsh", broken_eigvalsh)
+        config = {"n": 4, "m": 2, "eta": eta, "t_steps": 2, "method": "lindblad"}
+        return _main(["simulate"], config, tmp_path, capsys)
+
+    def test_linalg_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        code, err = self._broken_eigvalsh_exit(1.0, tmp_path, capsys, monkeypatch)
+        assert code == 2
+        assert err.startswith("numeric failure:")
+
+    def test_dense_linalg_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        code, err = self._broken_eigvalsh_exit({"3-4": 1.0}, tmp_path, capsys, monkeypatch)
         assert code == 2
         assert err.startswith("numeric failure:")
 

@@ -21,14 +21,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from spinnet import lindblad
 from spinnet.lindblad import (
     Liouvillian,
+    LumpedLiouvillian,
     NetworkState,
     build_liouvillian,
     complete_network_liouvillian,
     evolve,
     evolve_at_times,
     extract_channel,
+    fidelity_curve,
     initial_network_state,
 )
 from spinnet.network import (
@@ -94,8 +97,13 @@ class TestGeneratorStructure:
         assert abs(np.trace(deriv)) < 1e-12
 
     def test_generator_splits_into_parts(self):
+        # the generator is the sum of its Hamiltonian-only and
+        # dissipator-only builds
         liou = complete_network_liouvillian(4, 2, 0.8)
-        assert np.max(np.abs(liou.generator - liou.hamiltonian_part - liou.dissipator_part)) < 1e-14
+        h = single_excitation_hamiltonian(complete_graph(4))
+        ham = build_liouvillian(h, []).generator
+        dis = _single_edge_dissipator(4, 0.8).generator
+        assert np.max(np.abs(liou.generator - ham - dis)) < 1e-14
 
     def test_untouched_coherence_decay_rate(self):
         # derived by hand: d/dt rho_{1,3} = -eta rho_{1,3}
@@ -230,3 +238,80 @@ class TestExtractChannel:
         params = extract_channel(st, PROBE, 1, 2)
         assert params.amplitude == 0.0
         assert params.dephasing == 1.0
+
+
+def _dense_entries(n: int, m: int, eta: float, times) -> tuple[np.ndarray, np.ndarray]:
+    start = initial_network_state(n, 1, PROBE)
+    states = evolve_at_times(complete_network_liouvillian(n, m, eta), start, times)
+    return np.array([s.rho[2, 2].real for s in states]), np.array([s.rho[2, 0] for s in states])
+
+
+def _lumped_cases():
+    # every n from 4 to 12, an extreme and a middle noisy set, a weak and
+    # a strong rate, and the exceptional points eta = 4 and 8 at n = 4
+    cases = {(4, 2, 4.0), (4, 2, 8.0), (5, 0, 1.0), (6, 1, 3.0)}
+    for n in range(4, 13):
+        for m in {2, n // 2, n - 2}:
+            for eta in (0.05, 2.5):
+                cases.add((n, m, eta))
+    return sorted(cases)
+
+
+class TestLumpedEngine:
+    # a uniform grid (one exponential per step) and an unsorted,
+    # non-uniform one with a repeat (one exponential per gap)
+    GRIDS = (np.arange(1, 41) * (2 * math.pi / 40), np.array([2.9, 0.3, 1.7, 0.3, 5.0]))
+
+    @pytest.mark.parametrize("n, m, eta", _lumped_cases())
+    def test_matches_dense_engine(self, n, m, eta):
+        lumped = LumpedLiouvillian(n, m, eta)
+        dense = complete_network_liouvillian(n, m, eta)
+        for times in self.GRIDS:
+            states = lumped.evolve(times)
+            rho_oo, rho_o0 = _dense_entries(n, m, eta, times)
+            assert np.max(np.abs(states.rho_oo - rho_oo)) < 1e-12
+            assert np.max(np.abs(states.rho_o0 - rho_o0)) < 1e-12
+            f_lumped = fidelity_curve(lumped, times).fidelity
+            f_dense = fidelity_curve(dense, times).fidelity
+            assert np.max(np.abs(f_lumped - f_dense)) < 1e-12
+
+    @pytest.mark.parametrize("n, m, eta", [(4, 2, 4.0), (5, 1, 0.7), (6, 0, 1.0), (7, 3, 2.0), (8, 5, 9.0)])
+    def test_quotient_spectrum_is_dense_spectrum(self, n, m, eta):
+        times = self.GRIDS[1]
+        values, counts = LumpedLiouvillian(n, m, eta).evolve(times).spectrum()
+        assert counts.sum() == n + 1
+        start = initial_network_state(n, 1, PROBE)
+        dense = evolve_at_times(complete_network_liouvillian(n, m, eta), start, times)
+        for row, state in zip(values, dense):
+            expanded = np.sort(np.repeat(row, counts))
+            assert np.max(np.abs(expanded - np.linalg.eigvalsh(state.rho))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "builder, row, col, change",
+        [
+            # a population leak breaks the trace
+            ("_population_generator", "oo", "oo", -0.1),
+            # a growing output coherence breaks positivity
+            ("_coherence_generator", 1, 1, 0.5),
+        ],
+    )
+    def test_corrupted_coefficient_raises(self, monkeypatch, builder, row, col, change):
+        original = getattr(lindblad, builder)
+
+        def corrupted(k, m, eta):
+            g = original(k, m, eta)
+            if isinstance(row, str):
+                j = lindblad._ORBIT["o", "o", True]
+                g[j, j] += change
+            else:
+                g[row, col] += change
+            return g
+
+        monkeypatch.setattr(lindblad, builder, corrupted)
+        with pytest.raises(RuntimeError, match="numeric failure at t="):
+            fidelity_curve(LumpedLiouvillian(6, 3, 1.0), np.linspace(0.0, 3.0, 7))
+
+    def test_rejects_bad_geometry_and_rates(self):
+        for n, m, eta in [(1, 0, 1.0), (4, 3, 1.0), (4, 2, -1.0), (4, 2, math.nan)]:
+            with pytest.raises(ValueError):
+                LumpedLiouvillian(n, m, eta)
