@@ -7,7 +7,9 @@ integrals b1..b8; it is evaluated literally, defects included, and is
 treated as a claim under test. The numeric route integrates the
 interaction-picture dissipator applied to the frozen zeroth-order
 state, which cannot suffer from convention or transcription slips, and
-serves as the ground truth the closed forms are compared against.
+serves as the ground truth the closed forms are compared against. It
+sums Simpson nodes in fixed blocks through one dissipator matrix, so
+the block, not the horizon t, sets the memory it holds.
 
 The noise-benefit statistic Delta(t) = max[F(t; eta) - max_t F(t; 0), 0]
 is always computed from the full master-equation engine, not from
@@ -49,6 +51,8 @@ __all__ = [
     "delta_profile",
     "longest_positive_run",
 ]
+
+_QUADRATURE_BLOCK = 64  # Simpson nodes per stacked batch in first_order_numeric
 
 
 def beta(n: int, t: float) -> complex:
@@ -175,6 +179,12 @@ def _require_noise_geometry(n: int, m: int) -> None:
         raise ValueError(f"m must lie in 0..n-2 = {n - 2}, got {m}")
 
 
+def _require_eta_and_t(eta: float, t: float) -> None:
+    for name, value in (("eta", eta), ("t", t)):
+        if not math.isfinite(value) or value < 0:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 def printed_weak_noise_channel(n: int, m: int, eta: float, t: float) -> WeakNoiseChannel:
     """Literal assembly of the closed-form first-order coefficients.
 
@@ -187,8 +197,7 @@ def printed_weak_noise_channel(n: int, m: int, eta: float, t: float) -> WeakNois
     eta * t stays well under 1.
     """
     _require_noise_geometry(n, m)
-    if eta < 0:
-        raise ValueError(f"need eta >= 0, got {eta}")
+    _require_eta_and_t(eta, t)
     co = b_coefficients(n, t)
     b = beta(n, t)
     bp = beta_prime(n, t)
@@ -223,56 +232,57 @@ def first_order_numeric(
     closed-form input with printed_weak_noise_channel, so agreement
     between the two is evidence, not tautology. The correction is
     exactly linear in eta by construction.
+
+    The Simpson sum runs over blocks of _QUADRATURE_BLOCK nodes, each
+    stacking its propagators and applying every edge dissipator as one
+    (n+1)^2 x (n+1)^2 matrix, so memory is set by the block, not by t.
+    quadrature_step must lie in (0, 1e-3], the cap of b_coefficients.
     """
     _require_noise_geometry(n, m)
-    if eta < 0:
-        raise ValueError(f"need eta >= 0, got {eta}")
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
+    _require_eta_and_t(eta, t)
+    if not 0 < quadrature_step <= 1e-3:
+        raise ValueError(f"quadrature_step must lie in (0, 1e-3], got {quadrature_step}")
     graph = complete_graph(n)
     h = single_excitation_hamiltonian(graph)
     w, vecs = np.linalg.eigh(h)
-
-    def propagator(s: float) -> np.ndarray:
-        return (vecs * np.exp(-1j * w * s)) @ vecs.conj().T
-
     a, b = lindblad.PROBE.amplitudes()
     psi = np.zeros(n + 1, dtype=complex)
     psi[0] = a
     psi[INPUT_VERTEX] = b
     rho0 = np.outer(psi, psi.conj())
-    u_final = propagator(t)
+    u_final = (vecs * np.exp(-1j * w * t)) @ vecs.conj().T
     z0 = u_final[OUTPUT_VERTEX, INPUT_VERTEX]
     z_sq_0 = abs(z0) ** 2
     if eta == 0.0 or m < 2 or t == 0.0:
         return WeakNoiseChannel(z_sq_0=z_sq_0, xi1=0.0, xi2=0j, eta=0.0)
 
-    # unit-strength operators; the generator rate per unit eta is 2
-    ops = [
-        op
-        for op, _ in lindblad_edge_operators(
-            graph, standard_noise_spec(n, m, 1.0), INPUT_VERTEX, OUTPUT_VERTEX
-        )
-    ]
-
-    def unit_dissipator(x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        for op in ops:
-            opsq = op @ op
-            out += 2.0 * (op @ x @ op - 0.5 * (opsq @ x + x @ opsq))
-        return out
+    # unit-strength dissipator on row-major vec(x), where vec(a x b) is
+    # (a kron b^T) vec(x); the generator rate per unit eta is 2
+    dim = n + 1
+    dissipator = np.zeros((dim * dim, dim * dim))
+    opsq_sum = np.zeros((dim, dim))
+    spec = standard_noise_spec(n, m, 1.0)
+    for op, _ in lindblad_edge_operators(graph, spec, INPUT_VERTEX, OUTPUT_VERTEX):
+        dissipator += np.kron(2.0 * op, op)
+        opsq_sum += op @ op
+    dissipator -= np.kron(opsq_sum, np.eye(dim))
+    dissipator -= np.kron(np.eye(dim), opsq_sum.T)
 
     num = max(int(math.ceil(t / quadrature_step)), 2)
     if num % 2:
         num += 1
     h_step = t / num
     acc = np.zeros_like(rho0)
-    for k in range(num + 1):
-        s = k * h_step
-        u = propagator(s)
-        inner = u.conj().T @ unit_dissipator(u @ rho0 @ u.conj().T) @ u
-        weight = 1.0 if k in (0, num) else (4.0 if k % 2 else 2.0)
-        acc += weight * inner
+    for start in range(0, num + 1, _QUADRATURE_BLOCK):
+        k = np.arange(start, min(start + _QUADRATURE_BLOCK, num + 1))
+        u = (vecs * np.exp(-1j * w * (k * h_step)[:, None])[:, None, :]) @ vecs.conj().T
+        phi = u @ psi  # U rho0 U^dag = phi phi^dag
+        x = (phi[:, :, None] * phi.conj()[:, None, :]).reshape(k.size, dim * dim)
+        dx = x.real @ dissipator.T + 1j * (x.imag @ dissipator.T)  # no complex copy of the matrix
+        inner = u.conj().transpose(0, 2, 1) @ dx.reshape(k.size, dim, dim) @ u
+        weight = np.where(k % 2, 4.0, 2.0)
+        weight[(k == 0) | (k == num)] = 1.0
+        acc += np.tensordot(weight, inner, axes=1)
     acc *= h_step / 3.0
 
     rho_t = u_final @ (rho0 + eta * acc) @ u_final.conj().T

@@ -4,11 +4,21 @@ The acceptance tests register one line per criterion here; the
 terminal summary prints the scoreboard after the run so pass/fail
 status and the measured numbers are visible in one place even when
 the suite is long.
+
+BLAS is pinned to one thread before anything imports numpy, unless the
+environment already says otherwise: when other processes share the
+cores, OpenBLAS's default threads oversubscribe them, and the small
+products the suite makes gain nothing from more threads.
 """
 
 from __future__ import annotations
 
-import pytest
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
 
 _SCOREBOARD: list[tuple[str, bool, str]] = []
 

@@ -15,12 +15,18 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spinnet.lindblad import complete_network_liouvillian, evolve, extract_channel, initial_network_state
-from spinnet.network import complete_graph, single_excitation_hamiltonian
+from spinnet.network import (
+    complete_graph,
+    lindblad_edge_operators,
+    single_excitation_hamiltonian,
+    standard_noise_spec,
+)
 from spinnet.perturbation import (
     DeltaStatistic,
     WeakNoiseChannel,
@@ -37,6 +43,58 @@ from spinnet.perturbation import (
 from spinnet.propagator import BlochInput, optimal_avg_fidelity, propagator_matrix, transfer_amplitude
 
 PROBE = BlochInput(math.pi / 2, 0.0)
+NON_FINITE_INPUTS = [("eta", math.nan, 1.0), ("eta", math.inf, 1.0), ("t", 0.01, math.inf), ("t", 0.01, math.nan)]
+
+
+def per_node_first_order(n, m, eta, t, step=1e-3):
+    """The first-order quadrature written one Simpson node at a time.
+
+    Each node builds its own propagator and applies every edge
+    dissipator to U rho0 U^dag with small matrix products; the
+    blocked production route must reproduce it.
+    """
+    graph = complete_graph(n)
+    w, vecs = np.linalg.eigh(single_excitation_hamiltonian(graph))
+
+    def propagator(s):
+        return (vecs * np.exp(-1j * w * s)) @ vecs.conj().T
+
+    a, b = PROBE.amplitudes()
+    psi = np.zeros(n + 1, dtype=complex)
+    psi[0] = a
+    psi[1] = b
+    rho0 = np.outer(psi, psi.conj())
+    u_final = propagator(t)
+    z_sq_0 = abs(u_final[2, 1]) ** 2
+    if eta == 0.0 or m < 2 or t == 0.0:
+        return WeakNoiseChannel(z_sq_0=z_sq_0, xi1=0.0, xi2=0j, eta=0.0)
+    ops = [op for op, _ in lindblad_edge_operators(graph, standard_noise_spec(n, m, 1.0), 1, 2)]
+
+    def unit_dissipator(x):
+        out = np.zeros_like(x)
+        for op in ops:
+            opsq = op @ op
+            out += 2.0 * (op @ x @ op - 0.5 * (opsq @ x + x @ opsq))
+        return out
+
+    num = max(int(math.ceil(t / step)), 2)
+    if num % 2:
+        num += 1
+    h_step = t / num
+    acc = np.zeros_like(rho0)
+    for k in range(num + 1):
+        u = propagator(k * h_step)
+        inner = u.conj().T @ unit_dissipator(u @ rho0 @ u.conj().T) @ u
+        acc += (1.0 if k in (0, num) else (4.0 if k % 2 else 2.0)) * inner
+    acc *= h_step / 3.0
+    params = extract_channel(u_final @ (rho0 + eta * acc) @ u_final.conj().T, PROBE, 1, 2)
+    z_sq = abs(params.amplitude) ** 2
+    return WeakNoiseChannel(
+        z_sq_0=z_sq_0,
+        xi1=(z_sq - z_sq_0) / eta,
+        xi2=complex((params.dephasing * z_sq - z_sq_0) / eta),
+        eta=eta,
+    )
 
 
 class TestWindowAmplitudes:
@@ -119,6 +177,11 @@ class TestWeakNoiseChannel:
         ch = printed_weak_noise_channel(5, 1, 0.01, 1.0)
         assert abs(ch.xi2) > 1e-3
 
+    @pytest.mark.parametrize("field,eta,t", NON_FINITE_INPUTS)
+    def test_printed_rejects_non_finite_input(self, field, eta, t):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            printed_weak_noise_channel(10, 8, eta, t)
+
     def test_printed_no_noise_matches_zeroth_order(self):
         ch = printed_weak_noise_channel(6, 3, 0.0, 0.9)
         assert ch.z_sq == pytest.approx(abs(beta(6, 0.9)) ** 2, abs=1e-12)
@@ -142,6 +205,54 @@ class TestFirstOrderNumeric:
         st = evolve(liou, initial_network_state(4, 1, PROBE), t, method="exact")
         f_full, _ = optimal_avg_fidelity(extract_channel(st, PROBE, 1, 2))
         assert abs(ch.fidelity() - f_full) < 50 * eta**2
+
+    @pytest.mark.parametrize(
+        "n,m,eta,t",
+        [
+            (6, 4, 0.05, 1.5e-3),  # t < 2 steps: a 2-interval rule, one partial block
+            (6, 4, 0.05, 0.2005),  # 200.5 steps, bumped to 202 intervals
+            (10, 8, 0.01, 0.5),  # 501 nodes: 7 full blocks and a partial one
+            (4, 2, 1e-3, 1.0),
+            (12, 5, 0.1, 3.1),
+            (3, 1, 0.01, 1.0),  # n = 3 spans at most one noisy vertex
+            (7, 1, 0.01, 1.0),  # m < 2 short-circuits
+            (7, 5, 0.0, 1.0),  # eta = 0 short-circuits
+        ],
+    )
+    def test_blocked_quadrature_matches_per_node_loop(self, n, m, eta, t):
+        # the integrand has no weight on the readout entries at s = 0
+        # (rho0 misses the noisy vertices) or at s = t, so the two Simpson
+        # endpoint weights reach the channel only through rounding; this
+        # pins the interior weights, the node count and the blocking
+        got = first_order_numeric(n, m, eta, t)
+        want = per_node_first_order(n, m, eta, t)
+        assert abs(got.fidelity() - want.fidelity()) <= 1e-15
+        assert got.z_sq_0 == want.z_sq_0 and got.eta == want.eta
+        assert got.xi1 == pytest.approx(want.xi1, rel=1e-12, abs=0.0)
+        assert got.xi2 == pytest.approx(want.xi2, rel=1e-12, abs=0.0)
+
+    def test_memory_bounded_by_block_not_horizon(self):
+        def peak(t):
+            first_order_numeric(10, 8, 0.01, t)
+            tracemalloc.start()
+            try:
+                first_order_numeric(10, 8, 0.01, t)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(1.0), peak(8.0)
+        assert long <= 1.1 * short, f"peak {long} B at t = 8 against {short} B at t = 1"
+
+    @pytest.mark.parametrize("step", [-1.0, 0.0, 2e-3, math.nan])
+    def test_rejects_quadrature_step_outside_cap(self, step):
+        with pytest.raises(ValueError, match="quadrature_step"):
+            first_order_numeric(10, 8, 0.01, 1.0, quadrature_step=step)
+
+    @pytest.mark.parametrize("field,eta,t", NON_FINITE_INPUTS)
+    def test_rejects_non_finite_input(self, field, eta, t):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            first_order_numeric(10, 8, eta, t)
 
     def test_dephasing_reproduced_exactly(self):
         # the stored coefficients are chosen so the shared extraction
