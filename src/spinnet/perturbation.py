@@ -7,9 +7,9 @@ integrals b1..b8; it is evaluated literally, defects included, and is
 treated as a claim under test. The numeric route integrates the
 interaction-picture dissipator applied to the frozen zeroth-order
 state, which cannot suffer from convention or transcription slips, and
-serves as the ground truth the closed forms are compared against. It
-sums Simpson nodes in fixed blocks through one dissipator matrix, so
-the block, not the horizon t, sets the memory it holds.
+serves as the ground truth the closed forms are compared against. Its
+Simpson sum runs in bounded node blocks with a closed-form dissipator,
+so its memory grows with neither the horizon t nor n (up to n = 255).
 
 The noise-benefit statistic Delta(t) = max[F(t; eta) - max_t F(t; 0), 0]
 is always computed from the full master-equation engine, not from
@@ -32,7 +32,6 @@ from .network import (
     INPUT_VERTEX,
     OUTPUT_VERTEX,
     complete_graph,
-    lindblad_edge_operators,
     single_excitation_hamiltonian,
     standard_noise_spec,
 )
@@ -52,7 +51,8 @@ __all__ = [
     "longest_positive_run",
 ]
 
-_QUADRATURE_BLOCK = 64  # Simpson nodes per stacked batch in first_order_numeric
+_QUADRATURE_BLOCK = 64  # most Simpson nodes per stacked batch in first_order_numeric
+_BLOCK_ENTRIES = 1 << 16  # most matrix entries per batch, so its memory is bounded at any n
 
 
 def beta(n: int, t: float) -> complex:
@@ -233,10 +233,10 @@ def first_order_numeric(
     between the two is evidence, not tautology. The correction is
     exactly linear in eta by construction.
 
-    The Simpson sum runs over blocks of _QUADRATURE_BLOCK nodes, each
-    stacking its propagators and applying every edge dissipator as one
-    (n+1)^2 x (n+1)^2 matrix, so memory is set by the block, not by t.
-    quadrature_step must lie in (0, 1e-3], the cap of b_coefficients.
+    The Simpson sum runs over blocks of at most 64 nodes and 2^16 matrix
+    entries, each applying the summed edge dissipator in closed form on
+    the noisy rows and columns, so memory grows with neither t nor n
+    (O(n^2) past n = 255). quadrature_step must lie in (0, 1e-3].
     """
     _require_noise_geometry(n, m)
     _require_eta_and_t(eta, t)
@@ -256,30 +256,30 @@ def first_order_numeric(
     if eta == 0.0 or m < 2 or t == 0.0:
         return WeakNoiseChannel(z_sq_0=z_sq_0, xi1=0.0, xi2=0j, eta=0.0)
 
-    # unit-strength dissipator on row-major vec(x), where vec(a x b) is
-    # (a kron b^T) vec(x); the generator rate per unit eta is 2
-    dim = n + 1
-    dissipator = np.zeros((dim * dim, dim * dim))
-    opsq_sum = np.zeros((dim, dim))
-    spec = standard_noise_spec(n, m, 1.0)
-    for op, _ in lindblad_edge_operators(graph, spec, INPUT_VERTEX, OUTPUT_VERTEX):
-        dissipator += np.kron(2.0 * op, op)
-        opsq_sum += op @ op
-    dissipator -= np.kron(opsq_sum, np.eye(dim))
-    dissipator -= np.kron(np.eye(dim), opsq_sum.T)
+    # unit dissipator 2 sum_L (L x L - {L^2, x}/2), L = |k><l| + |l><k| over noisy pairs:
+    # sum L^2 = (m-1) P_N, sum L x L = x_N^T with its diagonal set to tr(x_N) - x_ii
+    noisy = np.array(standard_noise_spec(n, m, 1.0).noisy_vertices)
+    diag = np.arange(m)
+    block = max(1, min(_QUADRATURE_BLOCK, _BLOCK_ENTRIES // (n + 1) ** 2))
 
     num = max(int(math.ceil(t / quadrature_step)), 2)
     if num % 2:
         num += 1
     h_step = t / num
     acc = np.zeros_like(rho0)
-    for start in range(0, num + 1, _QUADRATURE_BLOCK):
-        k = np.arange(start, min(start + _QUADRATURE_BLOCK, num + 1))
+    for start in range(0, num + 1, block):
+        k = np.arange(start, min(start + block, num + 1))
         u = (vecs * np.exp(-1j * w * (k * h_step)[:, None])[:, None, :]) @ vecs.conj().T
         phi = u @ psi  # U rho0 U^dag = phi phi^dag
-        x = (phi[:, :, None] * phi.conj()[:, None, :]).reshape(k.size, dim * dim)
-        dx = x.real @ dissipator.T + 1j * (x.imag @ dissipator.T)  # no complex copy of the matrix
-        inner = u.conj().transpose(0, 2, 1) @ dx.reshape(k.size, dim, dim) @ u
+        x = phi[:, :, None] * phi.conj()[:, None, :]
+        swapped = x[:, noisy[:, None], noisy].transpose(0, 2, 1)
+        pops = swapped[:, diag, diag]
+        swapped[:, diag, diag] = pops.sum(axis=1, keepdims=True) - pops
+        dx = np.zeros_like(x)
+        dx[:, noisy] -= (m - 1) * x[:, noisy]
+        dx[:, :, noisy] -= (m - 1) * x[:, :, noisy]
+        dx[:, noisy[:, None], noisy] += 2.0 * swapped
+        inner = u.conj().transpose(0, 2, 1) @ dx @ u
         weight = np.where(k % 2, 4.0, 2.0)
         weight[(k == 0) | (k == num)] = 1.0
         acc += np.tensordot(weight, inner, axes=1)

@@ -244,6 +244,21 @@ class TestFirstOrderNumeric:
         short, long = peak(1.0), peak(8.0)
         assert long <= 1.1 * short, f"peak {long} B at t = 8 against {short} B at t = 1"
 
+    def test_memory_bounded_at_large_n(self):
+        # a dense (n+1)^2 x (n+1)^2 superoperator would grow 16-fold from
+        # n = 40 to n = 80, and blocks of a fixed node count 4-fold
+        def peak(n):
+            first_order_numeric(n, 2, 0.01, 0.1)
+            tracemalloc.start()
+            try:
+                first_order_numeric(n, 2, 0.01, 0.1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(40), peak(80)
+        assert large <= 1.25 * small, f"peak {large} B at n = 80 against {small} B at n = 40"
+
     @pytest.mark.parametrize("step", [-1.0, 0.0, 2e-3, math.nan])
     def test_rejects_quadrature_step_outside_cap(self, step):
         with pytest.raises(ValueError, match="quadrature_step"):
