@@ -129,7 +129,10 @@ class TestSingleTrajectory:
 
 
 class TestEnsemble:
-    def test_threads_do_not_change_bytes(self):
+    def test_threads_do_not_change_bytes(self, monkeypatch):
+        # batches of 128 make 300 trajectories three batches, the last
+        # partial, so the batch-order reduction is exercised
+        monkeypatch.setattr(stochastic, "_BATCH", 128)
         h, spec, psi = _setup()
         plan = TrajectoryPlan(300, 1e-3, 0.7, 42, spec)
         r1 = ensemble_average(plan, h, psi, threads=1)
@@ -183,6 +186,63 @@ class TestEnsemble:
         assert abs(np.trace(r.rho_mean.rho).real - 1.0) < 1e-9
 
 
+def _row_kernel(states, h, pairs, couplings, tau):
+    """Reference step in row layout: one trajectory per row of ``states``,
+    one edge per column of ``couplings``, -i tau applied to every term,
+    and the series stopped once its largest entry falls below 1e-17."""
+    out = states.copy()
+    term = states
+    for k in range(1, stochastic._MAX_TAYLOR_TERMS + 1):
+        kicked = term @ h
+        for e, (a, b) in enumerate(pairs):
+            g = couplings[:, e]
+            kicked[:, a] += g * term[:, b]
+            kicked[:, b] += g * term[:, a]
+        term = (-1j * tau / k) * kicked
+        out += term
+        if np.abs(term).max() < 1e-17:
+            return out
+    raise RuntimeError("numeric failure: step exponential did not converge")
+
+
+class TestStepKernel:
+    """The column kernel against the row-layout reference.
+
+    The two sum the same series in another order, so they agree to
+    rounding, not bit for bit: 1e-14 after 50 steps and a tail step.
+    """
+
+    @pytest.mark.parametrize("batch", [1, 7, 2049])
+    @pytest.mark.parametrize(
+        "n, spec",
+        [
+            (4, standard_noise_spec(4, 2, 1.0)),
+            (6, standard_noise_spec(6, 4, 1.0)),
+            (8, standard_noise_spec(8, 6, 1.0)),
+            # each pair of {3, 4, 5} shares a vertex with the other two,
+            # and each has its own rate
+            (5, NoiseSpec((3, 4, 5), {(3, 4): 0.5, (3, 5): 2.0, (4, 5): 1.0})),
+        ],
+        ids=["4-2", "6-4", "8-6", "per-edge"],
+    )
+    def test_matches_row_kernel(self, n, spec, batch):
+        h = single_excitation_hamiltonian(complete_graph(n)).astype(complex)
+        edges = spec.edge_strengths()
+        pairs, strengths = list(edges), np.array(list(edges.values()))
+        rng = np.random.default_rng(batch + 100 * n)
+        rows = rng.standard_normal((batch, n + 1)) + 1j * rng.standard_normal((batch, n + 1))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        columns = rows.T.copy()
+        dt = 1e-3
+        for tau in [dt] * 50 + [0.4 * dt]:
+            couplings = rng.standard_normal((batch, len(pairs))) * np.sqrt(2.0 * strengths / tau)
+            rows = _row_kernel(rows, h, pairs, couplings, tau)
+            columns = stochastic._taylor_step(columns, h, pairs, couplings.T, tau)
+        assert columns.shape == (n + 1, batch)
+        assert np.max(np.abs(columns.T - rows)) < 1e-14
+        assert np.max(np.abs(np.linalg.norm(columns, axis=0) - 1.0)) < 1e-12
+
+
 def _restart_reference(h, spec, psi, t, dt, seed, index):
     """One trajectory by the restart schedule: from t = 0, the whole
     horizon's noise in one draw, the full steps, then a tail step on
@@ -191,15 +251,15 @@ def _restart_reference(h, spec, psi, t, dt, seed, index):
     edges = spec.edge_strengths()
     pairs, strengths = list(edges), np.array(list(edges.values()))
     n_full, remainder = stochastic._split_horizon(t, dt)
-    state = psi[np.newaxis, :].astype(complex)
+    state = psi[:, np.newaxis].astype(complex)
     h = h.astype(complex)
     for row in rng.standard_normal((n_full, len(pairs))):
-        couplings = row[np.newaxis, :] * np.sqrt(2.0 * strengths / dt)
+        couplings = (np.sqrt(2.0 * strengths / dt) * row)[:, np.newaxis]
         state = stochastic._taylor_step(state, h, pairs, couplings, dt)
     if remainder:
         couplings = rng.standard_normal((1, len(pairs))) * np.sqrt(2.0 * strengths / remainder)
-        state = stochastic._taylor_step(state, h, pairs, couplings, remainder)
-    return state[0]
+        state = stochastic._taylor_step(state, h, pairs, couplings.T, remainder)
+    return state[:, 0]
 
 
 class TestTimeGrid:
@@ -235,7 +295,9 @@ class TestTimeGrid:
         ]
 
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_multi_time_equals_single_time_calls(self, threads):
+    def test_multi_time_equals_single_time_calls(self, threads, monkeypatch):
+        # three batches, the last partial, as in the thread test above
+        monkeypatch.setattr(stochastic, "_BATCH", 128)
         h, spec, psi = _setup(5, 3)
         plan = TrajectoryPlan(300, 1e-3, self.TIMES[-1], 42, spec)
         multi = ensemble_average(plan, h, psi, threads=threads, times=self.TIMES)
@@ -279,3 +341,19 @@ class TestTimeGrid:
         whole_horizon = 256 * 800 * edges * 8
         assert peaks[1] < whole_horizon / 2
         assert peaks[1] < 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_noise_memory_does_not_grow_with_noisy_set(self, n):
+        # m = n - 2: 153 edges at n = 20, 703 at n = 40. The first draw
+        # holds at most the normals budget, or one step of the batch
+        # where that alone is larger, never a chunk of whole steps.
+        edges = len(standard_noise_spec(n, n - 2, 1.0).edge_strengths())
+        rngs = [stochastic._stream(7, j) for j in range(256)]
+        tracemalloc.start()
+        try:
+            next(stochastic._noise_rows(rngs, 1000, edges))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8 * max(stochastic._NOISE_BUDGET, 256 * edges)
+        assert peak < bound + 64 * 1024
