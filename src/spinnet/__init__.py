@@ -29,7 +29,6 @@ from .lindblad import (
     NetworkState,
     build_liouvillian,
     complete_network_liouvillian,
-    evolve,
     evolve_at_times,
     extract_channel,
     fidelity_curve,
@@ -46,7 +45,6 @@ from .network import (
     standard_noise_spec,
 )
 from .perturbation import (
-    DeltaStatistic,
     WeakNoiseChannel,
     WeakNoiseIntegrals,
     b_coefficients,
@@ -54,7 +52,6 @@ from .perturbation import (
     beta,
     beta_prime,
     delta_profile,
-    delta_statistic,
     first_order_numeric,
     longest_positive_run,
     printed_weak_noise_channel,
@@ -82,7 +79,6 @@ __all__ = [
     "ChannelParams",
     "ConsistencyCheck",
     "ConsistencyReport",
-    "DeltaStatistic",
     "EnsembleResult",
     "FidelityCurve",
     "FourNodeClosedForm",
@@ -107,9 +103,7 @@ __all__ = [
     "complete_network_liouvillian",
     "consistency_report",
     "delta_profile",
-    "delta_statistic",
     "ensemble_average",
-    "evolve",
     "evolve_at_times",
     "evolve_trajectory",
     "extract_channel",

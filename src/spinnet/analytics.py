@@ -327,7 +327,7 @@ def _check_trajectories(config: ReportConfig) -> ConsistencyCheck:
     n, m, eta, t = 4, 2, 1.0, 1.0
     liouville = lindblad.complete_network_liouvillian(n, m, eta)
     start = lindblad.initial_network_state(n, INPUT_VERTEX, lindblad.PROBE)
-    target = lindblad.evolve(liouville, start, t, method="exact")
+    target = lindblad.evolve_at_times(liouville, start, [t])[0]
     plan = stochastic.TrajectoryPlan(
         n_traj=config.n_traj,
         dt=config.dt,

@@ -605,7 +605,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
 
         # report
-        known = {"n_traj", "dt", "seed", "threads"}
+        known = {"n_traj", "dt", "seed"}
         unknown = sorted(set(raw) - known)
         if unknown:
             raise ConfigError(unknown[0], "unknown field")

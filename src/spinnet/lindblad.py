@@ -13,7 +13,7 @@ population sector at any n. ``Liouvillian`` is the dense generator on
 the column-stacked vec(rho), a fixed (n+1)^2 x (n+1)^2 matrix; it serves
 per-edge rate maps, the full-state comparison with trajectories, and the
 tests, where it is the lumped engine's oracle. Both step exactly by
-matrix exponentials; the dense one also has a fixed-step 4th-order map.
+matrix exponentials.
 ``fidelity_curve`` reads the channel off rho_oo and rho_o0 for either.
 """
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,7 +47,6 @@ __all__ = [
     "initial_network_state",
     "build_liouvillian",
     "complete_network_liouvillian",
-    "evolve",
     "evolve_at_times",
     "extract_channel",
     "fidelity_curve",
@@ -58,7 +56,7 @@ __all__ = [
 # which carries both a vacuum and an excitation amplitude.
 PROBE = BlochInput(math.pi / 2.0, 0.0)
 
-# Tolerances of the state invariants; evolve() re-checks them per step.
+# Tolerances of the state invariants, checked on every returned state.
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-8
@@ -93,10 +91,6 @@ class NetworkState:
     @property
     def dim(self) -> int:
         return self.rho.shape[0]
-
-    @property
-    def vacuum_population(self) -> float:
-        return float(self.rho[0, 0].real)
 
 
 def state_defect(rho: np.ndarray) -> str | None:
@@ -139,25 +133,6 @@ class Liouvillian:
     @property
     def dim(self) -> int:
         return int(round(math.sqrt(self.generator.shape[0])))
-
-    @cached_property
-    def norm_estimate(self) -> float:
-        """Spectral-norm estimate of the generator by power iteration on G*G."""
-        g = self.generator
-        size = g.shape[0]
-        # deterministic non-symmetric start so no eigenvector is missed
-        # by accident of symmetry
-        v = np.ones(size) + np.arange(size) / size
-        v /= np.linalg.norm(v)
-        est = 0.0
-        for _ in range(60):
-            w = g.conj().T @ (g @ v)
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                return 0.0
-            v = w / norm
-            est = math.sqrt(norm)
-        return est
 
 
 def build_liouvillian(
@@ -204,44 +179,6 @@ def complete_network_liouvillian(n: int, m: int, eta: float) -> Liouvillian:
     return build_liouvillian(single_excitation_hamiltonian(graph), ops)
 
 
-def _rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
-    # classical RK4 on a linear autonomous system collapses to the
-    # degree-4 Taylor polynomial of exp(dt G)
-    a = dt * generator
-    size = a.shape[0]
-    out = np.eye(size, dtype=complex) + a
-    power = a
-    for k in (2, 3, 4):
-        power = power @ a / k
-        out += power
-    return out
-
-
-def _evolve_rk4(liouvillian: Liouvillian, state: NetworkState, t: float, dt: float) -> NetworkState:
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    load = dt * liouvillian.norm_estimate
-    if load > 0.1:
-        raise ValueError(
-            f"dt * ||generator|| = {load:.3f} exceeds 0.1; shrink dt or use exact stepping"
-        )
-    dim = state.dim
-    n_steps = max(int(math.ceil(t / dt - 1e-12)), 1)
-    step = _rk4_step_matrix(liouvillian.generator, dt)
-    v = _vec(state.rho).astype(complex)
-    for k in range(n_steps):
-        if k == n_steps - 1:
-            # land exactly on t; the remainder never exceeds dt
-            last = t - (n_steps - 1) * dt
-            v = _rk4_step_matrix(liouvillian.generator, last) @ v
-        else:
-            v = step @ v
-        problem = state_defect(_unvec(v, dim))
-        if problem is not None:
-            raise RuntimeError(f"numeric failure at step {k + 1}/{n_steps}: {problem}")
-    return NetworkState(_unvec(v, dim))
-
-
 def _propagate(generator: np.ndarray, start: np.ndarray, times: np.ndarray) -> np.ndarray:
     """States exp(G t) start at each time, one row per time.
 
@@ -277,10 +214,24 @@ def _propagate(generator: np.ndarray, start: np.ndarray, times: np.ndarray) -> n
     return out
 
 
-def _evolve_exact(
-    liouvillian: Liouvillian, state: NetworkState, times: Sequence[float]
+def evolve_at_times(
+    liouvillian: Liouvillian,
+    state: NetworkState,
+    times: Sequence[float],
 ) -> list[NetworkState]:
+    """Exact-stepping evolution sampled at many times.
+
+    The time grid need not be sorted or uniform; each entry must be
+    nonnegative. A uniform grid costs two matrix exponentials in all.
+    Every returned state is validated; a violated invariant raises
+    RuntimeError naming its time.
+    """
+    times = [float(t) for t in times]
+    if any(t < 0 for t in times):
+        raise ValueError("times must be nonnegative")
     dim = state.dim
+    if liouvillian.generator.shape[0] != dim**2:
+        raise ValueError("generator and state dimensions do not match")
     vecs = _propagate(liouvillian.generator, _vec(state.rho).astype(complex), np.asarray(times))
     states = []
     for t, vt in zip(times, vecs):
@@ -291,59 +242,6 @@ def _evolve_exact(
         except ValueError as err:
             raise RuntimeError(f"numeric failure at t={t}: {err}") from None
     return states
-
-
-def evolve(
-    liouvillian: Liouvillian,
-    state: NetworkState,
-    t: float,
-    dt: float | None = None,
-    method: str = "auto",
-) -> NetworkState:
-    """Propagate a state for time t under the master equation.
-
-    method="rk4" runs the fixed-step 4th-order map and requires dt with
-    dt * ||generator|| <= 0.1 (the final step is shortened to land on t
-    exactly). method="exact" takes the matrix exponential of the
-    generator, which is the right tool for stiff strong-noise runs and
-    stays accurate at its exceptional points. method="auto"
-    picks rk4 when a dt satisfying the load bound was given and exact
-    otherwise. Invariant violations raise RuntimeError naming the step.
-    """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if liouvillian.generator.shape[0] != state.dim**2:
-        raise ValueError("generator and state dimensions do not match")
-    if t == 0.0:
-        return state
-    if method not in ("auto", "rk4", "exact"):
-        raise ValueError(f"unsupported method {method!r}")
-    if method == "auto":
-        wants_rk4 = dt is not None and dt * liouvillian.norm_estimate <= 0.1
-        method = "rk4" if wants_rk4 else "exact"
-    if method == "rk4":
-        if dt is None:
-            raise ValueError("rk4 stepping needs an explicit dt")
-        return _evolve_rk4(liouvillian, state, t, dt)
-    return _evolve_exact(liouvillian, state, [t])[0]
-
-
-def evolve_at_times(
-    liouvillian: Liouvillian,
-    state: NetworkState,
-    times: Sequence[float],
-) -> list[NetworkState]:
-    """Exact-stepping evolution sampled at many times.
-
-    The time grid need not be sorted or uniform; each entry must be
-    nonnegative. A uniform grid costs two matrix exponentials in all.
-    """
-    times = [float(t) for t in times]
-    if any(t < 0 for t in times):
-        raise ValueError("times must be nonnegative")
-    if liouvillian.generator.shape[0] != state.dim**2:
-        raise ValueError("generator and state dimensions do not match")
-    return _evolve_exact(liouvillian, state, times)
 
 
 def extract_channel(

@@ -39,14 +39,12 @@ from .network import (
 __all__ = [
     "WeakNoiseIntegrals",
     "WeakNoiseChannel",
-    "DeltaStatistic",
     "beta",
     "beta_prime",
     "b_coefficients",
     "printed_weak_noise_channel",
     "first_order_numeric",
     "baseline_max_fidelity",
-    "delta_statistic",
     "delta_profile",
     "longest_positive_run",
 ]
@@ -297,21 +295,6 @@ def first_order_numeric(
     )
 
 
-@dataclass(frozen=True)
-class DeltaStatistic:
-    """Noise benefit at one point: excess fidelity over the best noiseless value."""
-
-    value: float
-    t: float
-    n: int
-    m: int
-    eta: float
-
-    def __post_init__(self) -> None:
-        if self.value < 0.0:
-            raise ValueError(f"delta must be nonnegative, got {self.value}")
-
-
 def baseline_max_fidelity(n: int, t_grid: np.ndarray | None = None) -> float:
     """Best noiseless average fidelity over all times on the complete graph.
 
@@ -358,23 +341,6 @@ def delta_profile(
     baseline = baseline_max_fidelity(n, t_grid_for_baseline)
     curve = lindblad.fidelity_curve(lindblad.LumpedLiouvillian(n, m, eta), times)
     return np.maximum(curve.fidelity - baseline, 0.0)
-
-
-def delta_statistic(
-    n: int,
-    m: int,
-    eta: float,
-    t: float,
-    t_grid_for_baseline: np.ndarray | None = None,
-) -> DeltaStatistic:
-    """Noise benefit Delta = max[F(t; eta) - max_t F(t; 0), 0] at a single time.
-
-    F(t; eta) always comes from the full master-equation engine; the
-    noiseless baseline is analytic by default or grid-searched when a
-    grid is supplied (see :func:`baseline_max_fidelity`).
-    """
-    value = float(delta_profile(n, m, eta, np.array([t]), t_grid_for_baseline)[0])
-    return DeltaStatistic(value=value, t=t, n=n, m=m, eta=eta)
 
 
 def longest_positive_run(values: np.ndarray) -> int:

@@ -43,13 +43,6 @@ class ChannelParams:
     amplitude: complex
     dephasing: float = 1.0
 
-    def validate(self, atol: float = 1e-9) -> None:
-        """Reject parameters outside the physical region (up to ``atol`` slack)."""
-        if abs(self.amplitude) > 1.0 + atol:
-            raise ValueError(f"|amplitude| = {abs(self.amplitude):.6f} exceeds 1")
-        if not -atol <= self.dephasing <= 1.0 + atol:
-            raise ValueError(f"dephasing = {self.dephasing:.6f} outside [0, 1]")
-
     @property
     def transfer_prob(self) -> float:
         return abs(self.amplitude) ** 2

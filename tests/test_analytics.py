@@ -18,7 +18,12 @@ from spinnet.analytics import (
     zeno_effective_hamiltonian,
     zeno_limit_channel,
 )
-from spinnet.lindblad import complete_network_liouvillian, evolve, extract_channel, initial_network_state
+from spinnet.lindblad import (
+    complete_network_liouvillian,
+    evolve_at_times,
+    extract_channel,
+    initial_network_state,
+)
 from spinnet.network import complete_graph, single_excitation_hamiltonian, standard_noise_spec
 from spinnet.propagator import BlochInput, optimal_avg_fidelity, transfer_amplitude
 
@@ -59,7 +64,7 @@ class TestFourNodeClosedForm:
         a = math.cos(math.pi / 4)
         for eta, t in [(0.25, 0.8), (1.0, 1.7), (4.0, 3.0), (30.0, 1.2)]:
             liou = complete_network_liouvillian(4, 2, eta)
-            st = evolve(liou, start, t, method="exact")
+            st = evolve_at_times(liou, start, [t])[0]
             engine = st.rho[2, 0] / (b * a)
             closed = np.conj(four_node_closed_form(2 * eta, t).lambda_z)
             assert engine == pytest.approx(closed, abs=1e-8)
@@ -111,7 +116,7 @@ class TestZenoLimit:
         start = initial_network_state(4, 1, PROBE)
         worst = 0.0
         for t in np.linspace(0.0, 2 * math.pi, 33):
-            st = evolve(liou, start, float(t), method="exact")
+            st = evolve_at_times(liou, start, [float(t)])[0]
             f_engine, _ = optimal_avg_fidelity(extract_channel(st, PROBE, 1, 2))
             f_limit, _ = optimal_avg_fidelity(zeno_limit_channel(4, 2, float(t)))
             worst = max(worst, abs(f_engine - f_limit))

@@ -251,6 +251,12 @@ class TestFailureExits:
         assert code == 1
         assert f"field '{field}'" in err and "must be finite" in err
 
+    def test_report_threads_field_rejected(self, tmp_path, capsys):
+        # the worker count comes from --threads or SPINNET_THREADS only
+        code, err = _main(["report"], {"threads": 7, "n_traj": 50}, tmp_path, capsys)
+        assert code == 1
+        assert "field 'threads': unknown field" in err
+
     @staticmethod
     def _broken_eigvalsh_exit(eta, tmp_path, capsys, monkeypatch):
         # both engines validate states through eigvalsh: the lumped one

@@ -28,7 +28,6 @@ from spinnet.lindblad import (
     NetworkState,
     build_liouvillian,
     complete_network_liouvillian,
-    evolve,
     evolve_at_times,
     extract_channel,
     fidelity_curve,
@@ -111,7 +110,7 @@ class TestGeneratorStructure:
         liou = _single_edge_dissipator(n, eta)
         psi = np.zeros(n + 1, dtype=complex)
         psi[1] = psi[3] = 1 / math.sqrt(2)
-        st = evolve(liou, NetworkState(np.outer(psi, psi.conj())), t, method="exact")
+        st = evolve_at_times(liou, NetworkState(np.outer(psi, psi.conj())), [t])[0]
         assert st.rho[1, 3].real == pytest.approx(0.5 * math.exp(-eta * t), abs=1e-12)
 
     def test_edge_parity_coherence_decay_rate(self):
@@ -125,7 +124,7 @@ class TestGeneratorStructure:
         s[3] = s[4] = 1 / math.sqrt(2)
         a[3], a[4] = 1 / math.sqrt(2), -1 / math.sqrt(2)
         rho0 = 0.5 * np.outer(s + a, (s + a).conj())
-        st = evolve(liou, NetworkState(rho0), t, method="exact")
+        st = evolve_at_times(liou, NetworkState(rho0), [t])[0]
         assert (s.conj() @ st.rho @ a).real == pytest.approx(
             0.5 * math.exp(-4 * eta * t), abs=1e-12
         )
@@ -138,47 +137,21 @@ class TestEvolution:
         st = initial_network_state(4, 1, PROBE)
         t = 1.3
         direct = scipy.linalg.expm(liou.generator * t) @ st.rho.flatten(order="F")
-        got = evolve(liou, st, t, method="exact").rho.flatten(order="F")
+        got = evolve_at_times(liou, st, [t])[0].rho.flatten(order="F")
         assert np.max(np.abs(direct - got)) < 1e-10
-
-    def test_rk4_matches_exact(self):
-        liou = complete_network_liouvillian(4, 2, 1.0)
-        st = initial_network_state(4, 1, PROBE)
-        ex = evolve(liou, st, 1.7, method="exact")
-        rk = evolve(liou, st, 1.7, dt=1e-3, method="rk4")
-        assert np.max(np.abs(ex.rho - rk.rho)) < 1e-9
-
-    def test_rk4_requires_dt(self):
-        liou = complete_network_liouvillian(4, 2, 1.0)
-        st = initial_network_state(4, 1, PROBE)
-        with pytest.raises(ValueError):
-            evolve(liou, st, 1.0, method="rk4")
-
-    def test_rk4_step_size_guard(self):
-        # coarse steps on a stiff generator are rejected up front
-        liou = complete_network_liouvillian(4, 2, 100.0)
-        st = initial_network_state(4, 1, PROBE)
-        with pytest.raises(ValueError):
-            evolve(liou, st, 1.0, dt=0.1, method="rk4")
-
-    def test_unknown_method_rejected(self):
-        liou = complete_network_liouvillian(4, 2, 1.0)
-        st = initial_network_state(4, 1, PROBE)
-        with pytest.raises(ValueError, match="unsupported"):
-            evolve(liou, st, 1.0, method="magic")
 
     def test_exact_at_generator_exceptional_point(self):
         # eta = 8 makes the four-node generator non-diagonalizable;
         # evolution must still return a valid state
         liou = complete_network_liouvillian(4, 2, 8.0)
         st = initial_network_state(4, 1, PROBE)
-        out = evolve(liou, st, 1.2, method="exact")
+        out = evolve_at_times(liou, st, [1.2])[0]
         assert abs(np.trace(out.rho).real - 1.0) < 1e-10
 
     def test_stiff_strong_noise_regime(self):
         liou = complete_network_liouvillian(4, 2, 1000.0)
         st = initial_network_state(4, 1, PROBE)
-        out = evolve(liou, st, 2.0, method="exact")
+        out = evolve_at_times(liou, st, [2.0])[0]
         assert abs(np.trace(out.rho).real - 1.0) < 1e-10
 
     def test_evolve_at_times_matches_single_calls(self):
@@ -187,7 +160,7 @@ class TestEvolution:
         times = [0.0, 0.4, 1.1]
         batch = evolve_at_times(liou, st, times)
         for t, got in zip(times, batch):
-            solo = evolve(liou, st, t, method="exact")
+            solo = evolve_at_times(liou, st, [t])[0]
             assert np.max(np.abs(solo.rho - got.rho)) < 1e-12
 
     def test_vacuum_population_conserved(self):
@@ -201,7 +174,7 @@ class TestEvolution:
     def test_noiseless_evolution_is_unitary(self):
         liou = complete_network_liouvillian(4, 2, 0.0)
         st = initial_network_state(4, 1, PROBE)
-        out = evolve(liou, st, 1.3, method="exact")
+        out = evolve_at_times(liou, st, [1.3])[0]
         params = extract_channel(out, PROBE, 1, 2)
         h = single_excitation_hamiltonian(complete_graph(4))
         z = transfer_amplitude(h, 1.3, 1, 2)

@@ -88,17 +88,6 @@ class TestTransferAmplitude:
 
 
 class TestChannelParams:
-    def test_dephasing_range_enforced(self):
-        ChannelParams(0.5 + 0.1j, 0.9).validate()
-        with pytest.raises(ValueError):
-            ChannelParams(0.5, 1.5).validate()
-        with pytest.raises(ValueError):
-            ChannelParams(0.5, -0.1).validate()
-
-    def test_amplitude_bound_enforced(self):
-        with pytest.raises(ValueError):
-            ChannelParams(1.2, 1.0).validate()
-
     def test_transfer_prob(self):
         assert ChannelParams(0.6 + 0.8j, 0.5).transfer_prob == pytest.approx(1.0)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spinnet import stochastic
-from spinnet.lindblad import complete_network_liouvillian, evolve, initial_network_state
+from spinnet.lindblad import complete_network_liouvillian, evolve_at_times, initial_network_state
 from spinnet.network import (
     NoiseSpec,
     complete_graph,
@@ -165,7 +165,7 @@ class TestEnsemble:
         plan = TrajectoryPlan(800, 1e-3, 1.0, 1234, spec)
         r = ensemble_average(plan, h, psi)
         liou = complete_network_liouvillian(4, 2, 1.0)
-        want = evolve(liou, initial_network_state(4, 1, PROBE), 1.0, method="exact").rho
+        want = evolve_at_times(liou, initial_network_state(4, 1, PROBE), [1.0])[0].rho
         diff = np.abs(r.rho_mean.rho - want)
         assert np.all(diff <= 4.0 * np.maximum(r.std_err, 1e-12))
 
