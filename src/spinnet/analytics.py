@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from . import lindblad, perturbation, stochastic
 from .network import (
@@ -247,13 +246,7 @@ def _max_noisy_fidelity(n: int, m: int, eta: float, t_max: float = 2.0 * math.pi
 
     grid = np.linspace(0.0, t_max, 801)
     values = lindblad.fidelity_curve(engine, grid).fidelity
-    best = int(np.argmax(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-    refined = scipy.optimize.minimize_scalar(
-        lambda s: -fidelity(s), bounds=(lo, hi), method="bounded", options={"xatol": 1e-9}
-    )
-    return max(float(values[best]), float(-refined.fun))
+    return perturbation.grid_maximum(fidelity, grid, values, xatol=1e-9)
 
 
 def network_reduction_check(n: int, m: int, eta_large: float) -> ConsistencyCheck:

@@ -8,8 +8,9 @@ Subcommands:
   fig3      noise-benefit map Delta(t, m) at n = 10
   report    cross-oracle consistency suite (JSON + text)
 
-Every command takes --config, --out, --seed, --threads; the thread
-count falls back to the SPINNET_THREADS environment variable, then 1.
+Every command takes --config, --out, --seed, --threads; the seed must
+lie in 0..2^64 - 1, and the thread count falls back to the
+SPINNET_THREADS environment variable, then 1.
 All output is a deterministic function of the resolved configuration:
 CSV rows are emitted in grid order, floats in %.12e, UNIX newlines,
 UTF-8, and nothing time- or host-dependent is ever written. Exit codes
@@ -103,6 +104,13 @@ def _require_int(raw: object, name: str, minimum: int) -> int:
     if raw < minimum:
         raise ConfigError(name, f"must be at least {minimum}")
     return raw
+
+
+def _require_seed(raw: object, name: str) -> int:
+    seed = _require_int(raw, name, 0)
+    if seed >= 2**64:
+        raise ConfigError(name, "must fit in 64 bits")
+    return seed
 
 
 def _require_number(raw: object, name: str) -> float:
@@ -576,7 +584,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         threads = _resolve_threads(args.threads)
         raw = _load_config_file(args.config)
-        seed = args.seed if args.seed is not None else 0
+        seed = _require_seed(args.seed, "seed") if args.seed is not None else 0
 
         if args.command == "simulate":
             if args.seed is not None:
@@ -612,7 +620,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         report_config = ReportConfig(
             n_traj=_require_int(raw.get("n_traj", 2000), "n_traj", 1),
             dt=_require_number(raw.get("dt", 1e-3), "dt"),
-            seed=args.seed if args.seed is not None else _require_int(raw.get("seed", 20240817), "seed", 0),
+            seed=args.seed if args.seed is not None else _require_seed(raw.get("seed", 20240817), "seed"),
             threads=threads,
         )
         json_text, table_text, engines_disagree = run_report(report_config)

@@ -10,6 +10,10 @@ state, which cannot suffer from convention or transcription slips, and
 serves as the ground truth the closed forms are compared against. Its
 Simpson sum runs in bounded node blocks with a closed-form dissipator,
 so its memory grows with neither the horizon t nor n (up to n = 255).
+Quadrature and peak search are written out in numpy, following scipy's
+composite Simpson rule and its bounded Brent minimizer operation for
+operation, so results are bitwise scipy's while the only scipy module
+the package loads is linalg.
 
 The noise-benefit statistic Delta(t) = max[F(t; eta) - max_t F(t; 0), 0]
 is always computed from the full master-equation engine, not from
@@ -21,11 +25,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.optimize
 
 from . import lindblad
 from .network import (
@@ -45,12 +48,18 @@ __all__ = [
     "printed_weak_noise_channel",
     "first_order_numeric",
     "baseline_max_fidelity",
+    "grid_maximum",
     "delta_profile",
     "longest_positive_run",
 ]
 
 _QUADRATURE_BLOCK = 64  # most Simpson nodes per stacked batch in first_order_numeric
 _BLOCK_ENTRIES = 1 << 16  # most matrix entries per batch, so its memory is bounded at any n
+
+# constants of scipy's bounded Brent minimizer (minimize_scalar, method "bounded")
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_MAX_EVALUATIONS = 500
 
 
 def beta(n: int, t: float) -> complex:
@@ -96,7 +105,10 @@ def b_coefficients(n: int, t: float, step: float = 1e-3) -> WeakNoiseIntegrals:
     The integrands are products of beta and beta' over [0, t], all
     carrying the common prefactor (n-3)^2, so n = 3 short-circuits to
     zeros. The step is capped at 1e-3; halving it moves the values by
-    less than one part in 1e8, which the test suite asserts.
+    less than one part in 1e8, which the test suite asserts. The rule
+    is scipy's simpson for an odd number of samples at x = tau, its
+    three weights built once with scipy's operation order, so every
+    integral is bitwise scipy's.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -116,9 +128,18 @@ def b_coefficients(n: int, t: float, step: float = 1e-3) -> WeakNoiseIntegrals:
     ab2 = np.abs(b) ** 2
     abp2 = np.abs(bp) ** 2
     pref = (n - 3) ** 2
+    h = np.diff(tau)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    w0 = 2.0 - 1.0 / ratio
+    w1 = hsum * (hsum / (h0 * h1))
+    w2 = 2.0 - ratio
+    scale = hsum / 6.0
 
     def integral(values: np.ndarray) -> complex:
-        return complex(pref * scipy.integrate.simpson(values, x=tau))
+        panels = values[:-2:2] * w0 + values[1:-1:2] * w1 + values[2::2] * w2
+        return complex(pref * np.sum(scale * panels))
 
     return WeakNoiseIntegrals(
         b1=integral(b * bp.conj()),
@@ -295,13 +316,107 @@ def first_order_numeric(
     )
 
 
+def _bounded_minimum(
+    func: Callable[[float], float], lo: float, hi: float, xatol: float
+) -> tuple[float, float]:
+    """Minimum (x, func(x)) of func on [lo, hi] by bounded Brent search.
+
+    Follows scipy's minimize_scalar(method="bounded") step for step,
+    parabolic test, golden-section fallback and the cap of 500
+    evaluations included, so the point and value found are bitwise
+    scipy's.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    evaluations = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        evaluations += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if evaluations >= _MAX_EVALUATIONS:
+            break
+    return xf, fx
+
+
+def _sign(value: float) -> float:
+    # numpy's sign with zero counted as positive
+    return -1.0 if value < 0 else 1.0
+
+
+def grid_maximum(
+    func: Callable[[float], float], grid: np.ndarray, values: Sequence[float], xatol: float
+) -> float:
+    """Largest value of func, given its samples values on the ascending grid.
+
+    A bounded Brent search between the neighbours of the best sample
+    refines it; the better of the two is returned.
+    """
+    best = int(np.argmax(values))
+    lo = grid[max(best - 1, 0)]
+    hi = grid[min(best + 1, grid.size - 1)]
+    _, lowest = _bounded_minimum(lambda s: -func(s), lo, hi, xatol)
+    return max(float(values[best]), float(-lowest))
+
+
 def baseline_max_fidelity(n: int, t_grid: np.ndarray | None = None) -> float:
     """Best noiseless average fidelity over all times on the complete graph.
 
     Without a grid the analytic maximum |z| = 2/n is used directly.
-    Passing a grid switches to a search (grid scan plus one bounded
-    Brent refinement around the best point), which must resolve the
-    maximum: the step may not exceed pi/(8n).
+    Passing a grid switches to a search (grid_maximum: grid scan plus
+    one bounded Brent refinement around the best point), which must
+    resolve the maximum: the step may not exceed pi/(8n).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -319,26 +434,16 @@ def baseline_max_fidelity(n: int, t_grid: np.ndarray | None = None) -> float:
         mod = math.sqrt(max(prob, 0.0))
         return 0.5 + mod / 3.0 + prob / 6.0
 
-    values = [fid(t) for t in t_grid]
-    best = int(np.argmax(values))
-    lo = t_grid[max(best - 1, 0)]
-    hi = t_grid[min(best + 1, t_grid.size - 1)]
-    refined = scipy.optimize.minimize_scalar(
-        lambda s: -fid(s), bounds=(lo, hi), method="bounded", options={"xatol": 1e-10}
-    )
-    return max(float(values[best]), float(-refined.fun))
+    return grid_maximum(fid, t_grid, [fid(t) for t in t_grid], xatol=1e-10)
 
 
-def delta_profile(
-    n: int,
-    m: int,
-    eta: float,
-    times: np.ndarray,
-    t_grid_for_baseline: np.ndarray | None = None,
-) -> np.ndarray:
-    """Delta over a whole time grid from one lumped master-equation run."""
+def delta_profile(n: int, m: int, eta: float, times: np.ndarray) -> np.ndarray:
+    """Delta over a whole time grid from one lumped master-equation run.
+
+    The baseline is the analytic noiseless peak, baseline_max_fidelity(n).
+    """
     _require_noise_geometry(n, m)
-    baseline = baseline_max_fidelity(n, t_grid_for_baseline)
+    baseline = baseline_max_fidelity(n)
     curve = lindblad.fidelity_curve(lindblad.LumpedLiouvillian(n, m, eta), times)
     return np.maximum(curve.fidelity - baseline, 0.0)
 

@@ -251,6 +251,22 @@ class TestFailureExits:
         assert code == 1
         assert f"field '{field}'" in err and "must be finite" in err
 
+    @pytest.mark.parametrize("seed", [-5, 2**64, 10**23])
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("simulate", {"n": 4, "t_steps": 1, "method": "unitary"}),
+            ("fig1", {"eta_values": [0.0], "t_steps": 1}),
+            ("fig2", {"n_max": 4, "t_steps": 1}),
+            ("fig3", {"m_values": [2], "t_steps": 1}),
+            ("report", {"n_traj": 1}),
+        ],
+    )
+    def test_seed_outside_64_bits_exits_1(self, command, config, seed, tmp_path, capsys):
+        code, err = _main([command, "--seed", str(seed)], config, tmp_path, capsys)
+        assert code == 1
+        assert "field 'seed'" in err
+
     def test_report_threads_field_rejected(self, tmp_path, capsys):
         # the worker count comes from --threads or SPINNET_THREADS only
         code, err = _main(["report"], {"threads": 7, "n_traj": 50}, tmp_path, capsys)

@@ -19,6 +19,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.optimize
 
 from spinnet.lindblad import (
     complete_network_liouvillian,
@@ -38,8 +40,10 @@ from spinnet.perturbation import (
     baseline_max_fidelity,
     beta,
     beta_prime,
+    _bounded_minimum,
     delta_profile,
     first_order_numeric,
+    grid_maximum,
     longest_positive_run,
     printed_weak_noise_channel,
 )
@@ -296,6 +300,92 @@ class TestBaseline:
     def test_coarse_grid_rejected(self):
         with pytest.raises(ValueError):
             baseline_max_fidelity(8, t_grid=np.linspace(0.0, 2 * math.pi, 10))
+
+
+class TestScipyEquivalence:
+    """The in-repo Simpson rule and bounded Brent search give scipy's bits."""
+
+    SMOOTH = {
+        "quadratic": lambda s: (s - 0.7312) ** 2,
+        "cosine": lambda s: -math.cos(3.0 * s - 1.1),
+        "gaussian": lambda s: 1.0 - math.exp(-((s - 0.25) ** 2) / 0.3),
+        "quartic": lambda s: (s - 1.3) ** 4 + 0.01 * s,
+        "transfer": lambda s: -abs(beta(5, s)),
+    }
+
+    @staticmethod
+    def _counted(func):
+        calls = []
+
+        def counted(s):
+            calls.append(s)
+            return func(s)
+
+        return counted, calls
+
+    @pytest.mark.parametrize("xatol", [1e-9, 1e-10])
+    @pytest.mark.parametrize("bounds", [(0.0, 2.0), (0.5, 0.9), (1.2, 3.1)])
+    @pytest.mark.parametrize("name", sorted(SMOOTH))
+    def test_bounded_minimum_matches_scipy(self, name, bounds, xatol):
+        func = self.SMOOTH[name]
+        counted, calls = self._counted(func)
+        lo, hi = np.float64(bounds[0]), np.float64(bounds[1])
+        x, fx = _bounded_minimum(counted, lo, hi, xatol)
+        want = scipy.optimize.minimize_scalar(
+            func, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+        )
+        assert (x, fx, len(calls)) == (want.x, want.fun, want.nfev)
+
+    def test_evaluation_cap_matches_scipy(self):
+        # with xatol = 0 the tolerance shrinks with |x| as x -> 0, so the
+        # search only stops at the cap of 500 evaluations
+        counted, calls = self._counted(abs)
+        x, fx = _bounded_minimum(counted, -1.0, 2.0, 0.0)
+        want = scipy.optimize.minimize_scalar(abs, bounds=(-1.0, 2.0), method="bounded", options={"xatol": 0.0})
+        assert want.status == 1 and want.nfev == 500
+        assert (x, fx, len(calls)) == (want.x, want.fun, want.nfev)
+
+    @pytest.mark.parametrize("xatol", [1e-9, 1e-10])
+    @pytest.mark.parametrize("centre", [-0.2, 0.0, 0.43, 1.0, 1.3])
+    def test_grid_maximum_matches_scipy_refinement(self, centre, xatol):
+        # centres at or beyond an end put the best sample on the first or last grid point
+        def func(s):
+            return math.cos(2.0 * (s - centre))
+
+        grid = np.linspace(0.0, 1.0, 41)
+        values = [func(s) for s in grid]
+        best = int(np.argmax(values))
+        bounds = (grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)])
+        refined = scipy.optimize.minimize_scalar(
+            lambda s: -func(s), bounds=bounds, method="bounded", options={"xatol": xatol}
+        )
+        want = max(float(values[best]), float(-refined.fun))
+        assert grid_maximum(func, grid, values, xatol) == want
+
+    @pytest.mark.parametrize(
+        "n, t, step",
+        [(2, 0.3, 1e-3), (4, 1.0, 1e-3), (5, 2.7, 7e-4), (7, 0.0015, 1e-3), (10, 6.3, 3e-4), (40, 1.9, 1e-3)],
+    )
+    def test_b_coefficients_match_scipy_simpson(self, n, t, step):
+        num = max(math.ceil(t / step), 2)
+        num += num % 2
+        tau = np.linspace(0.0, t, num + 1)
+        b = np.exp(1j * tau) / n * (np.exp(-1j * n * tau) - 1.0)
+        bp = np.exp(1j * tau) / n * (np.exp(-1j * n * tau) + n - 1.0)
+        ab2, abp2 = np.abs(b) ** 2, np.abs(bp) ** 2
+        integrands = [
+            b * bp.conj(),
+            ab2,
+            b * bp.conj() * abp2,
+            b**2 * bp.conj() ** 2 + abp2 * ab2,
+            ab2 * abp2,
+            2.0 * (b * bp.conj()).real * ab2,
+            b * ab2 * bp.conj(),
+            ab2**2,
+        ]
+        want = [complex((n - 3) ** 2 * scipy.integrate.simpson(y, x=tau)) for y in integrands]
+        co = b_coefficients(n, t, step)
+        assert [co.b1, co.b2, co.b3, co.b4, co.b5, co.b6, co.b7, co.b8] == want
 
 
 class TestDeltaStatistic:
