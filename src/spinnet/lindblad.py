@@ -61,6 +61,11 @@ HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-8
 
+# Rounding level of the output population of a unit-trace state, a few
+# dozen ulps of 1. A population below it reads |z| under about 1e-7,
+# which rounding alone can produce, so lambda * z is not split there.
+POPULATION_FLOOR = 1e-14
+
 
 def _vec(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(-1, order="F")
@@ -254,9 +259,10 @@ def extract_channel(
 
     With probe amplitudes a, b the evolved state stores |z|^2 in the
     output population <o|rho|o> / |b|^2 and the product lambda*z in the
-    coherence <o|rho|0> / (b a*). Splitting the product needs |z| above
-    1e-12; below that the channel carries no amplitude information and
-    the convention z = 0, lambda = 1 applies. Probes at either pole are
+    coherence <o|rho|0> / (b a*). Splitting the product needs the
+    population above its rounding level, POPULATION_FLOOR; at or below
+    it the channel carries no amplitude information and the convention
+    z = 0, lambda = 1 applies. Probes at either pole are
     rejected: theta = 0 sends no excitation, and theta = pi leaves no
     vacuum component against which the coherence could be read.
 
@@ -285,8 +291,8 @@ def _channel(rho_oo: float, rho_o0: complex, a: complex, b: complex) -> ChannelP
         raise RuntimeError(f"numeric failure: output population {prob:.3e} below zero")
     prob = max(prob, 0.0)
     lam_z = rho_o0 / (b * a.conjugate())
-    mod = math.sqrt(prob)
-    if mod > 1e-12:
+    if rho_oo > POPULATION_FLOOR:
+        mod = math.sqrt(prob)
         lam = abs(lam_z) / mod
         z = lam_z / lam if lam > 0.0 else complex(mod)
     else:

@@ -212,6 +212,22 @@ class TestExtractChannel:
         assert params.amplitude == 0.0
         assert params.dephasing == 1.0
 
+    def test_rounding_population_reads_as_empty_channel(self):
+        # the clean K_4 transfer amplitude vanishes at t = k pi / 2; on the
+        # default fig1 grid, t = k pi / 32, the engine leaves rho_oo at
+        # rounding there (|z| up to 1.4e-8 at t = pi, 3 pi / 2 and 2 pi)
+        times = np.arange(1, 65) * (2.0 * math.pi / 64)
+        channels = lindblad.fidelity_curve(LumpedLiouvillian(4, 2, 0.0), times).channels
+        for k in (16, 32, 48, 64):
+            assert channels[k - 1].amplitude == 0.0
+            assert channels[k - 1].dephasing == 1.0
+        # a population just above the floor is split as before
+        a, b = PROBE.amplitudes()
+        z = math.sqrt(10 * lindblad.POPULATION_FLOOR) / abs(b)
+        params = lindblad._channel(abs(b) ** 2 * z**2, 0.5 * z * b * a.conjugate(), a, b)
+        assert params.dephasing == pytest.approx(0.5)
+        assert params.amplitude == pytest.approx(z)
+
 
 def _dense_entries(n: int, m: int, eta: float, times) -> tuple[np.ndarray, np.ndarray]:
     start = initial_network_state(n, 1, PROBE)

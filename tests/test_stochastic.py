@@ -84,6 +84,38 @@ class TestStepSampling:
             assert np.mean(moved) == pytest.approx(2 * eta * dt, rel=0.1)
 
 
+class TestStreams:
+    """Trajectory j of master seed s draws from Philox keyed (s, j)."""
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**63 - 1])
+    def test_draws_equal_philox_keyed_by_seed_and_index(self, seed):
+        for j in (0, 1, 2047, 10**9):
+            got = stochastic._stream(seed, j).standard_normal(300)
+            want = np.random.Generator(np.random.Philox(key=[seed, j])).standard_normal(300)
+            assert np.array_equal(got, want)
+
+    def test_seeds_past_63_bits_keep_their_own_key(self):
+        # numpy turns key=[2**63 + 1, 0] into float64, which rounds
+        # 2**63 + 1 to 2**63 and 2**64 - 1 to 0
+        for seed in (2**63, 2**63 + 1, 2**64 - 1):
+            key = stochastic._stream(seed, 3).bit_generator.state["state"]["key"]
+            assert key.tolist() == [seed, 3]
+
+    def test_no_os_entropy_read(self, monkeypatch):
+        import random
+
+        calls = []
+        read = random._urandom
+        monkeypatch.setattr(random, "_urandom", lambda n: calls.append(n) or read(n))
+        assert len(np.random.SeedSequence().entropy.to_bytes(16, "little")) == 16
+        assert calls, "the spy does not see numpy's entropy reads"
+        calls.clear()
+        h, spec, psi = _setup()
+        ensemble_average(TrajectoryPlan(20, 1e-3, 0.01, 5, spec), h, psi)
+        evolve_trajectory(h, spec, psi, 0.01, 1e-3, 5, stream_index=3)
+        assert calls == []
+
+
 class TestSingleTrajectory:
     def test_norm_preserved(self):
         h, spec, psi = _setup()
@@ -114,6 +146,20 @@ class TestSingleTrajectory:
 
         want = propagator_matrix(h, 1.0) @ psi
         assert np.max(np.abs(out - want)) < 1e-8
+
+    def test_complex_hamiltonian_rejected(self):
+        # Hermitian but not real: the kernel applies H as a real matrix
+        _, spec, psi = _setup()
+        h = np.zeros((5, 5), dtype=complex)
+        h[1, 2], h[2, 1] = 1j, -1j
+        with pytest.raises(ValueError, match="hamiltonian"):
+            evolve_trajectory(h, spec, psi, 0.1, 1e-3, 0)
+        with pytest.raises(ValueError, match="hamiltonian"):
+            ensemble_average(TrajectoryPlan(4, 1e-3, 0.1, 0, spec), h, psi)
+        # a complex array holding a real matrix is accepted
+        real = single_excitation_hamiltonian(complete_graph(4))
+        out = evolve_trajectory(real.astype(complex), spec, psi, 0.1, 1e-3, 0)
+        assert np.array_equal(out, evolve_trajectory(real, spec, psi, 0.1, 1e-3, 0))
 
     def test_unnormalized_start_rejected(self):
         h, spec, psi = _setup()
@@ -205,6 +251,24 @@ def _row_kernel(states, h, pairs, couplings, tau):
     raise RuntimeError("numeric failure: step exponential did not converge")
 
 
+def _planes(rows):
+    """(batch, dim) complex rows as the kernel's (2, dim, batch) real planes."""
+    return np.stack((rows.real.T, rows.imag.T))
+
+
+def _kernel_step(columns, h, spec, normals, tau):
+    """One step of the column kernel, driven by normals of shape (edges, batch)."""
+    edges = stochastic._EdgeBlock.of(spec, h.shape[0])
+    block = np.zeros((*edges.rates.shape, columns.shape[2]))
+    norm = np.abs(np.linalg.eigvalsh(h)).max() + edges.fill(block, normals, tau)
+    return stochastic._taylor_step(columns, h, edges.rows, block, tau, norm)
+
+
+def _unit_rows(rng, batch, dim):
+    rows = rng.standard_normal((batch, dim)) + 1j * rng.standard_normal((batch, dim))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 class TestStepKernel:
     """The column kernel against the row-layout reference.
 
@@ -219,28 +283,62 @@ class TestStepKernel:
             (4, standard_noise_spec(4, 2, 1.0)),
             (6, standard_noise_spec(6, 4, 1.0)),
             (8, standard_noise_spec(8, 6, 1.0)),
+            (12, standard_noise_spec(12, 10, 1.0)),
             # each pair of {3, 4, 5} shares a vertex with the other two,
             # and each has its own rate
             (5, NoiseSpec((3, 4, 5), {(3, 4): 0.5, (3, 5): 2.0, (4, 5): 1.0})),
+            # vertex 4 between the noisy pair is noiseless
+            (6, NoiseSpec((3, 5), 1.0)),
         ],
-        ids=["4-2", "6-4", "8-6", "per-edge"],
+        ids=["4-2", "6-4", "8-6", "12-10", "per-edge", "gapped"],
     )
     def test_matches_row_kernel(self, n, spec, batch):
-        h = single_excitation_hamiltonian(complete_graph(n)).astype(complex)
+        h = single_excitation_hamiltonian(complete_graph(n))
         edges = spec.edge_strengths()
         pairs, strengths = list(edges), np.array(list(edges.values()))
         rng = np.random.default_rng(batch + 100 * n)
-        rows = rng.standard_normal((batch, n + 1)) + 1j * rng.standard_normal((batch, n + 1))
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        columns = rows.T.copy()
+        rows = _unit_rows(rng, batch, n + 1)
+        columns = _planes(rows)
         dt = 1e-3
         for tau in [dt] * 50 + [0.4 * dt]:
-            couplings = rng.standard_normal((batch, len(pairs))) * np.sqrt(2.0 * strengths / tau)
-            rows = _row_kernel(rows, h, pairs, couplings, tau)
-            columns = stochastic._taylor_step(columns, h, pairs, couplings.T, tau)
-        assert columns.shape == (n + 1, batch)
-        assert np.max(np.abs(columns.T - rows)) < 1e-14
-        assert np.max(np.abs(np.linalg.norm(columns, axis=0) - 1.0)) < 1e-12
+            normals = rng.standard_normal((batch, len(pairs)))
+            couplings = normals * np.sqrt(2.0 * strengths / tau)
+            rows = _row_kernel(rows, h.astype(complex), pairs, couplings, tau)
+            columns = _kernel_step(columns, h, spec, normals.T, tau)
+        assert columns.shape == (2, n + 1, batch)
+        assert np.max(np.abs(stochastic._complex_rows(columns) - rows)) < 1e-14
+        assert np.max(np.abs(np.linalg.norm(columns, axis=(0, 1)) - 1.0)) < 1e-12
+
+    def test_step_at_precondition_limits(self):
+        # eta dt = 0.05 and ||H|| dt = 0.05, the largest step the engine
+        # accepts: the longest series, still unitary and still exp(-iAt)
+        from scipy.linalg import expm
+
+        n, dt, batch = 6, 1e-3, 2049
+        h = single_excitation_hamiltonian(complete_graph(n))
+        h *= 0.05 / (dt * np.abs(np.linalg.eigvalsh(h)).max())
+        spec = standard_noise_spec(n, n - 2, 0.05 / dt)
+        edges = spec.edge_strengths()
+        rng = np.random.default_rng(11)
+        rows = _unit_rows(rng, batch, n + 1)
+        normals = rng.standard_normal((len(edges), batch))
+        out = stochastic._complex_rows(_kernel_step(_planes(rows), h, spec, normals, dt))
+        assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-12
+        sigma = np.sqrt(2.0 * np.array(list(edges.values())) / dt)
+        for b in range(5):
+            a = h.copy()
+            for (k, l), g in zip(edges, sigma * normals[:, b]):
+                a[k, l] += g
+                a[l, k] += g
+            assert np.max(np.abs(out[b] - expm(-1j * dt * a) @ rows[b])) < 1e-13
+
+    def test_term_count_bounds_the_tail(self):
+        for rho in np.linspace(0.0, 12.0, 241):
+            k = stochastic._term_count(rho)
+            tail = sum(rho**j / math.factorial(j) for j in range(k + 1, k + 60))
+            assert tail < 1e-17
+        with pytest.raises(RuntimeError, match="did not converge"):
+            stochastic._term_count(40.0)
 
 
 def _restart_reference(h, spec, psi, t, dt, seed, index):
@@ -248,18 +346,15 @@ def _restart_reference(h, spec, psi, t, dt, seed, index):
     horizon's noise in one draw, the full steps, then a tail step on
     the next normals at the variance of the tail's length."""
     rng = stochastic._stream(seed, index)
-    edges = spec.edge_strengths()
-    pairs, strengths = list(edges), np.array(list(edges.values()))
+    n_edges = len(spec.edge_strengths())
     n_full, remainder = stochastic._split_horizon(t, dt)
-    state = psi[:, np.newaxis].astype(complex)
-    h = h.astype(complex)
-    for row in rng.standard_normal((n_full, len(pairs))):
-        couplings = (np.sqrt(2.0 * strengths / dt) * row)[:, np.newaxis]
-        state = stochastic._taylor_step(state, h, pairs, couplings, dt)
+    state = _planes(psi[np.newaxis, :].astype(complex))
+    for row in rng.standard_normal((n_full, n_edges)):
+        state = _kernel_step(state, h, spec, row[:, np.newaxis], dt)
     if remainder:
-        couplings = rng.standard_normal((1, len(pairs))) * np.sqrt(2.0 * strengths / remainder)
-        state = stochastic._taylor_step(state, h, pairs, couplings.T, remainder)
-    return state[:, 0]
+        row = rng.standard_normal((1, n_edges))
+        state = _kernel_step(state, h, spec, row.T, remainder)
+    return stochastic._complex_rows(state)[0]
 
 
 class TestTimeGrid:
@@ -341,6 +436,24 @@ class TestTimeGrid:
         whole_horizon = 256 * 800 * edges * 8
         assert peaks[1] < whole_horizon / 2
         assert peaks[1] < 1.1 * peaks[0]
+
+    def test_step_memory_bounded_by_noisy_edges(self):
+        # n = 40, m = 38: 703 edges, one batch of 2,048 trajectories, two
+        # steps. The noise of one step is 2,048 x 703 normals; the run
+        # holds at most four times that, the coupling block included.
+        n, batch = 40, 2048
+        h = single_excitation_hamiltonian(complete_graph(n))
+        spec = standard_noise_spec(n, n - 2, 1.0)
+        psi = np.zeros(n + 1, dtype=complex)
+        psi[1] = 1.0
+        plan = TrajectoryPlan(batch, 1e-3, 2e-3, 7, spec)
+        tracemalloc.start()
+        try:
+            ensemble_average(plan, h, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * batch * len(spec.edge_strengths()) * 8
 
     @pytest.mark.parametrize("n", [20, 40])
     def test_noise_memory_does_not_grow_with_noisy_set(self, n):
