@@ -19,15 +19,20 @@ count.
 
 Kernel: H must be real, as the XY couplings of every network here are.
 A batch is stepped as a real and an imaginary plane of columns, shape
-(2, dim, batch), so H acts on the whole batch in one real product, and
-each step's couplings fill one symmetric block over the noisy vertices,
+(2, dim, batch), so H acts on the whole batch in one real product (the
+block contraction below also runs faster over contiguous planes than
+over the interleaved view of complex states), and each step's
+couplings fill one symmetric block over the noisy vertices,
 shape (v, v, batch), so the noise of a Taylor term is one contraction
 whatever the number of noisy edges. The series is summed by Horner's
 rule with a term count fixed beforehand from a bound on ||H + noise||,
-so that every entry of the dropped tail is below 1e-17. The block holds
-about twice one step's normals; where one step's noise alone is over
-the draw budget (n = 40, m = 38 at 2,048 trajectories), a batch stays
-within four steps' worth of normals.
+so that every entry of the dropped tail is below 1e-17; a step whose
+bound would need more than 80 terms (a dense noisy set near the step
+limits) is taken in equal substeps. The block spans the noisy vertices
+from the lowest to the highest; without gaps in the noisy set it holds
+about twice one step's normals, and where one step's noise alone is
+over the draw budget (n = 40, m = 38 at 2,048 trajectories), a batch
+stays within four steps' worth of normals.
 
 Time grids: an ensemble read at many times steps each batch once, up
 to the latest time, and takes the moments at every time on the way.
@@ -75,9 +80,14 @@ _CHUNK = 256
 # step, whatever the horizon or the number of noisy edges.
 _NOISE_BUDGET = 2**17
 
-# Per-step couplings stay modest under the eta*dt and ||H||*dt bounds,
-# so the series converges in a few dozen terms at most.
+# Terms of one Taylor series, at most.
 _MAX_TAYLOR_TERMS = 80
+
+# Largest norm bound rho = ||H + noise|| * tau that one series sums:
+# _term_count(18.0) is 77. A step with a larger bound, as a dense noisy
+# set gives (rho is about 21 at n = 70, m = 68 at the step limits), is
+# split into the fewest equal substeps within it.
+_SUBSTEP_RHO = 18.0
 
 
 @dataclass(frozen=True)
@@ -129,19 +139,25 @@ class _PhiloxKey(ISeedSequence):
         self.words = (seed, index)
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return np.array(self.words, dtype=dtype)
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} {np.dtype(dtype)}")
+        return np.array(self.words, dtype=np.uint64)
 
 
 @dataclass(frozen=True, eq=False)
 class _EdgeBlock:
-    """The noisy edges as one symmetric block over the noisy vertices.
+    """The noisy edges as one symmetric block over the span of the noisy vertices.
 
-    A step's couplings fill a real (v, v, batch) block, each edge at its
-    two mirrored places, so the noise of a Taylor term is one
-    contraction over the block whatever the number of edges.
+    The block covers the state's rows from the lowest noisy vertex to
+    the highest, so a noiseless vertex inside that span (vertex 4 of the
+    noisy pair (3, 5)) has zero couplings; a gapped set thus costs what
+    a set without gaps over the same span costs. A step's couplings
+    fill a real (v, v, batch) block, each edge at its two mirrored
+    places, so the noise of a Taylor term is one contraction over the
+    block whatever the number of edges.
     """
 
-    rows: slice | np.ndarray  # the noisy vertices' rows of a state
+    rows: slice  # the rows of a state that the block spans
     first: np.ndarray  # block row of each edge's first vertex, in draw order
     second: np.ndarray  # and of its second
     rates: np.ndarray  # (v, v) edge rates, symmetric, zero on the diagonal
@@ -149,18 +165,15 @@ class _EdgeBlock:
     @classmethod
     def of(cls, spec: NoiseSpec, dim: int) -> _EdgeBlock:
         edges = spec.edge_strengths()
-        vertices = sorted({v for edge in edges for v in edge})
-        if vertices and vertices[-1] >= dim:
-            raise ValueError(f"noisy vertex {vertices[-1]} outside the {dim - 1}-vertex network")
-        place = {v: i for i, v in enumerate(vertices)}
-        first = np.array([place[k] for k, _ in edges], dtype=np.intp)
-        second = np.array([place[l] for _, l in edges], dtype=np.intp)
-        rates = np.zeros((len(vertices), len(vertices)))
+        vertices = {v for edge in edges for v in edge}
+        low, high = min(vertices, default=0), max(vertices, default=-1)
+        if high >= dim:
+            raise ValueError(f"noisy vertex {high} outside the {dim - 1}-vertex network")
+        first = np.array([k - low for k, _ in edges], dtype=np.intp)
+        second = np.array([l - low for _, l in edges], dtype=np.intp)
+        rates = np.zeros((high + 1 - low, high + 1 - low))
         rates[first, second] = rates[second, first] = list(edges.values())
-        rows: slice | np.ndarray = np.array(vertices, dtype=np.intp)
-        if vertices and vertices[-1] - vertices[0] == len(vertices) - 1:
-            rows = slice(vertices[0], vertices[-1] + 1)
-        return cls(rows, first, second, rates)
+        return cls(slice(low, high + 1), first, second, rates)
 
     def fill(self, block: np.ndarray, normals: np.ndarray, tau: float) -> float:
         """Write one step's couplings into ``block``; return a bound on their norm.
@@ -192,7 +205,7 @@ def _term_count(rho: float) -> int:
 def _taylor_step(
     states: np.ndarray,
     h: np.ndarray,
-    rows: slice | np.ndarray,
+    rows: slice,
     block: np.ndarray,
     tau: float,
     norm: float,
@@ -202,31 +215,35 @@ def _taylor_step(
     ``states`` holds one trajectory per column in a real and an
     imaginary plane, shape (2, dim, batch); ``block`` holds each column's
     noise couplings over the noisy ``rows``, shape (v, v, batch); ``norm``
-    bounds ||H + noise|| over the columns. The columns are unit vectors,
-    so the K terms that _term_count takes for rho = norm * tau leave a
-    tail whose every entry is below 1e-17, which keeps the step unitary
-    to well under 1e-12.
+    bounds ||H + noise|| over the columns. The step is taken in the
+    fewest equal substeps whose bound rho = norm * tau / s is within
+    _SUBSTEP_RHO, each summed to the K terms that _term_count takes for
+    rho. The columns are unit vectors, so every entry of each dropped
+    tail is below 1e-17, which keeps the step unitary to well under
+    1e-12.
 
-    Horner's rule sums the series as p <- v + (-i tau / k) A p for
+    Horner's rule sums a substep as p <- v - i (tau / k) A p for
     k = K..1. H is real, so A p is one real product over both planes
-    plus one contraction of the block with the noisy rows. On the planes
-    -i is the turn J: (re, im) -> (im, -re), and A commutes with it. So
-    the sum carries x = J^(k - 1) p instead, x <- (tau / k) A x +
-    J^(k - 1) v from x = J^K v, which takes one real scale per term and
-    ends on x = p. As J^2 = -1, each J^j v is plus or minus v or Jv.
+    plus one contraction of the block with the noisy rows, and -i swaps
+    the planes and negates one: (re, im) -> (im, -re).
     """
-    k_max = _term_count(norm * tau)
-    turns = (states, np.stack((states[1], -states[0])))
-    x = turns[k_max % 2] * (1.0 if k_max % 4 < 2 else -1.0)
-    y = np.empty(states.shape)
-    for k in range(k_max, 0, -1):
-        scale = tau / k
-        np.matmul(h * scale, x, out=y)
-        noise = np.einsum("ijb,cjb->cib", block, x[:, rows])
-        noise *= scale
-        y[:, rows] += noise
-        (np.add if (k - 1) % 4 < 2 else np.subtract)(y, turns[(k - 1) % 2], out=x)
-    return x
+    rho = norm * tau
+    substeps = math.ceil(rho / _SUBSTEP_RHO) if _SUBSTEP_RHO < rho < math.inf else 1
+    tau /= substeps
+    k_max = _term_count(rho / substeps)
+    for _ in range(substeps):
+        p = start = states
+        for k in range(k_max, 0, -1):
+            scale = tau / k
+            y = np.matmul(h * scale, p)
+            noise = np.einsum("ijb,cjb->cib", block, p[:, rows])
+            noise *= scale
+            y[:, rows] += noise
+            p = y[::-1]
+            p[1] *= -1
+            p += start
+        states = p
+    return states
 
 
 def _complex_rows(columns: np.ndarray) -> np.ndarray:

@@ -101,6 +101,16 @@ class TestStreams:
             key = stochastic._stream(seed, 3).bit_generator.state["state"]["key"]
             assert key.tolist() == [seed, 3]
 
+    def test_key_refuses_any_other_request(self):
+        # numpy asks for two uint64 words; any other request would give
+        # a truncated or widened key, so it fails instead
+        key = stochastic._PhiloxKey(2**40, 3)
+        assert key.generate_state(2, np.uint64).tolist() == [2**40, 3]
+        with pytest.raises(ValueError, match="2 uint64 words"):
+            key.generate_state(4, np.uint64)
+        with pytest.raises(ValueError, match="2 uint64 words"):
+            key.generate_state(2, np.uint32)
+
     def test_no_os_entropy_read(self, monkeypatch):
         import random
 
@@ -289,8 +299,10 @@ class TestStepKernel:
             (5, NoiseSpec((3, 4, 5), {(3, 4): 0.5, (3, 5): 2.0, (4, 5): 1.0})),
             # vertex 4 between the noisy pair is noiseless
             (6, NoiseSpec((3, 5), 1.0)),
+            # two gaps, and the block starts at the sender
+            (6, NoiseSpec((1, 3, 6), 1.0)),
         ],
-        ids=["4-2", "6-4", "8-6", "12-10", "per-edge", "gapped"],
+        ids=["4-2", "6-4", "8-6", "12-10", "per-edge", "gapped", "spread"],
     )
     def test_matches_row_kernel(self, n, spec, batch):
         h = single_excitation_hamiltonian(complete_graph(n))
@@ -332,13 +344,41 @@ class TestStepKernel:
                 a[l, k] += g
             assert np.max(np.abs(out[b] - expm(-1j * dt * a) @ rows[b])) < 1e-13
 
+    def test_dense_noisy_set_at_step_limits(self):
+        # n = 70, m = 68: 2,278 edges, eta dt = 0.049 and ||H|| dt = 0.048.
+        # The norm bound of a step is about 21, past what one series of
+        # _MAX_TAYLOR_TERMS sums, so the step is taken in substeps.
+        from scipy.linalg import expm
+
+        n, dt, eta, seed = 70, 7e-4, 70.0, 5
+        h = single_excitation_hamiltonian(complete_graph(n))
+        spec = standard_noise_spec(n, n - 2, eta)
+        edges = spec.edge_strengths()
+        psi = np.zeros(n + 1, dtype=complex)
+        psi[1] = 1.0
+        sigma = np.sqrt(2.0 * eta / dt)
+        for j in range(2):
+            out = evolve_trajectory(h, spec, psi, dt, dt, seed, stream_index=j)
+            rng = np.random.Generator(np.random.Philox(key=[seed, j]))
+            normals = rng.standard_normal(len(edges))
+            a = h.astype(complex)
+            for (k, l), g in zip(edges, sigma * normals):
+                a[k, l] += g
+                a[l, k] += g
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+            assert np.max(np.abs(out - expm(-1j * dt * a) @ psi)) < 1e-12
+        r = ensemble_average(TrajectoryPlan(8, dt, 2.5 * dt, seed, spec), h, psi)
+        assert abs(np.trace(r.rho_mean.rho).real - 1.0) < 1e-12
+
     def test_term_count_bounds_the_tail(self):
-        for rho in np.linspace(0.0, 12.0, 241):
+        for rho in np.linspace(0.0, stochastic._SUBSTEP_RHO, 361):
             k = stochastic._term_count(rho)
             tail = sum(rho**j / math.factorial(j) for j in range(k + 1, k + 60))
             assert tail < 1e-17
         with pytest.raises(RuntimeError, match="did not converge"):
             stochastic._term_count(40.0)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            stochastic._term_count(math.nan)
 
 
 def _restart_reference(h, spec, psi, t, dt, seed, index):
