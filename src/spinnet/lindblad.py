@@ -7,13 +7,14 @@ Hermitian hopping operator L per noisy pair and generator rate r from
 
 ``LumpedLiouvillian`` serves every scalar-eta run (``fig1``-``fig3``,
 ``simulate --method lindblad`` with one rate, the curve helpers of
-``analytics`` and ``perturbation``): by the symmetry of the complete
-graph it evolves a 4-dimensional coherence sector and an 18-dimensional
-population sector at any n. ``Liouvillian`` is the dense generator on
-the column-stacked vec(rho), a fixed (n+1)^2 x (n+1)^2 matrix; it serves
-per-edge rate maps, the full-state comparison with trajectories, and the
-tests, where it is the lumped engine's oracle. Both step exactly by
-matrix exponentials.
+``analytics`` and ``perturbation``) and supplies the generators that
+``perturbation.first_order_numeric`` differentiates in eta: by the
+symmetry of the complete graph it evolves a 4-dimensional coherence
+sector and an 18-dimensional population sector at any n.
+``Liouvillian`` is the dense generator on the column-stacked vec(rho), a
+fixed (n+1)^2 x (n+1)^2 matrix; it serves per-edge rate maps, the
+full-state comparison with trajectories, and the tests, where it is the
+lumped engine's oracle. Both step exactly by matrix exponentials.
 ``fidelity_curve`` reads the channel off rho_oo and rho_o0 for either.
 """
 
@@ -267,8 +268,9 @@ def extract_channel(
     vacuum component against which the coherence could be read.
 
     A raw density matrix is also accepted, skipping the NetworkState
-    invariant checks; perturbative constructions need that, since their
-    states are positive only to the order of the expansion.
+    invariant checks. No package route passes one; the test suite's
+    dense first-order oracle does, since its states are positive only
+    to first order in eta.
     """
     rho = state.rho if isinstance(state, NetworkState) else np.asarray(state, dtype=complex)
     dim = rho.shape[0]
@@ -359,6 +361,21 @@ def _population_generator(k: int, m: int, eta: float) -> np.ndarray:
         if noisy == 2:
             g[j, j] += rate * ((m - 1) if same else 1)
     return g
+
+
+def _probe_sectors() -> tuple[np.ndarray, np.ndarray]:
+    """Coherence and population vectors of PROBE = a|0> + b|input> at t = 0."""
+    a, b = PROBE.amplitudes()
+    c0 = np.zeros(4, dtype=complex)
+    c0[0] = b * a.conjugate()
+    x0 = np.zeros(len(_ORBITS), dtype=complex)
+    x0[_ORBIT["i", "i", True]] = abs(b) ** 2
+    return c0, x0
+
+
+def _output_entries(coherence: np.ndarray, population: np.ndarray) -> tuple[float, complex]:
+    """rho_oo and rho_o0 of one coherence and one population vector."""
+    return float(population[_OUT_OUT].real), complex(coherence[_OUT])
 
 
 @dataclass(frozen=True, eq=False)
@@ -519,16 +536,12 @@ class LumpedLiouvillian:
         times = np.asarray(times, dtype=float).reshape(-1)
         if times.size == 0 or not np.all(times >= 0):
             raise ValueError("times must be a nonempty list of nonnegative numbers")
-        a, b = PROBE.amplitudes()
-        c0 = np.zeros(4, dtype=complex)
-        c0[0] = b * a.conjugate()
-        x0 = np.zeros(len(_ORBITS), dtype=complex)
-        x0[_ORBIT["i", "i", True]] = abs(b) ** 2
+        c0, x0 = _probe_sectors()
         states = LumpedStates(
             k=self.n - 2 - self.m,
             m=self.m,
             times=times,
-            vacuum=abs(a) ** 2,
+            vacuum=abs(PROBE.amplitudes()[0]) ** 2,
             coherence=_propagate(self.coherence_generator, c0, times),
             population=_propagate(self.population_generator, x0, times),
         )

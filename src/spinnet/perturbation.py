@@ -4,16 +4,15 @@ Two independent first-order routes live here. The closed-form route
 assembles the published-style expressions built from the free
 amplitudes beta (transfer) and beta' (return) and the eight time
 integrals b1..b8; it is evaluated literally, defects included, and is
-treated as a claim under test. The numeric route integrates the
-interaction-picture dissipator applied to the frozen zeroth-order
-state, which cannot suffer from convention or transcription slips, and
-serves as the ground truth the closed forms are compared against. Its
-Simpson sum runs in bounded node blocks with a closed-form dissipator,
-so its memory grows with neither the horizon t nor n (up to n = 255).
-Quadrature and peak search are written out in numpy, following scipy's
-composite Simpson rule and its bounded Brent minimizer operation for
-operation, so results are bitwise scipy's while the only scipy module
-the package loads is linalg.
+treated as a claim under test. The numeric route differentiates the
+lumped master equation in eta exactly, by one block exponential per
+symmetry sector, which cannot suffer from convention or transcription
+slips, and serves as the ground truth the closed forms are compared
+against; its cost and memory depend on neither n nor t. The b
+integrals' Simpson rule and the peak search are written out in numpy,
+following scipy's composite Simpson rule and its bounded Brent
+minimizer operation for operation, so results are bitwise scipy's while
+the only scipy module the package loads is linalg.
 
 The noise-benefit statistic Delta(t) = max[F(t; eta) - max_t F(t; 0), 0]
 is always computed from the full master-equation engine, not from
@@ -31,13 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lindblad
-from .network import (
-    INPUT_VERTEX,
-    OUTPUT_VERTEX,
-    complete_graph,
-    single_excitation_hamiltonian,
-    standard_noise_spec,
-)
 
 __all__ = [
     "WeakNoiseIntegrals",
@@ -52,9 +44,6 @@ __all__ = [
     "delta_profile",
     "longest_positive_run",
 ]
-
-_QUADRATURE_BLOCK = 64  # most Simpson nodes per stacked batch in first_order_numeric
-_BLOCK_ENTRIES = 1 << 16  # most matrix entries per batch, so its memory is bounded at any n
 
 # constants of scipy's bounded Brent minimizer (minimize_scalar, method "bounded")
 _SQRT_EPS = math.sqrt(2.2e-16)
@@ -235,77 +224,54 @@ def printed_weak_noise_channel(n: int, m: int, eta: float, t: float) -> WeakNois
     return WeakNoiseChannel(z_sq_0=ab2, xi1=xi1, xi2=xi2, eta=eta)
 
 
-def first_order_numeric(
-    n: int,
-    m: int,
-    eta: float,
-    t: float,
-    quadrature_step: float = 1e-3,
-) -> WeakNoiseChannel:
-    """First-order channel by direct interaction-picture quadrature.
+def first_order_numeric(n: int, m: int, eta: float, t: float) -> WeakNoiseChannel:
+    """First-order channel from the exact eta-derivative of the lumped state.
 
-    Integrates the unit-strength dissipator conjugated into the
-    interaction picture and applied to the frozen zeroth-order state,
-    rho(t) = U(t) [rho0 + eta * integral] U(t)^dag, then reads the
-    channel off rho(t) with the standard extraction. Shares no
-    closed-form input with printed_weak_noise_channel, so agreement
-    between the two is evidence, not tautology. The correction is
-    exactly linear in eta by construction.
+    Every coefficient of the lumped generators is a polynomial in k and
+    m times 1 or the rate 2 eta (see lindblad.LumpedLiouvillian), so each
+    sector's generator is affine in eta: G = G0 + eta G1, with G0 the
+    noiseless generator and G1 = G(1) - G(0) the unit dissipator. By Van
+    Loan's identity (IEEE TAC 23, 395, 1978) the block exponential
 
-    The Simpson sum runs over blocks of at most 64 nodes and 2^16 matrix
-    entries, each applying the summed edge dissipator in closed form on
-    the noisy rows and columns, so memory grows with neither t nor n
-    (O(n^2) past n = 255). quadrature_step must lie in (0, 1e-3].
+        exp([[G0, G1], [0, G0]] t) = [[e^{G0 t}, D], [0, e^{G0 t}]],
+        D = int_0^t e^{G0 (t-s)} G1 e^{G0 s} ds,
+
+    holds in its top-right block D the exact derivative in eta of
+    e^{G t} at eta = 0. One exponential per sector, applied to the start
+    (0, s0), thus gives the first-order correction and the zeroth-order
+    state together, at a cost and memory independent of n and t. The
+    channel is read off rho_oo and rho_o0 of rho0 + eta D s0 by the
+    readout of fidelity_curve; the correction is exactly linear in eta
+    by construction. Shares no closed-form input with
+    printed_weak_noise_channel, so agreement between the two is
+    evidence, not tautology.
     """
     _require_noise_geometry(n, m)
     _require_eta_and_t(eta, t)
-    if not 0 < quadrature_step <= 1e-3:
-        raise ValueError(f"quadrature_step must lie in (0, 1e-3], got {quadrature_step}")
-    graph = complete_graph(n)
-    h = single_excitation_hamiltonian(graph)
-    w, vecs = np.linalg.eigh(h)
+    clean = lindblad.LumpedLiouvillian(n, m, 0.0)
+    unit = lindblad.LumpedLiouvillian(n, m, 1.0)
+    sectors = []
+    for g0, g_unit, start in zip(
+        (clean.coherence_generator, clean.population_generator),
+        (unit.coherence_generator, unit.population_generator),
+        lindblad._probe_sectors(),
+    ):
+        g1 = g_unit - g0
+        # D is linear in G1: scaled to unit entries, G1 keeps the block's
+        # norm near G0's and the exponential's error near that of e^{G0 t}
+        scale = max(1.0, float(np.abs(g1).max()))
+        block = np.block([[g0, g1 / scale], [np.zeros_like(g0), g0]])
+        dim = start.size
+        evolved = lindblad._propagate(block, np.concatenate([np.zeros(dim), start]), np.array([t]))[0]
+        sectors.append((evolved[dim:], scale * evolved[:dim]))
+    (coherence, d_coherence), (population, d_population) = sectors
     a, b = lindblad.PROBE.amplitudes()
-    psi = np.zeros(n + 1, dtype=complex)
-    psi[0] = a
-    psi[INPUT_VERTEX] = b
-    rho0 = np.outer(psi, psi.conj())
-    u_final = (vecs * np.exp(-1j * w * t)) @ vecs.conj().T
-    z0 = u_final[OUTPUT_VERTEX, INPUT_VERTEX]
-    z_sq_0 = abs(z0) ** 2
+    zeroth = lindblad._channel(*lindblad._output_entries(coherence, population), a, b)
+    z_sq_0 = abs(zeroth.amplitude) ** 2
     if eta == 0.0 or m < 2 or t == 0.0:
         return WeakNoiseChannel(z_sq_0=z_sq_0, xi1=0.0, xi2=0j, eta=0.0)
-
-    # unit dissipator 2 sum_L (L x L - {L^2, x}/2), L = |k><l| + |l><k| over noisy pairs:
-    # sum L^2 = (m-1) P_N, sum L x L = x_N^T with its diagonal set to tr(x_N) - x_ii
-    noisy = np.array(standard_noise_spec(n, m, 1.0).noisy_vertices)
-    diag = np.arange(m)
-    block = max(1, min(_QUADRATURE_BLOCK, _BLOCK_ENTRIES // (n + 1) ** 2))
-
-    num = max(int(math.ceil(t / quadrature_step)), 2)
-    if num % 2:
-        num += 1
-    h_step = t / num
-    acc = np.zeros_like(rho0)
-    for start in range(0, num + 1, block):
-        k = np.arange(start, min(start + block, num + 1))
-        u = (vecs * np.exp(-1j * w * (k * h_step)[:, None])[:, None, :]) @ vecs.conj().T
-        phi = u @ psi  # U rho0 U^dag = phi phi^dag
-        x = phi[:, :, None] * phi.conj()[:, None, :]
-        swapped = x[:, noisy[:, None], noisy].transpose(0, 2, 1)
-        pops = swapped[:, diag, diag]
-        swapped[:, diag, diag] = pops.sum(axis=1, keepdims=True) - pops
-        dx = np.zeros_like(x)
-        dx[:, noisy] -= (m - 1) * x[:, noisy]
-        dx[:, :, noisy] -= (m - 1) * x[:, :, noisy]
-        dx[:, noisy[:, None], noisy] += 2.0 * swapped
-        inner = u.conj().transpose(0, 2, 1) @ dx @ u
-        weight = np.where(k % 2, 4.0, 2.0)
-        weight[(k == 0) | (k == num)] = 1.0
-        acc += np.tensordot(weight, inner, axes=1)
-    acc *= h_step / 3.0
-
-    rho_t = u_final @ (rho0 + eta * acc) @ u_final.conj().T
-    params = lindblad.extract_channel(rho_t, lindblad.PROBE, INPUT_VERTEX, OUTPUT_VERTEX)
+    entries = lindblad._output_entries(coherence + eta * d_coherence, population + eta * d_population)
+    params = lindblad._channel(*entries, a, b)
     z_sq = abs(params.amplitude) ** 2
     lam_z_mod = params.dephasing * z_sq
     return WeakNoiseChannel(

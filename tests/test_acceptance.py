@@ -70,6 +70,7 @@ class TestCriterion2OracleTriple:
     ETAS = (0.25, 1.0, 4.0)
     TIMES = (0.5, 1.0, 1.5 * math.pi)
 
+    @pytest.mark.slow
     def test_three_engines_agree(self, criterion_log):
         h = sn.single_excitation_hamiltonian(sn.complete_graph(4))
         start = sn.initial_network_state(4, 1, PROBE)

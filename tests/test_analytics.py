@@ -184,9 +184,3 @@ class TestConsistencyReport:
     def test_checks_sorted_by_name(self, report):
         names = [c.name for c in report.checks]
         assert names == sorted(names)
-
-    def test_runtime_not_in_rendered_output(self, report):
-        # rendered bytes must be a pure function of the configuration
-        assert report.runtime_seconds > 0
-        rendered = report.to_text() + report.to_json()
-        assert f"{report.runtime_seconds}" not in rendered

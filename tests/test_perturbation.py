@@ -23,6 +23,7 @@ import scipy.integrate
 import scipy.optimize
 
 from spinnet.lindblad import (
+    LumpedLiouvillian,
     complete_network_liouvillian,
     evolve_at_times,
     extract_channel,
@@ -54,11 +55,15 @@ NON_FINITE_INPUTS = [("eta", math.nan, 1.0), ("eta", math.inf, 1.0), ("t", 0.01,
 
 
 def per_node_first_order(n, m, eta, t, step=1e-3):
-    """The first-order quadrature written one Simpson node at a time.
+    """Dense first-order oracle: interaction-picture Simpson quadrature.
 
-    Each node builds its own propagator and applies every edge
-    dissipator to U rho0 U^dag with small matrix products; the
-    blocked production route must reproduce it.
+    Integrates the unit dissipator conjugated into the interaction
+    picture and applied to the frozen zeroth-order state, one Simpson
+    node at a time on the full (n+1) x (n+1) density matrix: each node
+    builds its own propagator and applies every edge dissipator to
+    U rho0 U^dag. It shares neither the lumped sectors nor the block
+    exponential with the production route, and its error falls as
+    step^4 towards that route's exact derivative.
     """
     graph = complete_graph(n)
     w, vecs = np.linalg.eigh(single_excitation_hamiltonian(graph))
@@ -216,9 +221,9 @@ class TestFirstOrderNumeric:
     @pytest.mark.parametrize(
         "n,m,eta,t",
         [
-            (6, 4, 0.05, 1.5e-3),  # t < 2 steps: a 2-interval rule, one partial block
+            (6, 4, 0.05, 1.5e-3),  # t < 2 steps: a 2-interval rule
             (6, 4, 0.05, 0.2005),  # 200.5 steps, bumped to 202 intervals
-            (10, 8, 0.01, 0.5),  # 501 nodes: 7 full blocks and a partial one
+            (10, 8, 0.01, 0.5),
             (4, 2, 1e-3, 1.0),
             (12, 5, 0.1, 3.1),
             (3, 1, 0.01, 1.0),  # n = 3 spans at most one noisy vertex
@@ -226,17 +231,43 @@ class TestFirstOrderNumeric:
             (7, 5, 0.0, 1.0),  # eta = 0 short-circuits
         ],
     )
-    def test_blocked_quadrature_matches_per_node_loop(self, n, m, eta, t):
-        # the integrand has no weight on the readout entries at s = 0
-        # (rho0 misses the noisy vertices) or at s = t, so the two Simpson
-        # endpoint weights reach the channel only through rounding; this
-        # pins the interior weights, the node count and the blocking
+    def test_quadrature_oracle_converges_to_exact_derivative(self, n, m, eta, t):
+        # Simpson's error falls 16-fold per halved step; the eta division
+        # leaves a rounding floor of a few 1e-14 at eta = 1e-3
         got = first_order_numeric(n, m, eta, t)
-        want = per_node_first_order(n, m, eta, t)
-        assert abs(got.fidelity() - want.fidelity()) <= 1e-15
-        assert got.z_sq_0 == want.z_sq_0 and got.eta == want.eta
-        assert got.xi1 == pytest.approx(want.xi1, rel=1e-12, abs=0.0)
-        assert got.xi2 == pytest.approx(want.xi2, rel=1e-12, abs=0.0)
+
+        def gap(step):
+            want = per_node_first_order(n, m, eta, t, step)
+            assert got.z_sq_0 == pytest.approx(want.z_sq_0, rel=1e-12, abs=1e-15)
+            assert got.eta == want.eta
+            return max(abs(got.xi1 - want.xi1), abs(got.xi2 - want.xi2))
+
+        coarse, fine = gap(1e-3), gap(5e-4)
+        assert coarse <= 5e-12
+        assert fine <= coarse / 4.0 or fine < 5e-14, f"gap {coarse:.3e} -> {fine:.3e}"
+
+    @pytest.mark.parametrize("n,m", [(1002, 1000), (10_000, 9_998)])
+    def test_xi1_matches_richardson_difference_at_large_n(self, n, m):
+        # at the transfer peak t = pi/n; differences run forward in eta,
+        # which may not be negative
+        t, h = math.pi / n, 1e-4
+        _, b = PROBE.amplitudes()
+
+        def z_sq(eta):
+            return LumpedLiouvillian(n, m, eta).evolve([t]).rho_oo[0] / abs(b) ** 2
+
+        base = z_sq(0.0)
+
+        def richardson(step):
+            # 2 D(step/2) - D(step) of forward differences D: error O(step^2)
+            return (4.0 * z_sq(step / 2) - 3.0 * base - z_sq(step)) / step
+
+        fine, coarse = richardson(h), richardson(2 * h)
+        # coarse carries 4 times fine's O(h^2) error, so their gap bounds it
+        tol = abs(coarse - fine)
+        xi1 = first_order_numeric(n, m, 1e-3, t).xi1
+        assert tol <= 1e-3 * abs(xi1)
+        assert abs(xi1 - fine) <= tol, f"xi1 {xi1!r} against {fine!r}, tolerance {tol:.3e}"
 
     def test_memory_bounded_by_block_not_horizon(self):
         def peak(t):
@@ -266,15 +297,30 @@ class TestFirstOrderNumeric:
         small, large = peak(40), peak(80)
         assert large <= 1.25 * small, f"peak {large} B at n = 80 against {small} B at n = 40"
 
-    @pytest.mark.parametrize("step", [-1.0, 0.0, 2e-3, math.nan])
-    def test_rejects_quadrature_step_outside_cap(self, step):
-        with pytest.raises(ValueError, match="quadrature_step"):
-            first_order_numeric(10, 8, 0.01, 1.0, quadrature_step=step)
+    def test_memory_flat_up_to_n_10000(self):
+        # the lumped sectors have the same size at any n
+        def peak(n):
+            first_order_numeric(n, 2, 0.01, 0.1)
+            tracemalloc.start()
+            try:
+                first_order_numeric(n, 2, 0.01, 0.1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(40), peak(10_000)
+        assert large <= 1.25 * small, f"peak {large} B at n = 10^4 against {small} B at n = 40"
 
     @pytest.mark.parametrize("field,eta,t", NON_FINITE_INPUTS)
     def test_rejects_non_finite_input(self, field, eta, t):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             first_order_numeric(10, 8, eta, t)
+
+    @pytest.mark.parametrize("n,m", [(4, 2), (1002, 1000), (10_000, 5_000)])
+    def test_zeroth_order_is_free_transfer(self, n, m):
+        t = math.pi / (2 * n)
+        ch = first_order_numeric(n, m, 0.01, t)
+        assert ch.z_sq_0 == pytest.approx(abs(beta(n, t)) ** 2, rel=1e-10)
 
     def test_dephasing_reproduced_exactly(self):
         # the stored coefficients are chosen so the shared extraction
