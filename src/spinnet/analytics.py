@@ -227,7 +227,6 @@ class ReportConfig:
     n_traj: int = 2000
     dt: float = 1e-3
     seed: int = 20240817
-    threads: int = 1
 
 
 def _fmt(value: complex | float) -> str:
@@ -330,7 +329,7 @@ def _check_trajectories(config: ReportConfig) -> ConsistencyCheck:
     a, b = lindblad.PROBE.amplitudes()
     psi = np.zeros(n + 1, dtype=complex)
     psi[0], psi[INPUT_VERTEX] = a, b
-    result = stochastic.ensemble_average(plan, h, psi, threads=config.threads)
+    result = stochastic.ensemble_average(plan, h, psi)
     excess = np.abs(result.rho_mean.rho - target.rho) - 3.0 * result.std_err
     disc = max(float(excess.max()), 0.0)
     return ConsistencyCheck(

@@ -8,14 +8,14 @@ Subcommands:
   fig3      noise-benefit map Delta(t, m) at n = 10
   report    cross-oracle consistency suite (JSON + text)
 
-Every command takes --config, --out, --seed, --threads; the seed must
-lie in 0..2^64 - 1, and the thread count falls back to the
-SPINNET_THREADS environment variable, then 1.
+Every command takes --config, --out and --seed; the seed must lie in
+0..2^64 - 1.
 All output is a deterministic function of the resolved configuration:
 CSV rows are emitted in grid order, floats in %.12e, UNIX newlines,
 UTF-8, and nothing time- or host-dependent is ever written. Exit codes
-are 0 (success), 1 (configuration error), 2 (numeric failure, or a
-consistency report in which two engines disagree).
+are 0 (success), 1 (configuration error, usage errors such as an
+unknown flag included), 2 (numeric failure, or a consistency report in
+which two engines disagree).
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -311,7 +311,7 @@ def records_to_csv(records: Sequence[ScanRecord]) -> str:
     return "\n".join([CSV_HEADER, *(r.to_csv_row() for r in records)]) + "\n"
 
 
-def run_simulate(config: ExperimentConfig, threads: int = 1) -> list[ScanRecord]:
+def run_simulate(config: ExperimentConfig) -> list[ScanRecord]:
     """Evaluate the configured engine at every time-grid point.
 
     unitary ignores the noise entirely; lindblad and trajectories run
@@ -321,7 +321,7 @@ def run_simulate(config: ExperimentConfig, threads: int = 1) -> list[ScanRecord]
     """
     times = config.times()
     if not config.method.startswith("perturbation"):
-        curve = _engine_curve(config, times, threads)
+        curve = _engine_curve(config, times)
         return _curve_records(
             config.n, config.m, config.eta_column(), times, curve, config.master_seed, config.method
         )
@@ -351,9 +351,7 @@ def run_simulate(config: ExperimentConfig, threads: int = 1) -> list[ScanRecord]
     return records
 
 
-def _engine_curve(
-    config: ExperimentConfig, times: np.ndarray, threads: int
-) -> lindblad.FidelityCurve:
+def _engine_curve(config: ExperimentConfig, times: np.ndarray) -> lindblad.FidelityCurve:
     graph = complete_graph(config.n)
     h = single_excitation_hamiltonian(graph)
     pair = (config.input_vertex, config.output_vertex)
@@ -385,7 +383,7 @@ def _engine_curve(
         master_seed=config.master_seed,
         noise=spec,
     )
-    results = stochastic.ensemble_average(plan, h, psi, threads=threads, times=times)
+    results = stochastic.ensemble_average(plan, h, psi, times=times)
     return lindblad.FidelityCurve.of(
         lindblad.extract_channel(r.rho_mean, lindblad.PROBE, *pair) for r in results
     )
@@ -512,23 +510,6 @@ def run_report(config: ReportConfig | None = None) -> tuple[str, str, bool]:
     return report.to_json(), report.to_text(), report.has_engine_mismatch
 
 
-def _resolve_threads(flag: int | None) -> int:
-    if flag is not None:
-        if flag < 1:
-            raise ConfigError("threads", "must be at least 1")
-        return flag
-    env = os.environ.get("SPINNET_THREADS", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError("threads", f"SPINNET_THREADS = {env!r} is not an integer") from None
-        if value < 1:
-            raise ConfigError("threads", "SPINNET_THREADS must be at least 1")
-        return value
-    return 1
-
-
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -561,8 +542,15 @@ def _write_metadata(out_path: str | None, payload: dict) -> None:
         handle.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of exiting 2, so that they exit 1 like any bad input."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinnet",
         description="State-transfer experiments on noisy fully connected spin networks",
     )
@@ -578,11 +566,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         cmd.add_argument("--config", help="JSON configuration file")
         cmd.add_argument("--out", help="output path (default: stdout)")
         cmd.add_argument("--seed", type=int, help="override the master seed")
-        cmd.add_argument("--threads", type=int, help="worker threads (default: SPINNET_THREADS or 1)")
-    args = parser.parse_args(argv)
 
     try:
-        threads = _resolve_threads(args.threads)
+        args = parser.parse_args(argv)
         raw = _load_config_file(args.config)
         seed = _require_seed(args.seed, "seed") if args.seed is not None else 0
 
@@ -590,7 +576,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.seed is not None:
                 raw = {**raw, "master_seed": args.seed}
             config = ExperimentConfig.from_dict(raw)
-            records = run_simulate(config, threads=threads)
+            records = run_simulate(config)
             _write_output(records_to_csv(records), args.out)
             _write_metadata(args.out, {"command": "simulate", "config": config.to_metadata()})
             return 0
@@ -621,7 +607,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             n_traj=_require_int(raw.get("n_traj", 2000), "n_traj", 1),
             dt=_require_number(raw.get("dt", 1e-3), "dt"),
             seed=args.seed if args.seed is not None else _require_seed(raw.get("seed", 20240817), "seed"),
-            threads=threads,
         )
         json_text, table_text, engines_disagree = run_report(report_config)
         _write_output(json_text + "\n", args.out)
@@ -640,8 +625,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 2
     except ValueError as err:
-        # engine-level argument rejections (step too coarse for the
-        # rate, geometry violations) are configuration problems too
+        # usage errors and engine-level argument rejections (step too
+        # coarse for the rate, geometry violations) are configuration
+        # problems too
         print(f"configuration error: {err}", file=sys.stderr)
         return 1
     except RuntimeError as err:

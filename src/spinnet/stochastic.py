@@ -12,10 +12,10 @@ as an independent oracle for :mod:`spinnet.lindblad`, so it shares no
 integration code with it.
 
 Determinism contract: trajectory j draws from its own counter-based
-stream keyed by (master_seed, j), trajectories are processed in fixed
-batches of 2,048, and partial sums are reduced in batch order after all
-workers finish. Results are therefore bit-identical for any thread
-count.
+stream keyed by (master_seed, j), and trajectories are stepped in fixed
+batches of 2,048 whose moments are added to running sums in batch
+order. The bytes of a result therefore depend on the plan alone, and an
+ensemble holds one batch's moments at a time, whatever its size.
 
 Kernel: H must be real, as the XY couplings of every network here are.
 A batch is stepped as a real and an imaginary plane of columns, shape
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +64,8 @@ __all__ = [
     "ensemble_average",
 ]
 
-# Trajectories per kernel invocation. Fixed (not tied to thread count)
-# so the reduction order never depends on parallelism. At n = 4, m = 2 a
+# Trajectories per kernel invocation; fixed, so the batch sums, and
+# with them the bytes, depend on the plan alone. At n = 4, m = 2 a
 # trajectory step costs about half as much at 2,048 as at 256; wider
 # batches gain nothing more.
 _BATCH = 2048
@@ -103,10 +102,10 @@ class TrajectoryPlan:
     def __post_init__(self) -> None:
         if self.n_traj < 1:
             raise ValueError(f"n_traj must be at least 1, got {self.n_traj}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_final < 0:
-            raise ValueError(f"t_final must be nonnegative, got {self.t_final}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.t_final < math.inf:
+            raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must fit in 64 bits")
 
@@ -332,8 +331,8 @@ def _validated(
     if np.iscomplexobj(h) and np.any(h.imag):
         raise ValueError("hamiltonian must be real: the kernel applies it as a real matrix")
     h = np.ascontiguousarray(h.real, dtype=float)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     eta_max = max(spec.edge_strengths().values(), default=0.0)
     if eta_max * dt > 0.05:
         raise ValueError(f"eta * dt = {eta_max * dt:.3g} exceeds 0.05; shrink dt")
@@ -365,8 +364,8 @@ def evolve_trajectory(
     index reproduces that member's noise stream.
     """
     h, h_norm, psi0 = _validated(hamiltonian, spec, dt, psi0)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     edges = _EdgeBlock.of(spec, h.shape[0])
     [(_, states)] = _sweep(h, h_norm, edges, psi0, [t], dt, [_stream(seed, stream_index)])
     return states[0]
@@ -376,7 +375,6 @@ def ensemble_average(
     plan: TrajectoryPlan,
     hamiltonian: np.ndarray,
     psi0: np.ndarray,
-    threads: int = 1,
     times: Sequence[float] | None = None,
 ) -> EnsembleResult | list[EnsembleResult]:
     """Average |psi><psi| over the planned trajectory ensemble under a real Hamiltonian.
@@ -387,10 +385,10 @@ def ensemble_average(
     time is returned in their order; each is bit-identical to the
     single-time ensemble at that time.
 
-    Workers process disjoint fixed-size batches; the per-batch partial
-    sums are combined in batch order once all of them exist, so the
-    result does not depend on scheduling. Standard errors come from the
-    per-entry second moments accumulated alongside the mean.
+    Each batch's first moments and per-entry second moments are added to
+    running sums, in batch order, as soon as the batch is done, so the
+    memory held does not grow with ``plan.n_traj``. Standard errors come
+    from the second moments.
     """
     h, h_norm, psi0 = _validated(hamiltonian, plan.noise, plan.dt, psi0)
     grid = [plan.t_final] if times is None else [float(t) for t in times]
@@ -398,30 +396,15 @@ def ensemble_average(
         raise ValueError(f"times must be a nonempty list within [0, t_final = {plan.t_final}]")
     edges = _EdgeBlock.of(plan.noise, h.shape[0])
     dim = h.shape[0]
-
-    def run_batch(start: int) -> tuple[np.ndarray, np.ndarray]:
-        stop = min(start + _BATCH, plan.n_traj)
-        rngs = [_stream(plan.master_seed, j) for j in range(start, stop)]
-        first = np.empty((len(grid), dim, dim), dtype=complex)
-        second = np.empty((len(grid), dim, dim))
-        for i, states in _sweep(h, h_norm, edges, psi0, grid, plan.dt, rngs):
-            first[i] = np.einsum("bi,bj->ij", states, states.conj())
-            pops = np.abs(states) ** 2
-            second[i] = np.einsum("bi,bj->ij", pops, pops)
-        return first, second
-
-    starts = range(0, plan.n_traj, _BATCH)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run_batch, starts))
-    else:
-        partials = [run_batch(s) for s in starts]
-
     first = np.zeros((len(grid), dim, dim), dtype=complex)
     second = np.zeros((len(grid), dim, dim))
-    for part_first, part_second in partials:
-        first += part_first
-        second += part_second
+    for start in range(0, plan.n_traj, _BATCH):
+        stop = min(start + _BATCH, plan.n_traj)
+        rngs = [_stream(plan.master_seed, j) for j in range(start, stop)]
+        for i, states in _sweep(h, h_norm, edges, psi0, grid, plan.dt, rngs):
+            first[i] += np.einsum("bi,bj->ij", states, states.conj())
+            pops = np.abs(states) ** 2
+            second[i] += np.einsum("bi,bj->ij", pops, pops)
     mean = first / plan.n_traj
     variance = np.maximum(second / plan.n_traj - np.abs(mean) ** 2, 0.0)
     std_err = np.sqrt(variance / plan.n_traj)

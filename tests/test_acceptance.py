@@ -84,7 +84,7 @@ class TestCriterion2OracleTriple:
             plan = sn.TrajectoryPlan(
                 n_traj=20000, dt=1e-3, t_final=self.TIMES[-1], master_seed=SEED, noise=spec
             )
-            ensembles = sn.ensemble_average(plan, h, psi, threads=1, times=self.TIMES)
+            ensembles = sn.ensemble_average(plan, h, psi, times=self.TIMES)
             liou = sn.complete_network_liouvillian(4, 2, eta)
             for t, ensemble in zip(self.TIMES, ensembles):
                 exact = lindblad.evolve_at_times(liou, start, [t])[0]
@@ -317,16 +317,13 @@ class TestCriterion7Conservation:
 
 class TestCriterion8Determinism:
     @staticmethod
-    def _run(args, config_text, tmp_path, threads=None, tag="cfg", blas_threads=None):
+    def _run(args, config_text, tmp_path, tag="cfg", blas_threads=None):
         import os
 
         path = tmp_path / f"{tag}.json"
         path.write_text(config_text)
         cmd = [sys.executable, "-m", "spinnet.cli", *args, "--config", str(path)]
-        if threads is not None:
-            cmd += ["--threads", str(threads)]
         env = dict(os.environ)
-        env.pop("SPINNET_THREADS", None)
         if blas_threads is not None:
             for name in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
                 env.pop(name, None)
@@ -360,9 +357,7 @@ class TestCriterion8Determinism:
             '{"n": 4, "m": 2, "eta": 1.0, "t_min": 0.4, "t_max": 0.8, "t_steps": 2, '
             '"method": "trajectories", "n_traj": 60, "master_seed": 7}'
         )
-        runs = [
-            self._run(["simulate"], sim, tmp_path, threads=k, tag="sim") for k in (1, 3, 1)
-        ]
+        runs = [self._run(["simulate"], sim, tmp_path, tag="sim") for _ in range(3)]
         sim_ok = (
             runs[0].stdout == runs[1].stdout == runs[2].stdout and runs[0].returncode == 0
         )
@@ -373,13 +368,13 @@ class TestCriterion8Determinism:
         fig_ok = f1.stdout == f2.stdout and f1.returncode == 0
 
         rep = '{"n_traj": 200}'
-        r1 = self._run(["report"], rep, tmp_path, threads=1, tag="rep")
-        r2 = self._run(["report"], rep, tmp_path, threads=2, tag="rep")
+        r1 = self._run(["report"], rep, tmp_path, tag="rep")
+        r2 = self._run(["report"], rep, tmp_path, tag="rep")
         rep_ok = r1.stdout == r2.stdout and r1.returncode == 0
 
         passed = sim_ok and fig_ok and rep_ok
         criterion_log(
-            "8 byte-identical CLI output at any thread count",
+            "8 byte-identical CLI output over repeated runs",
             passed,
             f"simulate {'ok' if sim_ok else 'DIFFERS'}, fig1 {'ok' if fig_ok else 'DIFFERS'}, "
             f"report {'ok' if rep_ok else 'DIFFERS'}",

@@ -156,7 +156,7 @@ class TestConsistencyCheckVerdicts:
 
 @pytest.fixture(scope="module")
 def report():
-    return consistency_report(ReportConfig(n_traj=400, dt=1e-3, seed=20240817, threads=1))
+    return consistency_report(ReportConfig(n_traj=400, dt=1e-3, seed=20240817))
 
 
 class TestConsistencyReport:

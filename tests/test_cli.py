@@ -33,19 +33,13 @@ def _cfg(**over):
     return ExperimentConfig.from_dict(base)
 
 
-def _cli(args, config=None, tmp_path=None, env=None):
+def _cli(args, config=None, tmp_path=None):
     cmd = [sys.executable, "-m", "spinnet.cli", *args]
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         cmd += ["--config", str(path)]
-    import os
-
-    full_env = dict(os.environ)
-    full_env.pop("SPINNET_THREADS", None)
-    if env:
-        full_env.update(env)
-    return subprocess.run(cmd, capture_output=True, text=True, env=full_env)
+    return subprocess.run(cmd, capture_output=True, text=True)
 
 
 class TestConfigSchema:
@@ -162,7 +156,7 @@ class TestCsvShape:
         # one pass over the grid writes the bytes of a run at each time
         # alone; the grid has t = 0 and times off the dt grid
         grid = _cfg(method="trajectories", n_traj=40, t_min=0.0, t_max=0.1505, t_steps=4)
-        rows = records_to_csv(run_simulate(grid, threads=2)).splitlines()[1:]
+        rows = records_to_csv(run_simulate(grid)).splitlines()[1:]
         assert len(rows) == 4
         for t, row in zip(grid.times(), rows):
             alone = _cfg(method="trajectories", n_traj=40, t_min=float(t), t_max=float(t), t_steps=1)
@@ -267,8 +261,21 @@ class TestFailureExits:
         assert code == 1
         assert "field 'seed'" in err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["simulate", "--threads", "2"], "unrecognized arguments: --threads 2"),
+            (["fig1", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_usage_error_exits_1(self, args, message, capsys):
+        # argparse would exit 2, the code of a numeric failure
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
     def test_report_threads_field_rejected(self, tmp_path, capsys):
-        # the worker count comes from --threads or SPINNET_THREADS only
+        # ensembles run serially; there is no worker count to set
         code, err = _main(["report"], {"threads": 7, "n_traj": 50}, tmp_path, capsys)
         assert code == 1
         assert "field 'threads': unknown field" in err
@@ -326,32 +333,6 @@ class TestEndToEnd:
         )
         assert res.returncode == 0
         assert res.stdout.strip().split("\n")[1].endswith(",unitary,99")
-
-    def test_threads_env_fallback(self, tmp_path):
-        res = _cli(
-            ["simulate"],
-            config={
-                "n": 4,
-                "m": 2,
-                "eta": 1.0,
-                "t_steps": 1,
-                "t_max": 0.3,
-                "method": "trajectories",
-                "n_traj": 20,
-            },
-            tmp_path=tmp_path,
-            env={"SPINNET_THREADS": "2"},
-        )
-        assert res.returncode == 0, res.stderr
-
-    def test_bad_threads_env_exits_1(self, tmp_path):
-        res = _cli(
-            ["simulate"],
-            config={"n": 4, "t_steps": 1, "method": "unitary"},
-            tmp_path=tmp_path,
-            env={"SPINNET_THREADS": "zero"},
-        )
-        assert res.returncode == 1
 
     def test_report_smoke(self, tmp_path):
         out = tmp_path / "report.json"

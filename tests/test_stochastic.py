@@ -48,6 +48,24 @@ class TestTrajectoryPlan:
         plan = TrajectoryPlan(10, 1e-3, 1.0, 7, spec)
         assert plan.n_traj == 10
 
+    @pytest.mark.parametrize(
+        "field, run",
+        [
+            ("dt", lambda h, spec, psi: TrajectoryPlan(10, math.nan, 1.0, 0, spec)),
+            ("t_final", lambda h, spec, psi: TrajectoryPlan(10, 1e-3, math.inf, 0, spec)),
+            ("t_final", lambda h, spec, psi: TrajectoryPlan(10, 1e-3, math.nan, 0, spec)),
+            ("t", lambda h, spec, psi: evolve_trajectory(h, spec, psi, math.nan, 1e-3, 0)),
+            ("t", lambda h, spec, psi: evolve_trajectory(h, spec, psi, math.inf, 1e-3, 0)),
+            ("dt", lambda h, spec, psi: evolve_trajectory(h, spec, psi, 0.1, math.nan, 0)),
+        ],
+    )
+    def test_non_finite_input_rejected_naming_field(self, field, run):
+        # a NaN passes every comparison check, and an infinite horizon
+        # would overflow the step count
+        h, spec, psi = _setup()
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            run(h, spec, psi)
+
 
 class TestStepSampling:
     """The engine's own noise draws, seen through one step of a trajectory.
@@ -185,16 +203,25 @@ class TestSingleTrajectory:
 
 
 class TestEnsemble:
-    def test_threads_do_not_change_bytes(self, monkeypatch):
-        # batches of 128 make 300 trajectories three batches, the last
-        # partial, so the batch-order reduction is exercised
-        monkeypatch.setattr(stochastic, "_BATCH", 128)
-        h, spec, psi = _setup()
-        plan = TrajectoryPlan(300, 1e-3, 0.7, 42, spec)
-        r1 = ensemble_average(plan, h, psi, threads=1)
-        r3 = ensemble_average(plan, h, psi, threads=3)
-        assert np.array_equal(r1.rho_mean.rho, r3.rho_mean.rho)
-        assert np.array_equal(r1.std_err, r3.std_err)
+    def test_moment_memory_does_not_grow_with_ensemble(self, monkeypatch):
+        # batches of 16 at n = 10 on a grid of 400 times: one batch's
+        # moments take about 1 MiB, so keeping every batch's until the
+        # end would hold 16 MiB at 16 batches. Each of 20 step times is
+        # asked for 20 times over, so the grid is long but the run takes
+        # only 19 steps.
+        monkeypatch.setattr(stochastic, "_BATCH", 16)
+        h, spec, psi = _setup(10, 2)
+        times = np.repeat(np.arange(20) * 1e-3, 20)
+        peaks = []
+        for batches in (2, 16):
+            plan = TrajectoryPlan(16 * batches, 1e-3, times[-1], 7, spec)
+            tracemalloc.start()
+            try:
+                ensemble_average(plan, h, psi, times=times)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
 
     def test_mean_is_valid_state(self):
         h, spec, psi = _setup()
@@ -423,22 +450,22 @@ class TestTimeGrid:
                 got = evolve_trajectory(h, spec, psi, t, 1e-3, 42, stream_index=5)
                 assert np.array_equal(got, _restart_reference(h, spec, psi, t, 1e-3, 42, 5))
 
-    def _separate(self, h, spec, psi, n_traj, threads):
+    def _separate(self, h, spec, psi, n_traj):
         return [
-            ensemble_average(TrajectoryPlan(n_traj, 1e-3, t, 42, spec), h, psi, threads=threads)
+            ensemble_average(TrajectoryPlan(n_traj, 1e-3, t, 42, spec), h, psi)
             for t in self.TIMES
         ]
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_multi_time_equals_single_time_calls(self, threads, monkeypatch):
-        # three batches, the last partial, as in the thread test above
+    def test_multi_time_equals_single_time_calls(self, monkeypatch):
+        # batches of 128 make 300 trajectories three batches, the last
+        # partial, so the batch-order sums are exercised
         monkeypatch.setattr(stochastic, "_BATCH", 128)
         h, spec, psi = _setup(5, 3)
         plan = TrajectoryPlan(300, 1e-3, self.TIMES[-1], 42, spec)
-        multi = ensemble_average(plan, h, psi, threads=threads, times=self.TIMES)
-        self._assert_same(multi, self._separate(h, spec, psi, 300, threads))
+        multi = ensemble_average(plan, h, psi, times=self.TIMES)
+        self._assert_same(multi, self._separate(h, spec, psi, 300))
         # the order of the requested times is the order of the results
-        backwards = ensemble_average(plan, h, psi, threads=threads, times=self.TIMES[::-1])
+        backwards = ensemble_average(plan, h, psi, times=self.TIMES[::-1])
         self._assert_same(backwards[::-1], multi)
 
     def test_chunk_length_does_not_change_bytes(self, monkeypatch):
