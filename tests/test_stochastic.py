@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import math
 import tracemalloc
 
@@ -9,8 +11,14 @@ import numpy as np
 import pytest
 
 from spinnet import stochastic
-from spinnet.lindblad import complete_network_liouvillian, evolve_at_times, initial_network_state
+from spinnet.lindblad import (
+    LumpedLiouvillian,
+    complete_network_liouvillian,
+    evolve_at_times,
+    initial_network_state,
+)
 from spinnet.network import (
+    Graph,
     NoiseSpec,
     complete_graph,
     single_excitation_hamiltonian,
@@ -47,6 +55,39 @@ class TestTrajectoryPlan:
         _, spec, _ = _setup()
         plan = TrajectoryPlan(10, 1e-3, 1.0, 7, spec)
         assert plan.n_traj == 10
+
+    @pytest.mark.parametrize(
+        "field, run",
+        [
+            # 1.5 would run seed 1's streams, 2.5 two trajectories
+            ("master_seed", lambda h, spec, psi: TrajectoryPlan(10, 1e-3, 1.0, 1.5, spec)),
+            ("master_seed", lambda h, spec, psi: TrajectoryPlan(10, 1e-3, 1.0, True, spec)),
+            ("master_seed", lambda h, spec, psi: TrajectoryPlan(10, 1e-3, 1.0, -1, spec)),
+            ("master_seed", lambda h, spec, psi: TrajectoryPlan(10, 1e-3, 1.0, 2**64, spec)),
+            ("n_traj", lambda h, spec, psi: TrajectoryPlan(2.5, 1e-3, 1.0, 0, spec)),
+            ("n_traj", lambda h, spec, psi: TrajectoryPlan(True, 1e-3, 1.0, 0, spec)),
+            ("n_traj", lambda h, spec, psi: TrajectoryPlan(np.float64(10), 1e-3, 1.0, 0, spec)),
+            ("seed", lambda h, spec, psi: evolve_trajectory(h, spec, psi, 0.1, 1e-3, 2**64)),
+            ("seed", lambda h, spec, psi: evolve_trajectory(h, spec, psi, 0.1, 1e-3, -1)),
+            ("seed", lambda h, spec, psi: evolve_trajectory(h, spec, psi, 0.1, 1e-3, 1.0)),
+            ("stream_index", lambda h, spec, psi: evolve_trajectory(h, spec, psi, 0.1, 1e-3, 0, 2**64)),
+            ("stream_index", lambda h, spec, psi: evolve_trajectory(h, spec, psi, 0.1, 1e-3, 0, -3)),
+            ("stream_index", lambda h, spec, psi: evolve_trajectory(h, spec, psi, 0.1, 1e-3, 0, False)),
+        ],
+    )
+    def test_bad_seed_or_count_rejected_naming_field(self, field, run):
+        h, spec, psi = _setup()
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            run(h, spec, psi)
+
+    def test_numpy_integers_accepted(self):
+        h, spec, psi = _setup()
+        plan = TrajectoryPlan(np.int64(3), 1e-3, 0.01, np.uint64(2**63 + 5), spec)
+        assert type(plan.n_traj) is int and plan.master_seed == 2**63 + 5
+        want = ensemble_average(TrajectoryPlan(3, 1e-3, 0.01, 2**63 + 5, spec), h, psi)
+        assert np.array_equal(ensemble_average(plan, h, psi).rho_mean.rho, want.rho_mean.rho)
+        got = evolve_trajectory(h, spec, psi, 0.01, 1e-3, np.uint64(2**64 - 1), np.int32(2))
+        assert np.array_equal(got, evolve_trajectory(h, spec, psi, 0.01, 1e-3, 2**64 - 1, 2))
 
     @pytest.mark.parametrize(
         "field, run",
@@ -223,6 +264,23 @@ class TestEnsemble:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0]
 
+    def test_finalizing_holds_no_second_copy_of_the_sums(self):
+        # n = 20, one trajectory read at each of 2,000 steps: the running
+        # sums take 2,000 x 21^2 x 24 bytes, 20.2 MiB, and the means and
+        # standard errors are made from them in place
+        h, spec, psi = _setup(20, 2)
+        dt = 2e-3
+        times = np.arange(1, 2001) * dt
+        plan = TrajectoryPlan(1, dt, times[-1], 3, spec)
+        tracemalloc.start()
+        try:
+            ensemble_average(plan, h, psi, times=times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sums = len(times) * len(psi) ** 2 * (16 + 8)
+        assert peak < 1.3 * sums
+
     def test_mean_is_valid_state(self):
         h, spec, psi = _setup()
         plan = TrajectoryPlan(50, 1e-3, 0.5, 9, spec)
@@ -288,17 +346,36 @@ def _row_kernel(states, h, pairs, couplings, tau):
     raise RuntimeError("numeric failure: step exponential did not converge")
 
 
-def _planes(rows):
-    """(batch, dim) complex rows as the kernel's (2, dim, batch) real planes."""
-    return np.stack((rows.real.T, rows.imag.T))
-
-
-def _kernel_step(columns, h, spec, normals, tau):
-    """One step of the column kernel, driven by normals of shape (edges, batch)."""
+def _full_space(h, spec):
+    """The kernel's layout over the whole space: the row order, noisy rows
+    first, and the term operator of H in that order."""
     edges = stochastic._EdgeBlock.of(spec, h.shape[0])
-    block = np.zeros((*edges.rates.shape, columns.shape[2]))
+    everything = np.arange(h.shape[0])
+    order = np.r_[everything[edges.rows], np.delete(everything, edges.rows)]
+    return order, stochastic._term_operator(h[np.ix_(order, order)], len(edges.rates))
+
+
+def _buffer(rows, order, operator):
+    """(batch, dim) complex rows as the kernel's buffer in the row order ``order``."""
+    states = np.zeros((operator.shape[1], rows.shape[0]))
+    states[: len(order)] = rows.real.T[order]
+    states[len(order) : 2 * len(order)] = rows.imag.T[order]
+    return states
+
+
+def _unbuffer(states, order):
+    """The (batch, dim) complex rows of a full-space buffer."""
+    rows = np.empty((len(order), states.shape[1]), dtype=complex)
+    rows[order] = states[: len(order)] + 1j * states[len(order) : 2 * len(order)]
+    return rows.T
+
+
+def _kernel_step(states, operator, h, spec, normals, tau):
+    """One step of the kernel on a buffer, driven by normals of shape (edges, batch)."""
+    edges = stochastic._EdgeBlock.of(spec, h.shape[0])
+    block = np.zeros((*edges.rates.shape, states.shape[1]))
     norm = np.abs(np.linalg.eigvalsh(h)).max() + edges.fill(block, normals, tau)
-    return stochastic._taylor_step(columns, h, edges.rows, block, tau, norm)
+    return stochastic._taylor_step(states, operator, block, tau, norm)
 
 
 def _unit_rows(rng, batch, dim):
@@ -306,47 +383,50 @@ def _unit_rows(rng, batch, dim):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
+SPECS = [
+    (4, standard_noise_spec(4, 2, 1.0)),
+    (6, standard_noise_spec(6, 4, 1.0)),
+    (8, standard_noise_spec(8, 6, 1.0)),
+    (12, standard_noise_spec(12, 10, 1.0)),
+    # each pair of {3, 4, 5} shares a vertex with the other two,
+    # and each has its own rate
+    (5, NoiseSpec((3, 4, 5), {(3, 4): 0.5, (3, 5): 2.0, (4, 5): 1.0})),
+    # vertex 4 between the noisy pair is noiseless
+    (6, NoiseSpec((3, 5), 1.0)),
+    # two gaps, and the block starts at the sender
+    (6, NoiseSpec((1, 3, 6), 1.0)),
+]
+SPEC_IDS = ["4-2", "6-4", "8-6", "12-10", "per-edge", "gapped", "spread"]
+
+
 class TestStepKernel:
-    """The column kernel against the row-layout reference.
+    """The column kernel over the whole space, noisy rows first, against
+    the row-layout reference.
 
     The two sum the same series in another order, so they agree to
     rounding, not bit for bit: 1e-14 after 50 steps and a tail step.
     """
 
     @pytest.mark.parametrize("batch", [1, 7, 2049])
-    @pytest.mark.parametrize(
-        "n, spec",
-        [
-            (4, standard_noise_spec(4, 2, 1.0)),
-            (6, standard_noise_spec(6, 4, 1.0)),
-            (8, standard_noise_spec(8, 6, 1.0)),
-            (12, standard_noise_spec(12, 10, 1.0)),
-            # each pair of {3, 4, 5} shares a vertex with the other two,
-            # and each has its own rate
-            (5, NoiseSpec((3, 4, 5), {(3, 4): 0.5, (3, 5): 2.0, (4, 5): 1.0})),
-            # vertex 4 between the noisy pair is noiseless
-            (6, NoiseSpec((3, 5), 1.0)),
-            # two gaps, and the block starts at the sender
-            (6, NoiseSpec((1, 3, 6), 1.0)),
-        ],
-        ids=["4-2", "6-4", "8-6", "12-10", "per-edge", "gapped", "spread"],
-    )
+    @pytest.mark.parametrize("n, spec", SPECS, ids=SPEC_IDS)
     def test_matches_row_kernel(self, n, spec, batch):
         h = single_excitation_hamiltonian(complete_graph(n))
         edges = spec.edge_strengths()
         pairs, strengths = list(edges), np.array(list(edges.values()))
         rng = np.random.default_rng(batch + 100 * n)
         rows = _unit_rows(rng, batch, n + 1)
-        columns = _planes(rows)
+        order, operator = _full_space(h, spec)
+        states = _buffer(rows, order, operator)
         dt = 1e-3
         for tau in [dt] * 50 + [0.4 * dt]:
             normals = rng.standard_normal((batch, len(pairs)))
             couplings = normals * np.sqrt(2.0 * strengths / tau)
             rows = _row_kernel(rows, h.astype(complex), pairs, couplings, tau)
-            columns = _kernel_step(columns, h, spec, normals.T, tau)
-        assert columns.shape == (2, n + 1, batch)
-        assert np.max(np.abs(stochastic._complex_rows(columns) - rows)) < 1e-14
-        assert np.max(np.abs(np.linalg.norm(columns, axis=(0, 1)) - 1.0)) < 1e-12
+            states = _kernel_step(states, operator, h, spec, normals.T, tau)
+        out = _unbuffer(states, order)
+        assert out.shape == (batch, n + 1)
+        assert np.max(np.abs(out - rows)) < 1e-14
+        assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-12
 
     def test_step_at_precondition_limits(self):
         # eta dt = 0.05 and ||H|| dt = 0.05, the largest step the engine
@@ -361,7 +441,9 @@ class TestStepKernel:
         rng = np.random.default_rng(11)
         rows = _unit_rows(rng, batch, n + 1)
         normals = rng.standard_normal((len(edges), batch))
-        out = stochastic._complex_rows(_kernel_step(_planes(rows), h, spec, normals, dt))
+        order, operator = _full_space(h, spec)
+        states = _kernel_step(_buffer(rows, order, operator), operator, h, spec, normals, dt)
+        out = _unbuffer(states, order)
         assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-12
         sigma = np.sqrt(2.0 * np.array(list(edges.values())) / dt)
         for b in range(5):
@@ -408,20 +490,114 @@ class TestStepKernel:
             stochastic._term_count(math.nan)
 
 
+def _path_graph(n):
+    return Graph(n, frozenset((k, k + 1) for k in range(1, n)))
+
+
+def _full_space_trajectory(h, spec, psi, t, dt, seed, index):
+    """One trajectory stepped by the row kernel over every row, on the
+    noise the engine draws: the whole horizon's normals, then a tail row."""
+    edges = spec.edge_strengths()
+    pairs, strengths = list(edges), np.array(list(edges.values()))
+    rng = stochastic._stream(seed, index)
+    n_full, remainder = stochastic._split_horizon(t, dt)
+    steps = [(row, dt) for row in rng.standard_normal((n_full, len(pairs)))]
+    if remainder:
+        steps.append((rng.standard_normal(len(pairs)), remainder))
+    rows = psi[np.newaxis, :].astype(complex)
+    for normals, tau in steps:
+        couplings = normals[np.newaxis, :] * np.sqrt(2.0 * strengths / tau)
+        rows = _row_kernel(rows, h.astype(complex), pairs, couplings, tau)
+    return rows[0]
+
+
+class TestReduction:
+    """Trajectories stepped in W, the H-closure of the noisy rows, plus the
+    exact evolution of the rest, against the whole space."""
+
+    @pytest.mark.parametrize("start", ["probe", "random"])
+    @pytest.mark.parametrize(
+        "h, spec",
+        [(single_excitation_hamiltonian(complete_graph(n)), spec) for n, spec in SPECS]
+        # W is the whole excitation space of a path noisy at one end
+        + [(single_excitation_hamiltonian(_path_graph(7)), NoiseSpec((6, 7), 1.0))],
+        ids=[*SPEC_IDS, "path"],
+    )
+    def test_matches_full_space_reference(self, h, spec, start):
+        dim = len(h)
+        if start == "probe":
+            a, b = PROBE.amplitudes()
+            psi = np.zeros(dim, dtype=complex)
+            psi[0], psi[1] = a, b
+        else:
+            psi = _unit_rows(np.random.default_rng(dim), 1, dim)[0]
+        t, dt, seed, n_traj = 0.0304, 1e-3, 11, 5
+        want = np.zeros((dim, dim), dtype=complex)
+        for j in range(n_traj):
+            ref = _full_space_trajectory(h, spec, psi, t, dt, seed, j)
+            got = evolve_trajectory(h, spec, psi, t, dt, seed, stream_index=j)
+            assert np.max(np.abs(got - ref)) < 1e-13
+            want += np.outer(ref, ref.conj()) / n_traj
+        mean = ensemble_average(TrajectoryPlan(n_traj, dt, t, seed, spec), h, psi).rho_mean.rho
+        assert np.max(np.abs(mean - want)) < 1e-13
+
+    def test_path_steps_the_whole_excitation_space(self):
+        h = single_excitation_hamiltonian(_path_graph(7))
+        space = _space(h, NoiseSpec((6, 7), 1.0), PROBE)
+        assert space.basis.shape == (8, 7)
+        # only the vacuum is left outside W, and it does not move
+        assert space.modes.shape == (8, 1)
+        assert space.energies.tolist() == [0.0]
+
+    @pytest.mark.parametrize("n, m", [(4, 2), (6, 2), (6, 4), (1002, 2)])
+    def test_complete_graph_steps_v_plus_one_rows(self, n, m):
+        h = single_excitation_hamiltonian(complete_graph(n))
+        space = _space(h, standard_noise_spec(n, m, 1.0), PROBE)
+        assert space.basis.shape == (n + 1, m + 1)
+        assert space.operator.shape == (2 * (m + 1), 2 * (m + 1) + 2 * m)
+        # the rest of the probe: the vacuum and (e_i - e_o) / 2
+        assert space.modes.shape == (n + 1, 2)
+
+    def test_thousand_vertices_match_lumped_master_equation(self):
+        # n = 1,002, m = 2: three stepped rows out of 1,003
+        n, m, eta, t, dt = 1002, 2, 100.0, 0.01, 4e-5
+        h = single_excitation_hamiltonian(complete_graph(n))
+        a, b = PROBE.amplitudes()
+        psi = np.zeros(n + 1, dtype=complex)
+        psi[0], psi[1] = a, b
+        plan = TrajectoryPlan(256, dt, t, 5, standard_noise_spec(n, m, eta))
+        r = ensemble_average(plan, h, psi)
+        lumped = LumpedLiouvillian(n, m, eta).evolve([t])
+        oo, o0 = lumped.rho_oo[0], lumped.rho_o0[0]
+        assert abs(r.rho_mean.rho[2, 2].real - oo) <= 4.0 * r.std_err[2, 2]
+        assert abs(r.rho_mean.rho[2, 0] - o0) <= 4.0 * r.std_err[2, 0]
+
+
+def _space(h, spec, state):
+    a, b = state.amplitudes()
+    psi = np.zeros(len(h), dtype=complex)
+    psi[0], psi[1] = a, b
+    h_norm = float(np.abs(np.linalg.eigvalsh(h)).max())
+    return stochastic._Subspace.of(h, h_norm, spec, psi)
+
+
 def _restart_reference(h, spec, psi, t, dt, seed, index):
     """One trajectory by the restart schedule: from t = 0, the whole
     horizon's noise in one draw, the full steps, then a tail step on
-    the next normals at the variance of the tail's length."""
+    the next normals at the variance of the tail's length, all in the
+    reduced space the engine steps."""
     rng = stochastic._stream(seed, index)
     n_edges = len(spec.edge_strengths())
     n_full, remainder = stochastic._split_horizon(t, dt)
-    state = _planes(psi[np.newaxis, :].astype(complex))
+    h_norm = float(np.abs(np.linalg.eigvalsh(h)).max())
+    space = stochastic._Subspace.of(h, h_norm, spec, psi)
+    states = space.buffer(1)
     for row in rng.standard_normal((n_full, n_edges)):
-        state = _kernel_step(state, h, spec, row[:, np.newaxis], dt)
+        _kernel_step(states, space.operator, h, spec, row[:, np.newaxis], dt)
     if remainder:
         row = rng.standard_normal((1, n_edges))
-        state = _kernel_step(state, h, spec, row.T, remainder)
-    return stochastic._complex_rows(state)[0]
+        _kernel_step(states, space.operator, h, spec, row.T, remainder)
+    return space.rows(states, n_full * dt + remainder)[0]
 
 
 class TestTimeGrid:
@@ -537,3 +713,58 @@ class TestTimeGrid:
             tracemalloc.stop()
         bound = 8 * max(stochastic._NOISE_BUDGET, 256 * edges)
         assert peak < bound + 64 * 1024
+
+
+def _package_imports(source):
+    """(module, name) for every import of a spinnet module in ``source``,
+    at any depth; a whole-module import has the name "*"."""
+    taken = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, module = alias.name.partition(".")
+                if package == "spinnet":
+                    taken.add((module or "*", "*"))
+        elif isinstance(node, ast.ImportFrom):
+            package, _, module = (node.module or "").partition(".")
+            if node.level == 0 and package != "spinnet":
+                continue
+            if node.level:
+                module = node.module or ""
+            for alias in node.names:
+                taken.add((module, alias.name) if module else (alias.name, "*"))
+    return taken
+
+
+class TestEngineIndependence:
+    """The trajectory engine is the oracle of the master equation, so it
+    shares the network model and the state type with it, and no stepping
+    or propagation code."""
+
+    ALLOWED = {"lindblad": {"NetworkState"}}
+
+    def _foreign(self, source):
+        return {
+            (module, name)
+            for module, name in _package_imports(source)
+            if module != "network" and name not in self.ALLOWED.get(module, ())
+        }
+
+    def test_stochastic_imports_only_network_and_network_state(self):
+        source = inspect.getsource(stochastic)
+        assert self._foreign(source) == set()
+        assert ("lindblad", "NetworkState") in _package_imports(source)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "from .propagator import propagator_matrix",
+            "from .lindblad import NetworkState, evolve_at_times",
+            "from . import lindblad",
+            "from spinnet.lindblad import _propagate",
+            "import spinnet.propagator as p",
+            "def f():\n    from .perturbation import first_order_numeric",
+        ],
+    )
+    def test_guard_sees_a_borrowed_route(self, line):
+        assert self._foreign(line)
