@@ -15,7 +15,6 @@ from .analytics import (
     ConsistencyReport,
     FourNodeClosedForm,
     ReportConfig,
-    complete_graph_peak_fidelity,
     consistency_report,
     four_node_closed_form,
     network_reduction_check,
@@ -60,6 +59,7 @@ from .propagator import (
     BlochInput,
     ChannelParams,
     bloch_sphere_average,
+    complete_graph_peak_fidelity,
     complete_graph_transfer_prob,
     optimal_avg_fidelity,
     propagator_matrix,

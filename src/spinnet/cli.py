@@ -23,9 +23,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import NoReturn
 
 import numpy as np
@@ -70,40 +71,41 @@ class ConfigError(ValueError):
         self.field_name = field_name
 
 
-def _parse_eta(raw: object) -> float | dict[tuple[int, int], float]:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        if not math.isfinite(raw):
-            raise ConfigError("eta", "must be finite")
-        if raw < 0:
-            raise ConfigError("eta", "must be nonnegative")
-        return float(raw)
-    if isinstance(raw, Mapping):
-        out: dict[tuple[int, int], float] = {}
-        for key, value in raw.items():
-            parts = str(key).split("-")
-            if len(parts) != 2:
-                raise ConfigError("eta", f"edge key {key!r} is not of the form 'k-l'")
-            try:
-                k, l = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ConfigError("eta", f"edge key {key!r} is not a pair of integers") from None
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-                raise ConfigError("eta", f"strength for edge {key!r} must be a nonnegative number")
-            if not math.isfinite(value):
-                raise ConfigError("eta", f"strength for edge {key!r} must be finite")
-            out[(k, l)] = float(value)
-        if not out:
-            raise ConfigError("eta", "per-edge map must not be empty")
-        return out
-    raise ConfigError("eta", "must be a number or a map of 'k-l' edge keys to numbers")
+def _edge(key: object) -> tuple[int, int]:
+    """A per-edge map key as a vertex pair: a pair of integers, or 'k-l' as JSON writes it."""
+    parts = key.split("-") if isinstance(key, str) else key
+    if not isinstance(parts, (tuple, list)) or len(parts) != 2:
+        raise ConfigError("eta", f"edge key {key!r} is not of the form 'k-l'")
+    try:
+        return int(parts[0]), int(parts[1])
+    except (TypeError, ValueError):
+        raise ConfigError("eta", f"edge key {key!r} is not a pair of integers") from None
+
+
+def _require_eta(raw: object) -> float | dict[tuple[int, int], float]:
+    if not isinstance(raw, Mapping):
+        if not isinstance(raw, numbers.Real) or isinstance(raw, bool):
+            raise ConfigError("eta", "must be a number or a map of 'k-l' edge keys to numbers")
+        return _require_number(raw, "eta", "nonnegative")
+    out: dict[tuple[int, int], float] = {}
+    for key, value in raw.items():
+        edge = _edge(key)
+        if not isinstance(value, numbers.Real) or isinstance(value, bool) or value < 0:
+            raise ConfigError("eta", f"strength for edge {key!r} must be a nonnegative number")
+        if not math.isfinite(value):
+            raise ConfigError("eta", f"strength for edge {key!r} must be finite")
+        out[edge] = float(value)
+    if not out:
+        raise ConfigError("eta", "per-edge map must not be empty")
+    return out
 
 
 def _require_int(raw: object, name: str, minimum: int) -> int:
-    if not isinstance(raw, int) or isinstance(raw, bool):
+    if not isinstance(raw, numbers.Integral) or isinstance(raw, bool):
         raise ConfigError(name, "must be an integer")
     if raw < minimum:
         raise ConfigError(name, f"must be at least {minimum}")
-    return raw
+    return int(raw)
 
 
 def _require_seed(raw: object, name: str) -> int:
@@ -113,23 +115,46 @@ def _require_seed(raw: object, name: str) -> int:
     return seed
 
 
-def _require_number(raw: object, name: str) -> float:
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+def _require_number(raw: object, name: str, sign: str | None = None) -> float:
+    """A finite number; ``sign`` "nonnegative" or "positive" bounds it below by 0."""
+    if not isinstance(raw, numbers.Real) or isinstance(raw, bool):
         raise ConfigError(name, "must be a number")
     if not math.isfinite(raw):
         raise ConfigError(name, "must be finite")
+    if (sign == "nonnegative" and raw < 0) or (sign == "positive" and raw <= 0):
+        raise ConfigError(name, f"must be {sign}")
     return float(raw)
+
+
+def _require_list(raw: object, name: str, message: str, empty_ok: bool = False) -> Sequence:
+    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)) or not (raw or empty_ok):
+        raise ConfigError(name, message)
+    return raw
+
+
+def _defaults(cls: type) -> dict[str, object]:
+    """Every field of a config dataclass with its default; MISSING marks a required one."""
+    return {f.name: f.default for f in fields(cls)}
+
+
+def _with_defaults(raw: Mapping[str, object], defaults: Mapping[str, object]) -> dict:
+    """The defaults overridden by ``raw``; a name the defaults lack is rejected."""
+    unknown = sorted(set(raw) - set(defaults))
+    if unknown:
+        raise ConfigError(unknown[0], "unknown field")
+    return {**defaults, **raw}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One fully resolved experiment: network, noise, grid, engine, seeds.
 
-    Built from a flat JSON document; unknown keys are rejected so a
-    typo cannot silently fall back to a default. Either the noisy
-    vertices are listed explicitly or a count m is given, in which
-    case the m highest-numbered vertices away from the transfer pair
-    are picked.
+    Every field is checked, and stored in its plain Python type, when
+    the config is made, however it is made. from_dict builds one from a
+    flat JSON document; unknown keys are rejected so a typo cannot
+    silently fall back to a default. Either the noisy vertices are
+    listed explicitly or a count m is given, in which case the m
+    highest-numbered vertices away from the transfer pair are picked.
     """
 
     n: int
@@ -146,99 +171,70 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("t_min", "t_max", "dt"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(name, "must be finite")
-        strengths = self.eta.values() if isinstance(self.eta, dict) else [self.eta]
-        if not all(math.isfinite(value) for value in strengths):
-            raise ConfigError("eta", "must be finite")
+        n = _require_int(self.n, "n", 2)
+        vertices = _require_list(
+            self.noisy_vertices, "noisy_vertices", "must be a list of vertices", empty_ok=True
+        )
+        checked = {
+            "n": n,
+            "input_vertex": _require_int(self.input_vertex, "input_vertex", 1),
+            "output_vertex": _require_int(self.output_vertex, "output_vertex", 1),
+            "noisy_vertices": tuple(_require_int(v, "noisy_vertices", 1) for v in vertices),
+            "t_min": _require_number(self.t_min, "t_min", "nonnegative"),
+            "t_max": _require_number(self.t_max, "t_max"),
+            "t_steps": _require_int(self.t_steps, "t_steps", 1),
+            "dt": _require_number(self.dt, "dt", "positive"),
+            "eta": _require_eta(self.eta),
+            "n_traj": _require_int(self.n_traj, "n_traj", 1),
+            "master_seed": _require_seed(self.master_seed, "master_seed"),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if self.input_vertex == self.output_vertex:
             raise ConfigError("output_vertex", "must differ from input_vertex")
-        for name, v in (("input_vertex", self.input_vertex), ("output_vertex", self.output_vertex)):
-            if not 1 <= v <= self.n:
-                raise ConfigError(name, f"must lie in 1..{self.n}")
+        for name in ("input_vertex", "output_vertex"):
+            if getattr(self, name) > n:
+                raise ConfigError(name, f"must lie in 1..{n}")
         clash = set(self.noisy_vertices) & {self.input_vertex, self.output_vertex}
         if clash:
             raise ConfigError("noisy_vertices", f"{sorted(clash)} overlap the transfer pair")
-        if any(not 1 <= v <= self.n for v in self.noisy_vertices):
-            raise ConfigError("noisy_vertices", f"vertices must lie in 1..{self.n}")
+        if any(v > n for v in self.noisy_vertices):
+            raise ConfigError("noisy_vertices", f"vertices must lie in 1..{n}")
         if len(set(self.noisy_vertices)) != len(self.noisy_vertices):
             raise ConfigError("noisy_vertices", "contains duplicates")
         if self.method not in _METHODS:
             raise ConfigError("method", f"must be one of {', '.join(_METHODS)}")
-        if self.t_steps < 1:
-            raise ConfigError("t_steps", "must be at least 1")
-        if self.t_min < 0 or self.t_max < self.t_min:
+        if self.t_max < self.t_min:
             raise ConfigError("t_max", "time grid needs 0 <= t_min <= t_max")
-        if self.dt <= 0:
-            raise ConfigError("dt", "must be positive")
-        if self.n_traj < 1:
-            raise ConfigError("n_traj", "must be at least 1")
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigError("master_seed", "must fit in 64 bits")
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, object]) -> "ExperimentConfig":
-        known = {
-            "n",
-            "input_vertex",
-            "output_vertex",
-            "noisy_vertices",
-            "m",
-            "eta",
-            "t_min",
-            "t_max",
-            "t_steps",
-            "method",
-            "dt",
-            "n_traj",
-            "master_seed",
-        }
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(unknown[0], "unknown field")
-        if "n" not in raw:
+        options = _with_defaults(raw, {**_defaults(cls), "m": MISSING})
+        if options["n"] is MISSING:
             raise ConfigError("n", "required")
-        n = _require_int(raw["n"], "n", 2)
-        input_vertex = _require_int(raw.get("input_vertex", 1), "input_vertex", 1)
-        output_vertex = _require_int(raw.get("output_vertex", 2), "output_vertex", 1)
-        if "noisy_vertices" in raw and "m" in raw:
+        m = options.pop("m")
+        if m is not MISSING and "noisy_vertices" in raw:
             raise ConfigError("m", "give either noisy_vertices or m, not both")
-        if "noisy_vertices" in raw:
-            vertices = raw["noisy_vertices"]
-            if not isinstance(vertices, Sequence) or isinstance(vertices, (str, bytes)):
-                raise ConfigError("noisy_vertices", "must be a list of vertices")
-            noisy = tuple(_require_int(v, "noisy_vertices", 1) for v in vertices)
-        elif "m" in raw:
-            m = _require_int(raw["m"], "m", 0)
-            if m > n - 2:
-                raise ConfigError("m", f"must not exceed n-2 = {n - 2}")
-            pool = [v for v in range(n, 0, -1) if v not in (input_vertex, output_vertex)]
-            noisy = tuple(sorted(pool[:m]))
-        else:
-            noisy = ()
-        config = cls(
-            n=n,
-            input_vertex=input_vertex,
-            output_vertex=output_vertex,
-            noisy_vertices=noisy,
-            eta=_parse_eta(raw.get("eta", 0.0)),
-            t_min=_require_number(raw.get("t_min", 0.0), "t_min"),
-            t_max=_require_number(raw.get("t_max", 2.0 * math.pi), "t_max"),
-            t_steps=_require_int(raw.get("t_steps", 64), "t_steps", 1),
-            method=str(raw.get("method", "lindblad")),
-            dt=_require_number(raw.get("dt", 1e-3), "dt"),
-            n_traj=_require_int(raw.get("n_traj", 10000), "n_traj", 1),
-            master_seed=_require_int(raw.get("master_seed", 0), "master_seed", 0),
-        )
-        return config
+        config = cls(**options)
+        if m is MISSING:
+            return config
+        m = _require_int(m, "m", 0)
+        if m > config.n - 2:
+            raise ConfigError("m", f"must not exceed n-2 = {config.n - 2}")
+        pair = (config.input_vertex, config.output_vertex)
+        pool = [v for v in range(config.n, 0, -1) if v not in pair]
+        return replace(config, noisy_vertices=tuple(sorted(pool[:m])))
 
     @property
     def m(self) -> int:
         return len(self.noisy_vertices)
 
     def noise_spec(self) -> NoiseSpec:
-        return NoiseSpec(self.noisy_vertices, self.eta)
+        """The noise on the noisy set; a per-edge map must name each of its pairs once."""
+        try:
+            return NoiseSpec(self.noisy_vertices, self.eta)
+        except ValueError as err:
+            raise ConfigError("eta", str(err)) from None
 
     def uniform_eta(self) -> float:
         """Scalar noise strength; rejects per-edge maps where one value is needed."""
@@ -256,23 +252,10 @@ class ExperimentConfig:
         return np.linspace(self.t_min, self.t_max, self.t_steps)
 
     def to_metadata(self) -> dict:
-        eta = self.eta
-        if isinstance(eta, dict):
-            eta = {f"{k}-{l}": v for (k, l), v in sorted(eta.items())}
-        return {
-            "n": self.n,
-            "input_vertex": self.input_vertex,
-            "output_vertex": self.output_vertex,
-            "noisy_vertices": list(self.noisy_vertices),
-            "eta": eta,
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "t_steps": self.t_steps,
-            "method": self.method,
-            "dt": self.dt,
-            "n_traj": self.n_traj,
-            "master_seed": self.master_seed,
-        }
+        meta = {f.name: getattr(self, f.name) for f in fields(self)}
+        if isinstance(self.eta, dict):
+            meta["eta"] = {f"{k}-{l}": v for (k, l), v in self.eta.items()}
+        return meta
 
 
 @dataclass(frozen=True)
@@ -320,38 +303,21 @@ def run_simulate(config: ExperimentConfig) -> list[ScanRecord]:
     complete graph depends on the noisy set only through its size.
     """
     times = config.times()
-    if not config.method.startswith("perturbation"):
-        curve = _engine_curve(config, times)
-        return _curve_records(
-            config.n, config.m, config.eta_column(), times, curve, config.master_seed, config.method
-        )
-
-    # perturbation routes: uniform strength only
-    eta = config.uniform_eta()
-    records: list[ScanRecord] = []
-    for t in times:
-        if config.method == "perturbation-numeric":
-            channel = first_order_numeric(config.n, config.m, eta, float(t))
-        else:
-            channel = printed_weak_noise_channel(config.n, config.m, eta, float(t))
-        records.append(
-            ScanRecord(
-                n=config.n,
-                m=config.m,
-                eta=eta,
-                t=float(t),
-                fidelity=channel.fidelity(),
-                abs_z=channel.abs_z,
-                dephasing=channel.dephasing,
-                delta=None,
-                method=config.method,
-                seed=config.master_seed,
-            )
-        )
-    return records
+    curve = _engine_curve(config, times)
+    return _curve_records(
+        config.n, config.m, config.eta_column(), times, curve, config.master_seed, config.method
+    )
 
 
 def _engine_curve(config: ExperimentConfig, times: np.ndarray) -> lindblad.FidelityCurve:
+    if config.method.startswith("perturbation"):
+        # uniform strength only
+        eta = config.uniform_eta()
+        numeric = config.method == "perturbation-numeric"
+        route = first_order_numeric if numeric else printed_weak_noise_channel
+        channels = (route(config.n, config.m, eta, float(t)) for t in times)
+        return lindblad.FidelityCurve.of(ChannelParams(ch.abs_z, ch.dephasing) for ch in channels)
+
     graph = complete_graph(config.n)
     h = single_excitation_hamiltonian(graph)
     pair = (config.input_vertex, config.output_vertex)
@@ -429,19 +395,10 @@ def _delta_records(
     return _curve_records(n, m, eta, times, curve, seed, baseline=baseline_max_fidelity(n))
 
 
-def _fig_overrides(raw: Mapping[str, object], allowed: dict[str, object]) -> dict:
-    unknown = sorted(set(raw) - set(allowed))
-    if unknown:
-        raise ConfigError(unknown[0], "unknown field")
-    merged = dict(allowed)
-    merged.update(raw)
-    return merged
-
-
 def _open_grid(options: Mapping[str, object]) -> np.ndarray:
     """Open-start time grid of the figure scans: t = k t_max / t_steps, k = 1..t_steps."""
     t_steps = _require_int(options["t_steps"], "t_steps", 1)
-    t_max = _require_number(options["t_max"], "t_max")
+    t_max = _require_number(options["t_max"], "t_max", "nonnegative")
     return np.arange(1, t_steps + 1) * (t_max / t_steps)
 
 
@@ -452,18 +409,15 @@ def run_scan_fig1(overrides: Mapping[str, object] | None = None, seed: int = 0) 
     time grid t = k pi/32 for k = 1..64, so the fidelity peak t = pi/4
     and the resonance t = 3 pi/2 sit exactly on grid points.
     """
-    options = _fig_overrides(
+    options = _with_defaults(
         overrides or {},
         {"n": 4, "eta_values": list(range(0, 65)), "t_max": 2.0 * math.pi, "t_steps": 64},
     )
     n = _require_int(options["n"], "n", 4)
     times = _open_grid(options)
-    etas = options["eta_values"]
-    if not isinstance(etas, Sequence) or isinstance(etas, (str, bytes)) or not etas:
-        raise ConfigError("eta_values", "must be a nonempty list of numbers")
+    etas = _require_list(options["eta_values"], "eta_values", "must be a nonempty list of numbers")
     records: list[ScanRecord] = []
-    for eta in etas:
-        eta = _require_number(eta, "eta_values")
+    for eta in [_require_number(eta, "eta_values", "nonnegative") for eta in etas]:
         curve = lindblad.fidelity_curve(lindblad.LumpedLiouvillian(n, n - 2, eta), times)
         records.extend(_curve_records(n, n - 2, eta, times, curve, seed))
     return records
@@ -471,13 +425,13 @@ def run_scan_fig1(overrides: Mapping[str, object] | None = None, seed: int = 0) 
 
 def run_scan_fig2(overrides: Mapping[str, object] | None = None, seed: int = 0) -> list[ScanRecord]:
     """Noise-benefit map over network size: Delta(t, n) at m = n - 2, eta = 0.01."""
-    options = _fig_overrides(
+    options = _with_defaults(
         overrides or {},
         {"n_min": 4, "n_max": 12, "eta": 0.01, "t_max": 4.0 * math.pi, "t_steps": 200},
     )
     n_min = _require_int(options["n_min"], "n_min", 4)
     n_max = _require_int(options["n_max"], "n_max", n_min)
-    eta = _require_number(options["eta"], "eta")
+    eta = _require_number(options["eta"], "eta", "nonnegative")
     times = _open_grid(options)
     records: list[ScanRecord] = []
     for n in range(n_min, n_max + 1):
@@ -487,19 +441,19 @@ def run_scan_fig2(overrides: Mapping[str, object] | None = None, seed: int = 0) 
 
 def run_scan_fig3(overrides: Mapping[str, object] | None = None, seed: int = 0) -> list[ScanRecord]:
     """Noise-benefit map over noisy-set size: Delta(t, m) at n = 10, eta = 0.01."""
-    options = _fig_overrides(
+    options = _with_defaults(
         overrides or {},
         {"n": 10, "m_values": list(range(2, 9)), "eta": 0.01, "t_max": 4.0 * math.pi, "t_steps": 200},
     )
     n = _require_int(options["n"], "n", 4)
-    eta = _require_number(options["eta"], "eta")
+    eta = _require_number(options["eta"], "eta", "nonnegative")
     times = _open_grid(options)
-    m_values = options["m_values"]
-    if not isinstance(m_values, Sequence) or isinstance(m_values, (str, bytes)) or not m_values:
-        raise ConfigError("m_values", "must be a nonempty list of integers")
+    m_values = _require_list(options["m_values"], "m_values", "must be a nonempty list of integers")
+    m_values = [_require_int(m, "m_values", 0) for m in m_values]
+    if max(m_values) > n - 2:
+        raise ConfigError("m_values", f"must not exceed n-2 = {n - 2}")
     records: list[ScanRecord] = []
     for m in m_values:
-        m = _require_int(m, "m_values", 0)
         records.extend(_delta_records(n, m, eta, times, seed))
     return records
 
@@ -599,14 +553,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
 
         # report
-        known = {"n_traj", "dt", "seed"}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(unknown[0], "unknown field")
+        options = _with_defaults(raw, _defaults(ReportConfig))
         report_config = ReportConfig(
-            n_traj=_require_int(raw.get("n_traj", 2000), "n_traj", 1),
-            dt=_require_number(raw.get("dt", 1e-3), "dt"),
-            seed=args.seed if args.seed is not None else _require_seed(raw.get("seed", 20240817), "seed"),
+            n_traj=_require_int(options["n_traj"], "n_traj", 1),
+            dt=_require_number(options["dt"], "dt", "positive"),
+            seed=seed if args.seed is not None else _require_seed(options["seed"], "seed"),
         )
         json_text, table_text, engines_disagree = run_report(report_config)
         _write_output(json_text + "\n", args.out)
@@ -617,17 +568,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
         return 0
 
-    except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 1
     except np.linalg.LinAlgError as err:
         # a ValueError subclass, but a failure of the numerics, not the input
         print(f"numeric failure: {err}", file=sys.stderr)
         return 2
     except ValueError as err:
-        # usage errors and engine-level argument rejections (step too
-        # coarse for the rate, geometry violations) are configuration
-        # problems too
+        # config errors, usage errors and engine-level argument
+        # rejections (step too coarse for the rate) alike
         print(f"configuration error: {err}", file=sys.stderr)
         return 1
     except RuntimeError as err:

@@ -30,6 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lindblad
+from .propagator import (
+    ChannelParams,
+    complete_graph_peak_fidelity,
+    complete_graph_transfer_prob,
+    optimal_avg_fidelity,
+)
 
 __all__ = [
     "WeakNoiseIntegrals",
@@ -174,10 +180,6 @@ class WeakNoiseChannel:
         if self.z_sq > 1e-12:
             return abs(self.lambda_z) / self.z_sq
         return 1.0
-
-    def fidelity(self) -> float:
-        mod = self.abs_z
-        return 0.5 + self.dephasing * mod / 3.0 + mod * mod / 6.0
 
 
 def _require_noise_geometry(n: int, m: int) -> None:
@@ -387,8 +389,7 @@ def baseline_max_fidelity(n: int, t_grid: np.ndarray | None = None) -> float:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if t_grid is None:
-        peak = 2.0 / n
-        return 0.5 + peak / 3.0 + peak**2 / 6.0
+        return complete_graph_peak_fidelity(n)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 3:
         raise ValueError("baseline grid needs at least 3 points")
@@ -396,9 +397,7 @@ def baseline_max_fidelity(n: int, t_grid: np.ndarray | None = None) -> float:
         raise ValueError(f"baseline grid step exceeds pi/(8n) = {math.pi / (8 * n):.4g}")
 
     def fid(t: float) -> float:
-        prob = (2.0 / n**2) * (1.0 - math.cos(n * t))
-        mod = math.sqrt(max(prob, 0.0))
-        return 0.5 + mod / 3.0 + prob / 6.0
+        return optimal_avg_fidelity(ChannelParams(math.sqrt(complete_graph_transfer_prob(n, t))))[0]
 
     return grid_maximum(fid, t_grid, [fid(t) for t in t_grid], xatol=1e-10)
 

@@ -30,6 +30,7 @@ __all__ = [
     "propagator_matrix",
     "transfer_amplitude",
     "complete_graph_transfer_prob",
+    "complete_graph_peak_fidelity",
     "avg_fidelity_given_decode",
     "optimal_avg_fidelity",
     "bloch_sphere_average",
@@ -113,6 +114,17 @@ def complete_graph_transfer_prob(n: int, t: float) -> float:
     if n < 2:
         raise ValueError(f"transfer needs n >= 2 vertices, got {n}")
     return (2.0 / n**2) * (1.0 - math.cos(n * t))
+
+
+def complete_graph_peak_fidelity(n: int) -> float:
+    """Best noiseless average fidelity on the complete graph, 1/2 + 2/(3n) + 2/(3n^2).
+
+    The readout of the peak amplitude |z| = 2/n. Strictly decreasing in
+    n; equals 1 only at n = 2, the only size with perfect transfer.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    return optimal_avg_fidelity(ChannelParams(2.0 / n))[0]
 
 
 def _decode_matrix(u: complex) -> np.ndarray:

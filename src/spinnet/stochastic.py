@@ -532,9 +532,9 @@ def ensemble_average(
         stop = min(start + _BATCH, plan.n_traj)
         rngs = [_stream(plan.master_seed, j) for j in range(start, stop)]
         for i, states in _sweep(space, grid, plan.dt, rngs):
-            first[i] += np.einsum("bi,bj->ij", states, states.conj())
+            first[i] += states.T @ states.conj()
             pops = np.abs(states) ** 2
-            second[i] += np.einsum("bi,bj->ij", pops, pops)
+            second[i] += pops.T @ pops
     # the sums become the means and the standard errors in place
     first /= plan.n_traj
     second /= plan.n_traj

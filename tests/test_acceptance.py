@@ -234,7 +234,8 @@ class TestCriterion5FirstOrderScaling:
     def test_residual_scales_quadratically(self, criterion_log):
         def residual(eta: float) -> float:
             full = _lindblad_fidelity(4, 2, eta, [1.0])[0]
-            first = sn.first_order_numeric(4, 2, eta, 1.0).fidelity()
+            ch = sn.first_order_numeric(4, 2, eta, 1.0)
+            first, _ = sn.optimal_avg_fidelity(sn.ChannelParams(ch.abs_z, ch.dephasing))
             return abs(full - first)
 
         cache = {eta: residual(eta) for eta in (1e-2, 5e-3, 2.5e-3, 1.25e-3)}

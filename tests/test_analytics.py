@@ -11,7 +11,6 @@ import pytest
 from spinnet.analytics import (
     ConsistencyCheck,
     ReportConfig,
-    complete_graph_peak_fidelity,
     consistency_report,
     four_node_closed_form,
     network_reduction_check,
@@ -25,7 +24,12 @@ from spinnet.lindblad import (
     initial_network_state,
 )
 from spinnet.network import complete_graph, single_excitation_hamiltonian, standard_noise_spec
-from spinnet.propagator import BlochInput, optimal_avg_fidelity, transfer_amplitude
+from spinnet.propagator import (
+    BlochInput,
+    complete_graph_peak_fidelity,
+    optimal_avg_fidelity,
+    transfer_amplitude,
+)
 
 PROBE = BlochInput(math.pi / 2, 0.0)
 

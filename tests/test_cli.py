@@ -302,6 +302,119 @@ class TestFailureExits:
         assert err.startswith("numeric failure:")
 
 
+# one out-of-range value per accepted field of every subcommand, and one
+# wrong-type value where the field has a type: (command, base config,
+# field, bad value)
+_SIMULATE = {"n": 4}
+_BAD_FIELDS = [
+    ("simulate", {}, "n", 1),
+    ("simulate", {}, "n", "4"),
+    ("simulate", _SIMULATE, "input_vertex", 0),
+    ("simulate", _SIMULATE, "input_vertex", 9),
+    ("simulate", _SIMULATE, "input_vertex", "1"),
+    ("simulate", _SIMULATE, "output_vertex", 9),
+    ("simulate", _SIMULATE, "output_vertex", 2.0),
+    ("simulate", _SIMULATE, "noisy_vertices", [9]),
+    ("simulate", _SIMULATE, "noisy_vertices", "34"),
+    ("simulate", _SIMULATE, "m", 3),
+    ("simulate", _SIMULATE, "m", "2"),
+    ("simulate", _SIMULATE, "eta", -1),
+    ("simulate", _SIMULATE, "eta", "x"),
+    ("simulate", _SIMULATE, "t_min", -1),
+    ("simulate", _SIMULATE, "t_min", "0"),
+    ("simulate", _SIMULATE, "t_max", -1),
+    ("simulate", _SIMULATE, "t_max", "1"),
+    ("simulate", _SIMULATE, "t_steps", 0),
+    ("simulate", _SIMULATE, "t_steps", 1.5),
+    ("simulate", _SIMULATE, "method", "exact"),
+    ("simulate", _SIMULATE, "method", 3),
+    ("simulate", _SIMULATE, "dt", 0),
+    ("simulate", _SIMULATE, "dt", "x"),
+    ("simulate", _SIMULATE, "n_traj", 0),
+    ("simulate", _SIMULATE, "n_traj", 2.5),
+    ("simulate", _SIMULATE, "master_seed", -1),
+    ("simulate", _SIMULATE, "master_seed", 2**64),
+    ("simulate", _SIMULATE, "master_seed", 1.5),
+    ("simulate", {"n": 4, "m": 2}, "eta", {"3-5": 1}),
+    ("simulate", {"n": 4, "m": 2}, "eta", {"3-4": 1, "2-3": 1}),
+    ("simulate", {"n": 4, "m": 2, "method": "trajectories"}, "eta", {"3-5": 1}),
+    ("fig1", {}, "n", 3),
+    ("fig1", {}, "n", "4"),
+    ("fig1", {}, "eta_values", [-1]),
+    ("fig1", {}, "eta_values", "abc"),
+    ("fig1", {}, "t_max", -1),
+    ("fig1", {}, "t_max", "x"),
+    ("fig1", {}, "t_steps", 0),
+    ("fig1", {}, "t_steps", 1.5),
+    ("fig2", {}, "n_min", 3),
+    ("fig2", {}, "n_min", 4.5),
+    ("fig2", {}, "n_max", 3),
+    ("fig2", {}, "n_max", "12"),
+    ("fig2", {}, "eta", -0.5),
+    ("fig2", {}, "eta", "x"),
+    ("fig2", {}, "t_max", -1),
+    ("fig2", {}, "t_max", "x"),
+    ("fig2", {}, "t_steps", 0),
+    ("fig2", {}, "t_steps", 1.5),
+    ("fig3", {}, "n", 3),
+    ("fig3", {}, "n", "10"),
+    ("fig3", {}, "m_values", [9]),
+    ("fig3", {}, "m_values", [2.5]),
+    ("fig3", {}, "eta", -0.5),
+    ("fig3", {}, "eta", "x"),
+    ("fig3", {}, "t_max", -1),
+    ("fig3", {}, "t_max", "x"),
+    ("fig3", {}, "t_steps", 0),
+    ("fig3", {}, "t_steps", 1.5),
+    ("report", {}, "n_traj", 0),
+    ("report", {}, "n_traj", "x"),
+    ("report", {}, "dt", -1),
+    ("report", {}, "dt", "x"),
+    ("report", {}, "seed", -1),
+    ("report", {}, "seed", 1.5),
+]
+
+
+class TestFieldContract:
+    @pytest.mark.parametrize(
+        "command, base, field, value",
+        _BAD_FIELDS,
+        ids=[f"{command}-{field}={value!r}" for command, _, field, value in _BAD_FIELDS],
+    )
+    def test_bad_field_exits_1_naming_it(self, command, base, field, value, tmp_path, capsys):
+        code, err = _main([command], {**base, field: value}, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith(f"configuration error: field '{field}': "), err
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [({"n": 1}, "n"), ({"n": 4, "t_steps": 1.5}, "t_steps"), ({"n": 4, "t_min": -1.0}, "t_min")],
+    )
+    def test_direct_construction_names_bad_field(self, fields, name):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**fields)
+        assert err.value.field_name == name
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"n": 4, "m": 2, "eta": 0.5, "t_steps": 2},
+            {"n": 5, "noisy_vertices": [3, 4, 5], "eta": {"3-4": 1.0, "3-5": 2.0, "4-5": 0.5}, "t_steps": 2},
+            {"n": 6, "noisy_vertices": [5, 3], "eta": 0.2, "input_vertex": 4, "output_vertex": 1,
+             "t_min": 0, "t_max": 1, "t_steps": 2, "method": "unitary"},
+            {"n": 4, "m": 2, "eta": 1, "method": "trajectories", "n_traj": 20, "dt": 2e-3,
+             "t_max": 0.1, "t_steps": 2, "master_seed": 5},
+        ],
+        ids=["scalar-eta", "per-edge-map", "explicit-noisy-set", "trajectories"],
+    )
+    def test_sidecar_round_trips(self, config, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        code, err = _main(["simulate", "--out", str(out)], config, tmp_path, capsys)
+        assert code == 0, err
+        meta = json.loads((tmp_path / "run.csv.meta.json").read_text())
+        assert ExperimentConfig.from_dict(meta["config"]) == ExperimentConfig.from_dict(config)
+
+
 class TestEndToEnd:
     def test_simulate_writes_csv_and_metadata(self, tmp_path):
         out = tmp_path / "run.csv"

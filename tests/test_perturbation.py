@@ -48,7 +48,13 @@ from spinnet.perturbation import (
     longest_positive_run,
     printed_weak_noise_channel,
 )
-from spinnet.propagator import BlochInput, optimal_avg_fidelity, propagator_matrix, transfer_amplitude
+from spinnet.propagator import (
+    BlochInput,
+    ChannelParams,
+    optimal_avg_fidelity,
+    propagator_matrix,
+    transfer_amplitude,
+)
 
 PROBE = BlochInput(math.pi / 2, 0.0)
 NON_FINITE_INPUTS = [("eta", math.nan, 1.0), ("eta", math.inf, 1.0), ("t", 0.01, math.inf), ("t", 0.01, math.nan)]
@@ -174,7 +180,8 @@ class TestWeakNoiseChannel:
         ch = WeakNoiseChannel(z_sq_0=z0, xi1=0.0, xi2=0.0, eta=0.0)
         assert ch.dephasing == pytest.approx(1.0)
         assert ch.abs_z == pytest.approx(math.sqrt(z0))
-        assert ch.fidelity() == pytest.approx(0.5 + math.sqrt(z0) / 3 + z0 / 6, abs=1e-12)
+        f, _ = optimal_avg_fidelity(ChannelParams(ch.abs_z, ch.dephasing))
+        assert f == pytest.approx(0.5 + math.sqrt(z0) / 3 + z0 / 6, abs=1e-12)
 
     def test_printed_geometry_guards(self):
         with pytest.raises(ValueError):
@@ -216,7 +223,8 @@ class TestFirstOrderNumeric:
         liou = complete_network_liouvillian(4, 2, eta)
         st = evolve_at_times(liou, initial_network_state(4, 1, PROBE), [t])[0]
         f_full, _ = optimal_avg_fidelity(extract_channel(st, PROBE, 1, 2))
-        assert abs(ch.fidelity() - f_full) < 50 * eta**2
+        f_first, _ = optimal_avg_fidelity(ChannelParams(ch.abs_z, ch.dephasing))
+        assert abs(f_first - f_full) < 50 * eta**2
 
     @pytest.mark.parametrize(
         "n,m,eta,t",

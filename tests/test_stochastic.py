@@ -301,6 +301,26 @@ class TestEnsemble:
             acc += np.outer(v, v.conj())
         assert np.max(np.abs(acc / plan.n_traj - r.rho_mean.rho)) < 1e-12
 
+    def test_moments_match_einsum_form(self):
+        # the running sums are BLAS products; the einsum sums over the
+        # replayed trajectories give the same means and standard errors
+        h, spec, psi = _setup(6, 4)
+        times = [0.05, 0.1]
+        plan = TrajectoryPlan(64, 1e-3, times[-1], 21, spec)
+        results = ensemble_average(plan, h, psi, times=times)
+        for t, r in zip(times, results):
+            states = np.array(
+                [evolve_trajectory(h, spec, psi, t, plan.dt, 21, stream_index=j) for j in range(64)]
+            )
+            pops = np.abs(states) ** 2
+            mean = np.einsum("bi,bj->ij", states, states.conj()) / 64
+            second = np.einsum("bi,bj->ij", pops, pops) / 64
+            # squared standard errors: the square root would magnify the
+            # rounding of a near-zero variance
+            variance = np.maximum(second - np.abs(mean) ** 2, 0.0) / 64
+            assert np.max(np.abs(r.rho_mean.rho - mean)) < 1e-15
+            assert np.max(np.abs(r.std_err**2 - variance)) < 1e-15
+
     def test_converges_to_master_equation(self):
         h, spec, psi = _setup(4, 2, 1.0)
         plan = TrajectoryPlan(800, 1e-3, 1.0, 1234, spec)
