@@ -36,9 +36,7 @@ from .lindblad import (
 from .network import (
     INPUT_VERTEX,
     OUTPUT_VERTEX,
-    Graph,
     NoiseSpec,
-    complete_graph,
     lindblad_edge_operators,
     single_excitation_hamiltonian,
     standard_noise_spec,
@@ -82,7 +80,6 @@ __all__ = [
     "EnsembleResult",
     "FidelityCurve",
     "FourNodeClosedForm",
-    "Graph",
     "Liouvillian",
     "LumpedLiouvillian",
     "NetworkState",
@@ -97,7 +94,6 @@ __all__ = [
     "beta_prime",
     "bloch_sphere_average",
     "build_liouvillian",
-    "complete_graph",
     "complete_graph_peak_fidelity",
     "complete_graph_transfer_prob",
     "complete_network_liouvillian",

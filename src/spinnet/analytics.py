@@ -25,7 +25,6 @@ from .network import (
     INPUT_VERTEX,
     OUTPUT_VERTEX,
     NoiseSpec,
-    complete_graph,
     single_excitation_hamiltonian,
     standard_noise_spec,
 )
@@ -107,12 +106,12 @@ def zeno_effective_hamiltonian(n: int, spec: NoiseSpec) -> np.ndarray:
     so the surviving dynamics is the complete graph on the remaining
     vertices. Rows and columns of noisy vertices are zeroed in place
     in the full (n+1)-dimensional basis; dropping them leaves exactly
-    single_excitation_hamiltonian(complete_graph(n - m)).
+    single_excitation_hamiltonian(n - m).
     """
     for v in spec.noisy_vertices:
         if not 1 <= v <= n:
             raise ValueError(f"noisy vertex {v} outside 1..{n}")
-    h = single_excitation_hamiltonian(complete_graph(n))
+    h = single_excitation_hamiltonian(n)
     for v in spec.noisy_vertices:
         h[v, :] = 0.0
         h[:, v] = 0.0
@@ -229,7 +228,9 @@ def _max_noisy_fidelity(n: int, m: int, eta: float, t_max: float = 2.0 * math.pi
     def fidelity(t: float) -> float:
         return float(lindblad.fidelity_curve(engine, [t]).fidelity[0])
 
-    grid = np.linspace(0.0, t_max, 801)
+    # the step may not exceed pi/(8n), the bound baseline_max_fidelity
+    # enforces, or the search misses the first peak near t = pi/(n - m)
+    grid = np.linspace(0.0, t_max, max(801, math.ceil(8 * n * t_max / math.pi) + 1))
     values = lindblad.fidelity_curve(engine, grid).fidelity
     return perturbation.grid_maximum(fidelity, grid, values, xatol=1e-9)
 
@@ -269,7 +270,7 @@ def network_reduction_check(n: int, m: int, eta_large: float) -> ConsistencyChec
 
 def _check_eta0_unitary_limit() -> ConsistencyCheck:
     n, t = 4, 1.3
-    h = single_excitation_hamiltonian(complete_graph(n))
+    h = single_excitation_hamiltonian(n)
     z_unit = transfer_amplitude(h, t, INPUT_VERTEX, OUTPUT_VERTEX)
     params = _four_node_engine_channel(0.0, t)
     disc = abs(params.amplitude - z_unit) + abs(params.dephasing - 1.0)
@@ -313,7 +314,7 @@ def _check_trajectories(config: ReportConfig) -> ConsistencyCheck:
         master_seed=config.seed,
         noise=standard_noise_spec(n, m, eta),
     )
-    h = single_excitation_hamiltonian(complete_graph(n))
+    h = single_excitation_hamiltonian(n)
     a, b = lindblad.PROBE.amplitudes()
     psi = np.zeros(n + 1, dtype=complex)
     psi[0], psi[INPUT_VERTEX] = a, b
@@ -509,7 +510,7 @@ def _check_weak_noise(config: ReportConfig) -> list[ConsistencyCheck]:
     ]
     t = 1.0
     zeroth = perturbation.printed_weak_noise_channel(n, m, 0.0, t)
-    h = single_excitation_hamiltonian(complete_graph(n))
+    h = single_excitation_hamiltonian(n)
     z_engine = transfer_amplitude(h, t, INPUT_VERTEX, OUTPUT_VERTEX)
     checks.append(
         ConsistencyCheck(
@@ -574,7 +575,7 @@ def _check_peak_fidelity_monotone() -> ConsistencyCheck:
     worst = 0.0
     monotone = True
     for n in range(2, 13):
-        h = single_excitation_hamiltonian(complete_graph(n))
+        h = single_excitation_hamiltonian(n)
         peak_t = math.pi / n
         z = transfer_amplitude(h, peak_t, INPUT_VERTEX, OUTPUT_VERTEX)
         engine_peak, _ = optimal_avg_fidelity(ChannelParams(z, 1.0))

@@ -35,7 +35,6 @@ from . import lindblad, stochastic
 from .analytics import ReportConfig, consistency_report
 from .network import (
     NoiseSpec,
-    complete_graph,
     lindblad_edge_operators,
     single_excitation_hamiltonian,
 )
@@ -318,11 +317,10 @@ def _engine_curve(config: ExperimentConfig, times: np.ndarray) -> lindblad.Fidel
         channels = (route(config.n, config.m, eta, float(t)) for t in times)
         return lindblad.FidelityCurve.of(ChannelParams(ch.abs_z, ch.dephasing) for ch in channels)
 
-    graph = complete_graph(config.n)
-    h = single_excitation_hamiltonian(graph)
     pair = (config.input_vertex, config.output_vertex)
 
     if config.method == "unitary":
+        h = single_excitation_hamiltonian(config.n)
         return lindblad.FidelityCurve.of(
             ChannelParams(transfer_amplitude(h, float(t), *pair), 1.0) for t in times
         )
@@ -331,14 +329,14 @@ def _engine_curve(config: ExperimentConfig, times: np.ndarray) -> lindblad.Fidel
         # scalar noise is a relabelling of the standard placement; only a
         # per-edge map needs the dense engine
         if isinstance(config.eta, dict):
-            ops = lindblad_edge_operators(graph, config.noise_spec(), *pair)
-            engine = lindblad.build_liouvillian(h, ops)
+            ops = lindblad_edge_operators(config.n, config.noise_spec(), *pair)
+            engine = lindblad.build_liouvillian(single_excitation_hamiltonian(config.n), ops)
         else:
             engine = lindblad.LumpedLiouvillian(config.n, config.m, config.eta)
         return lindblad.fidelity_curve(engine, times, pair)
 
     spec = config.noise_spec()
-    spec.validate_for(graph, *pair)
+    spec.validate_for(config.n, *pair)
     a, b = lindblad.PROBE.amplitudes()
     psi = np.zeros(config.n + 1, dtype=complex)
     psi[0], psi[config.input_vertex] = a, b
@@ -349,6 +347,7 @@ def _engine_curve(config: ExperimentConfig, times: np.ndarray) -> lindblad.Fidel
         master_seed=config.master_seed,
         noise=spec,
     )
+    h = single_excitation_hamiltonian(config.n)
     results = stochastic.ensemble_average(plan, h, psi, times=times)
     return lindblad.FidelityCurve.of(
         lindblad.extract_channel(r.rho_mean, lindblad.PROBE, *pair) for r in results

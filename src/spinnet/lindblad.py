@@ -30,7 +30,6 @@ import scipy.linalg
 from .network import (
     INPUT_VERTEX,
     OUTPUT_VERTEX,
-    complete_graph,
     lindblad_edge_operators,
     require_hermitian,
     single_excitation_hamiltonian,
@@ -179,10 +178,9 @@ def complete_network_liouvillian(n: int, m: int, eta: float) -> Liouvillian:
     package; heterogeneous strengths or exotic noisy sets go through
     build_liouvillian directly.
     """
-    graph = complete_graph(n)
     spec = standard_noise_spec(n, m, eta)
-    ops = lindblad_edge_operators(graph, spec, INPUT_VERTEX, OUTPUT_VERTEX)
-    return build_liouvillian(single_excitation_hamiltonian(graph), ops)
+    ops = lindblad_edge_operators(n, spec, INPUT_VERTEX, OUTPUT_VERTEX)
+    return build_liouvillian(single_excitation_hamiltonian(n), ops)
 
 
 def _propagate(generator: np.ndarray, start: np.ndarray, times: np.ndarray) -> np.ndarray:

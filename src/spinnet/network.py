@@ -1,4 +1,4 @@
-"""Graphs, single-excitation Hamiltonians, and noise operators.
+"""The complete graph's Hamiltonian, noise placement, and jump operators.
 
 Vertices are numbered 1..n to match the physics convention for network
 nodes; matrix index 0 is reserved for the vacuum (no excitation) state,
@@ -15,17 +15,15 @@ in this unit.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 __all__ = [
-    "Graph",
     "NoiseSpec",
     "INPUT_VERTEX",
     "OUTPUT_VERTEX",
-    "complete_graph",
     "standard_noise_spec",
     "single_excitation_hamiltonian",
     "lindblad_edge_operators",
@@ -43,41 +41,6 @@ def _normalize_edge(edge: tuple[int, int]) -> tuple[int, int]:
     if k == l:
         raise ValueError(f"self-loop {edge} is not allowed")
     return (k, l) if k < l else (l, k)
-
-
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph on vertices 1..n.
-
-    Edges are stored as a frozenset of sorted pairs; duplicates collapse
-    and self-loops are rejected at construction.
-    """
-
-    n: int
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
-        normalized = frozenset(_normalize_edge(e) for e in self.edges)
-        object.__setattr__(self, "edges", normalized)
-        for k, l in normalized:
-            if not (1 <= k <= self.n and 1 <= l <= self.n):
-                raise ValueError(f"edge ({k},{l}) leaves vertex range 1..{self.n}")
-
-    def adjacency(self) -> np.ndarray:
-        """Return the n x n adjacency matrix (0/1 entries, zero diagonal)."""
-        a = np.zeros((self.n, self.n))
-        for k, l in self.edges:
-            a[k - 1, l - 1] = a[l - 1, k - 1] = 1.0
-        return a
-
-
-def complete_graph(n: int) -> Graph:
-    """Complete graph on n vertices: every pair adjacent, n(n-1)/2 edges."""
-    if n < 1:
-        raise ValueError(f"vertex count must be positive, got {n}")
-    return Graph(n, frozenset(combinations(range(1, n + 1), 2)))
 
 
 @dataclass(frozen=True)
@@ -99,13 +62,24 @@ class NoiseSpec:
         if len(ordered) != len(self.noisy_vertices):
             raise ValueError("noisy_vertices contains duplicates")
         object.__setattr__(self, "noisy_vertices", ordered)
-        for strength in self.edge_strengths().values():
-            if strength < 0:
-                raise ValueError("noise strengths must be nonnegative")
+        # a map is as large as the input and is checked pair by pair; a
+        # scalar is checked once, without expanding the m(m-1)/2 pairs
+        if isinstance(self.strength, Mapping):
+            lowest = min(self.edge_strengths().values(), default=0.0)
+        else:
+            lowest = float(self.strength)
+        if lowest < 0:
+            raise ValueError("noise strengths must be nonnegative")
 
     @property
     def m(self) -> int:
         return len(self.noisy_vertices)
+
+    def max_strength(self) -> float:
+        """Largest strength on any noisy pair, 0 when there is no pair."""
+        if isinstance(self.strength, Mapping):
+            return max(self.edge_strengths().values(), default=0.0)
+        return float(self.strength) if self.m >= 2 else 0.0
 
     def edge_strengths(self) -> dict[tuple[int, int], float]:
         """Expand to a per-pair strength map over all pairs of noisy vertices."""
@@ -121,20 +95,20 @@ class NoiseSpec:
             return {p: expanded[p] for p in pairs}
         return {p: float(self.strength) for p in pairs}
 
-    def validate_for(self, graph: Graph, input_vertex: int, output_vertex: int) -> None:
-        """Check the spec against a graph and a transfer pair.
+    def validate_for(self, n: int, input_vertex: int, output_vertex: int) -> None:
+        """Check the spec against an n-vertex network and a transfer pair.
 
         The noisy set must leave both endpoints of the transfer alone,
         which also caps its size at n - 2.
         """
         for v in self.noisy_vertices:
-            if not 1 <= v <= graph.n:
-                raise ValueError(f"noisy vertex {v} outside 1..{graph.n}")
+            if not 1 <= v <= n:
+                raise ValueError(f"noisy vertex {v} outside 1..{n}")
         clash = set(self.noisy_vertices) & {input_vertex, output_vertex}
         if clash:
             raise ValueError(f"noisy vertices {sorted(clash)} overlap the transfer pair")
-        if self.m > graph.n - 2:
-            raise ValueError(f"at most n-2={graph.n - 2} vertices may be noisy, got {self.m}")
+        if self.m > n - 2:
+            raise ValueError(f"at most n-2={n - 2} vertices may be noisy, got {self.m}")
 
 
 def standard_noise_spec(
@@ -164,20 +138,20 @@ def require_hermitian(matrix: np.ndarray, atol: float = 1e-12) -> np.ndarray:
     return matrix
 
 
-def single_excitation_hamiltonian(graph: Graph) -> np.ndarray:
-    """Hopping Hamiltonian of a graph in the vacuum + single-excitation basis.
+def single_excitation_hamiltonian(n: int) -> np.ndarray:
+    """Hopping Hamiltonian of the complete graph on n vertices, vacuum included.
 
     Returns the real symmetric (n+1) x (n+1) matrix whose (k, l) entry is 1
-    when {k, l} is an edge and 0 otherwise. Row and column 0 are identically
-    zero: the vacuum carries no excitation and never couples.
+    for every pair of distinct vertices k, l in 1..n. Row and column 0 are
+    identically zero: the vacuum carries no excitation and never couples.
     """
-    h = np.zeros((graph.n + 1, graph.n + 1))
-    h[1:, 1:] = graph.adjacency()
-    return h
+    if n < 1:
+        raise ValueError(f"vertex count must be positive, got {n}")
+    return np.pad(1.0 - np.eye(n), (1, 0))
 
 
 def lindblad_edge_operators(
-    graph: Graph,
+    n: int,
     spec: NoiseSpec,
     input_vertex: int,
     output_vertex: int,
@@ -191,8 +165,8 @@ def lindblad_edge_operators(
     stochastic sampler in :mod:`spinnet.stochastic` is normalized to the
     same convention so trajectory ensembles converge to this generator.
     """
-    spec.validate_for(graph, input_vertex, output_vertex)
-    dim = graph.n + 1
+    spec.validate_for(n, input_vertex, output_vertex)
+    dim = n + 1
     out: list[tuple[np.ndarray, float]] = []
     for (k, l), eta in spec.edge_strengths().items():
         op = np.zeros((dim, dim))

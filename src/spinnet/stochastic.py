@@ -464,7 +464,7 @@ def _validated(hamiltonian: np.ndarray, spec: NoiseSpec, dt: float, psi0: np.nda
     h = np.ascontiguousarray(h.real, dtype=float)
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    eta_max = max(spec.edge_strengths().values(), default=0.0)
+    eta_max = spec.max_strength()
     if eta_max * dt > 0.05:
         raise ValueError(f"eta * dt = {eta_max * dt:.3g} exceeds 0.05; shrink dt")
     h_norm = float(np.abs(np.linalg.eigvalsh(h)).max())

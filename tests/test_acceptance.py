@@ -72,7 +72,7 @@ class TestCriterion2OracleTriple:
 
     @pytest.mark.slow
     def test_three_engines_agree(self, criterion_log):
-        h = sn.single_excitation_hamiltonian(sn.complete_graph(4))
+        h = sn.single_excitation_hamiltonian(4)
         start = sn.initial_network_state(4, 1, PROBE)
         a, b = PROBE.amplitudes()
         psi = np.zeros(5, dtype=complex)

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from spinnet import analytics
 from spinnet.analytics import (
     ConsistencyCheck,
     ReportConfig,
@@ -18,12 +19,14 @@ from spinnet.analytics import (
     zeno_limit_channel,
 )
 from spinnet.lindblad import (
+    LumpedLiouvillian,
     complete_network_liouvillian,
     evolve_at_times,
     extract_channel,
+    fidelity_curve,
     initial_network_state,
 )
-from spinnet.network import complete_graph, single_excitation_hamiltonian, standard_noise_spec
+from spinnet.network import single_excitation_hamiltonian, standard_noise_spec
 from spinnet.propagator import (
     BlochInput,
     complete_graph_peak_fidelity,
@@ -46,7 +49,7 @@ class TestPeakFidelity:
     def test_matches_engine_maximum(self):
         # peak sits at t = pi/n where the transfer amplitude tops out
         for n in (3, 6, 11):
-            h = single_excitation_hamiltonian(complete_graph(n))
+            h = single_excitation_hamiltonian(n)
             z = transfer_amplitude(h, math.pi / n, 1, 2)
             f, _ = optimal_avg_fidelity_from(z)
             assert f == pytest.approx(complete_graph_peak_fidelity(n), abs=1e-12)
@@ -74,7 +77,7 @@ class TestFourNodeClosedForm:
             assert engine == pytest.approx(closed, abs=1e-8)
 
     def test_zero_noise_coherence_is_transfer_amplitude(self):
-        h = single_excitation_hamiltonian(complete_graph(4))
+        h = single_excitation_hamiltonian(4)
         for t in (0.5, 1.3, 2.9):
             closed = np.conj(four_node_closed_form(0.0, t).lambda_z)
             assert closed == pytest.approx(transfer_amplitude(h, t, 1, 2), abs=1e-12)
@@ -129,6 +132,13 @@ class TestZenoLimit:
     def test_reduction_check_matches_smaller_clean_network(self):
         check = network_reduction_check(6, 2, 1000.0)
         assert check.verdict == "match"
+
+    def test_peak_search_finds_first_peak_at_large_n(self):
+        # the first peak sits near t = pi/(n - m), narrower than a fixed
+        # 801-point grid on [0, 2 pi] resolves at n = 252
+        n, m, eta = 252, 2, 400.0
+        at_peak = fidelity_curve(LumpedLiouvillian(n, m, eta), [math.pi / (n - m)]).fidelity[0]
+        assert analytics._max_noisy_fidelity(n, m, eta) >= at_peak
 
     def test_reduction_check_requires_strong_noise(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,6 +374,21 @@ _BAD_FIELDS = [
     ("report", {}, "seed", -1),
     ("report", {}, "seed", 1.5),
 ]
+
+
+class TestMemory:
+    def test_lumped_simulate_builds_nothing_of_size_n_squared(self, tmp_path, capsys):
+        # the scalar-eta route reads only its lumped sectors; an
+        # (n+1) x (n+1) Hamiltonian alone would be 8 MB at n = 1,002
+        config = {"n": 1002, "m": 500, "eta": 200, "t_steps": 64}
+        tracemalloc.start()
+        try:
+            code, err = _main(["simulate"], config, tmp_path, capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < 5 << 20
 
 
 class TestFieldContract:

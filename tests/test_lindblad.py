@@ -34,7 +34,6 @@ from spinnet.lindblad import (
     initial_network_state,
 )
 from spinnet.network import (
-    complete_graph,
     lindblad_edge_operators,
     single_excitation_hamiltonian,
     standard_noise_spec,
@@ -45,8 +44,7 @@ PROBE = BlochInput(math.pi / 2, 0.0)
 
 
 def _single_edge_dissipator(n: int, eta: float) -> Liouvillian:
-    g = complete_graph(n)
-    ops = lindblad_edge_operators(g, standard_noise_spec(n, 2, eta), 1, 2)
+    ops = lindblad_edge_operators(n, standard_noise_spec(n, 2, eta), 1, 2)
     return build_liouvillian(np.zeros((n + 1, n + 1)), ops)
 
 
@@ -81,7 +79,7 @@ class TestNetworkState:
 
 class TestGeneratorStructure:
     def test_pure_hamiltonian_part_matches_commutator(self):
-        h = single_excitation_hamiltonian(complete_graph(4))
+        h = single_excitation_hamiltonian(4)
         liou = build_liouvillian(h, [])
         st = initial_network_state(4, 1, PROBE)
         rho = st.rho
@@ -99,7 +97,7 @@ class TestGeneratorStructure:
         # the generator is the sum of its Hamiltonian-only and
         # dissipator-only builds
         liou = complete_network_liouvillian(4, 2, 0.8)
-        h = single_excitation_hamiltonian(complete_graph(4))
+        h = single_excitation_hamiltonian(4)
         ham = build_liouvillian(h, []).generator
         dis = _single_edge_dissipator(4, 0.8).generator
         assert np.max(np.abs(liou.generator - ham - dis)) < 1e-14
@@ -176,7 +174,7 @@ class TestEvolution:
         st = initial_network_state(4, 1, PROBE)
         out = evolve_at_times(liou, st, [1.3])[0]
         params = extract_channel(out, PROBE, 1, 2)
-        h = single_excitation_hamiltonian(complete_graph(4))
+        h = single_excitation_hamiltonian(4)
         z = transfer_amplitude(h, 1.3, 1, 2)
         assert params.amplitude == pytest.approx(z, abs=1e-10)
         assert params.dephasing == pytest.approx(1.0, abs=1e-9)

@@ -1,14 +1,14 @@
-"""Graph, noise placement, and operator construction."""
+"""The complete graph's Hamiltonian, noise placement, and operator construction."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spinnet.network import (
-    Graph,
     NoiseSpec,
-    complete_graph,
     lindblad_edge_operators,
     require_hermitian,
     single_excitation_hamiltonian,
@@ -16,53 +16,33 @@ from spinnet.network import (
 )
 
 
-class TestGraph:
-    def test_complete_graph_edge_count(self):
-        for n in (2, 3, 4, 7):
-            g = complete_graph(n)
-            assert g.n == n
-            assert len(g.edges) == n * (n - 1) // 2
-
-    def test_edges_normalized_to_sorted_pairs(self):
-        g = Graph(3, frozenset({(2, 1), (1, 3)}))
-        assert (1, 2) in g.edges and (1, 3) in g.edges
-
-    def test_self_loop_rejected(self):
-        with pytest.raises(ValueError):
-            Graph(3, frozenset({(2, 2)}))
-
-    def test_out_of_range_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            Graph(3, frozenset({(1, 4)}))
-
-    def test_empty_graph_rejected(self):
-        # K_1 is a legal (edgeless) graph; zero vertices is not
-        with pytest.raises(ValueError):
-            complete_graph(0)
-        assert complete_graph(1).edges == frozenset()
-
-    def test_adjacency_symmetric_unit_entries(self):
-        adj = complete_graph(5).adjacency()
-        assert adj.shape == (5, 5)
-        assert np.array_equal(adj, adj.T)
-        assert np.all(np.diag(adj) == 0)
-        off = adj[~np.eye(5, dtype=bool)]
-        assert np.all(off == 1.0)
-
-
 class TestHamiltonian:
     def test_vacuum_row_and_column_are_zero(self):
-        h = single_excitation_hamiltonian(complete_graph(4))
+        h = single_excitation_hamiltonian(4)
         assert h.shape == (5, 5)
         assert np.all(h[0, :] == 0) and np.all(h[:, 0] == 0)
 
-    def test_excitation_block_is_adjacency(self):
-        g = complete_graph(6)
-        h = single_excitation_hamiltonian(g)
-        assert np.array_equal(h[1:, 1:], g.adjacency())
+    def test_excitation_block_is_ones_minus_identity(self):
+        # an independent J - I, entry by entry, must match bit for bit
+        for n in range(1, 9):
+            want = np.zeros((n + 1, n + 1))
+            for k in range(1, n + 1):
+                for l in range(1, n + 1):
+                    want[k, l] = 0.0 if k == l else 1.0
+            h = single_excitation_hamiltonian(n)
+            assert h.dtype == np.float64
+            assert h.tobytes() == want.tobytes()
+
+    def test_complete_graph_edge_count(self):
+        for n in (2, 3, 4, 7):
+            assert np.count_nonzero(np.triu(single_excitation_hamiltonian(n))) == n * (n - 1) // 2
+
+    def test_empty_network_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            single_excitation_hamiltonian(0)
 
     def test_hermitian(self):
-        h = single_excitation_hamiltonian(complete_graph(5))
+        h = single_excitation_hamiltonian(5)
         require_hermitian(h)
 
     def test_require_hermitian_rejects(self):
@@ -100,15 +80,33 @@ class TestNoiseSpec:
         ok = NoiseSpec((3, 4), {(4, 3): 0.7}).edge_strengths()
         assert ok == {(3, 4): 0.7}
 
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            NoiseSpec((3, 4), {(3, 3): 1.0, (3, 4): 1.0})
+
+    def test_scalar_strength_checked_without_expanding_pairs(self):
+        tracemalloc.start()
+        try:
+            spec = standard_noise_spec(1002, 1000, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 499,500 pairs alone would take tens of MB
+        assert peak < 1 << 20
+        assert spec.m == 1000
+
+    def test_max_strength(self):
+        assert NoiseSpec((3, 4, 5), 2.0).max_strength() == 2.0
+        assert NoiseSpec((3,), 2.0).max_strength() == 0.0
+        assert NoiseSpec((3, 4, 5), {(3, 4): 0.5, (3, 5): 1.5, (4, 5): 1.0}).max_strength() == 1.5
+
     def test_validate_for_rejects_transfer_pair_overlap(self):
-        g = complete_graph(4)
         with pytest.raises(ValueError):
-            NoiseSpec((2, 3), 1.0).validate_for(g, 1, 2)
+            NoiseSpec((2, 3), 1.0).validate_for(4, 1, 2)
 
     def test_validate_for_rejects_oversized_set(self):
-        g = complete_graph(4)
         with pytest.raises(ValueError):
-            NoiseSpec((3, 4, 5), 1.0).validate_for(g, 1, 2)
+            NoiseSpec((3, 4, 5), 1.0).validate_for(4, 1, 2)
 
     def test_standard_spec_places_highest_vertices(self):
         spec = standard_noise_spec(6, 3, 0.1)
@@ -122,13 +120,11 @@ class TestNoiseSpec:
 
 class TestEdgeOperators:
     def test_one_operator_per_noisy_pair(self):
-        g = complete_graph(5)
-        ops = lindblad_edge_operators(g, standard_noise_spec(5, 3, 1.0), 1, 2)
+        ops = lindblad_edge_operators(5, standard_noise_spec(5, 3, 1.0), 1, 2)
         assert len(ops) == 3
 
     def test_operator_shape_and_symmetry(self):
-        g = complete_graph(4)
-        (op, rate), = lindblad_edge_operators(g, standard_noise_spec(4, 2, 1.5), 1, 2)
+        (op, rate), = lindblad_edge_operators(4, standard_noise_spec(4, 2, 1.5), 1, 2)
         assert op.shape == (5, 5)
         assert op[3, 4] == 1.0 and op[4, 3] == 1.0
         assert np.count_nonzero(op) == 2
@@ -136,17 +132,14 @@ class TestEdgeOperators:
     def test_rate_doubles_the_strength(self):
         # white-noise averaging of a fluctuating coupling of strength
         # eta lands on a dissipator rate of exactly 2 eta
-        g = complete_graph(4)
-        (_, rate), = lindblad_edge_operators(g, standard_noise_spec(4, 2, 1.5), 1, 2)
+        (_, rate), = lindblad_edge_operators(4, standard_noise_spec(4, 2, 1.5), 1, 2)
         assert rate == pytest.approx(3.0)
 
     def test_per_edge_strengths_carried_through(self):
-        g = complete_graph(5)
         spec = NoiseSpec((3, 4, 5), {(3, 4): 0.5, (3, 5): 1.0, (4, 5): 2.0})
         rates = {tuple(np.argwhere(op).flatten()[:2]): rate
-                 for op, rate in lindblad_edge_operators(g, spec, 1, 2)}
+                 for op, rate in lindblad_edge_operators(5, spec, 1, 2)}
         assert rates == {(3, 4): 1.0, (3, 5): 2.0, (4, 5): 4.0}
 
     def test_empty_noise_gives_no_operators(self):
-        g = complete_graph(4)
-        assert lindblad_edge_operators(g, standard_noise_spec(4, 0, 1.0), 1, 2) == []
+        assert lindblad_edge_operators(4, standard_noise_spec(4, 0, 1.0), 1, 2) == []

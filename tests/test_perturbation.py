@@ -30,7 +30,6 @@ from spinnet.lindblad import (
     initial_network_state,
 )
 from spinnet.network import (
-    complete_graph,
     lindblad_edge_operators,
     single_excitation_hamiltonian,
     standard_noise_spec,
@@ -71,8 +70,7 @@ def per_node_first_order(n, m, eta, t, step=1e-3):
     exponential with the production route, and its error falls as
     step^4 towards that route's exact derivative.
     """
-    graph = complete_graph(n)
-    w, vecs = np.linalg.eigh(single_excitation_hamiltonian(graph))
+    w, vecs = np.linalg.eigh(single_excitation_hamiltonian(n))
 
     def propagator(s):
         return (vecs * np.exp(-1j * w * s)) @ vecs.conj().T
@@ -86,7 +84,7 @@ def per_node_first_order(n, m, eta, t, step=1e-3):
     z_sq_0 = abs(u_final[2, 1]) ** 2
     if eta == 0.0 or m < 2 or t == 0.0:
         return WeakNoiseChannel(z_sq_0=z_sq_0, xi1=0.0, xi2=0j, eta=0.0)
-    ops = [op for op, _ in lindblad_edge_operators(graph, standard_noise_spec(n, m, 1.0), 1, 2)]
+    ops = [op for op, _ in lindblad_edge_operators(n, standard_noise_spec(n, m, 1.0), 1, 2)]
 
     def unit_dissipator(x):
         out = np.zeros_like(x)
@@ -119,13 +117,13 @@ class TestWindowAmplitudes:
     @pytest.mark.parametrize("n", [2, 4, 9])
     @pytest.mark.parametrize("t", [0.0, 0.7, 2.9])
     def test_beta_is_transfer_amplitude(self, n, t):
-        h = single_excitation_hamiltonian(complete_graph(n))
+        h = single_excitation_hamiltonian(n)
         assert beta(n, t) == pytest.approx(transfer_amplitude(h, t, 1, 2), abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 4, 9])
     @pytest.mark.parametrize("t", [0.0, 0.7, 2.9])
     def test_beta_prime_is_return_amplitude(self, n, t):
-        h = single_excitation_hamiltonian(complete_graph(n))
+        h = single_excitation_hamiltonian(n)
         assert beta_prime(n, t) == pytest.approx(propagator_matrix(h, t)[1, 1], abs=1e-12)
 
     def test_small_networks_rejected(self):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from spinnet.network import complete_graph, single_excitation_hamiltonian
+from spinnet.network import single_excitation_hamiltonian
 from spinnet.propagator import (
     BlochInput,
     ChannelParams,
@@ -22,7 +22,7 @@ from spinnet.propagator import (
 
 @pytest.fixture(scope="module")
 def h4():
-    return single_excitation_hamiltonian(complete_graph(4))
+    return single_excitation_hamiltonian(4)
 
 
 class TestPropagatorMatrix:
@@ -63,7 +63,7 @@ class TestTransferAmplitude:
     @pytest.mark.parametrize("n", [2, 3, 5, 9])
     @pytest.mark.parametrize("t", [0.0, 0.4, 2.9])
     def test_probability_matches_closed_form(self, n, t):
-        h = single_excitation_hamiltonian(complete_graph(n))
+        h = single_excitation_hamiltonian(n)
         z = transfer_amplitude(h, t, 1, 2)
         assert abs(z) ** 2 == pytest.approx(complete_graph_transfer_prob(n, t), abs=1e-12)
 

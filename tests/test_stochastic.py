@@ -18,9 +18,7 @@ from spinnet.lindblad import (
     initial_network_state,
 )
 from spinnet.network import (
-    Graph,
     NoiseSpec,
-    complete_graph,
     single_excitation_hamiltonian,
     standard_noise_spec,
 )
@@ -31,7 +29,7 @@ PROBE = BlochInput(math.pi / 2, 0.0)
 
 
 def _setup(n=4, m=2, eta=1.0):
-    h = single_excitation_hamiltonian(complete_graph(n))
+    h = single_excitation_hamiltonian(n)
     spec = standard_noise_spec(n, m, eta)
     a, b = PROBE.amplitudes()
     psi = np.zeros(n + 1, dtype=complex)
@@ -226,7 +224,7 @@ class TestSingleTrajectory:
         with pytest.raises(ValueError, match="hamiltonian"):
             ensemble_average(TrajectoryPlan(4, 1e-3, 0.1, 0, spec), h, psi)
         # a complex array holding a real matrix is accepted
-        real = single_excitation_hamiltonian(complete_graph(4))
+        real = single_excitation_hamiltonian(4)
         out = evolve_trajectory(real.astype(complex), spec, psi, 0.1, 1e-3, 0)
         assert np.array_equal(out, evolve_trajectory(real, spec, psi, 0.1, 1e-3, 0))
 
@@ -430,7 +428,7 @@ class TestStepKernel:
     @pytest.mark.parametrize("batch", [1, 7, 2049])
     @pytest.mark.parametrize("n, spec", SPECS, ids=SPEC_IDS)
     def test_matches_row_kernel(self, n, spec, batch):
-        h = single_excitation_hamiltonian(complete_graph(n))
+        h = single_excitation_hamiltonian(n)
         edges = spec.edge_strengths()
         pairs, strengths = list(edges), np.array(list(edges.values()))
         rng = np.random.default_rng(batch + 100 * n)
@@ -454,7 +452,7 @@ class TestStepKernel:
         from scipy.linalg import expm
 
         n, dt, batch = 6, 1e-3, 2049
-        h = single_excitation_hamiltonian(complete_graph(n))
+        h = single_excitation_hamiltonian(n)
         h *= 0.05 / (dt * np.abs(np.linalg.eigvalsh(h)).max())
         spec = standard_noise_spec(n, n - 2, 0.05 / dt)
         edges = spec.edge_strengths()
@@ -480,7 +478,7 @@ class TestStepKernel:
         from scipy.linalg import expm
 
         n, dt, eta, seed = 70, 7e-4, 70.0, 5
-        h = single_excitation_hamiltonian(complete_graph(n))
+        h = single_excitation_hamiltonian(n)
         spec = standard_noise_spec(n, n - 2, eta)
         edges = spec.edge_strengths()
         psi = np.zeros(n + 1, dtype=complex)
@@ -510,8 +508,9 @@ class TestStepKernel:
             stochastic._term_count(math.nan)
 
 
-def _path_graph(n):
-    return Graph(n, frozenset((k, k + 1) for k in range(1, n)))
+def _path_hamiltonian(n):
+    """H of the path 1 - 2 - ... - n, vacuum included."""
+    return np.pad(np.eye(n, k=1) + np.eye(n, k=-1), (1, 0))
 
 
 def _full_space_trajectory(h, spec, psi, t, dt, seed, index):
@@ -538,9 +537,9 @@ class TestReduction:
     @pytest.mark.parametrize("start", ["probe", "random"])
     @pytest.mark.parametrize(
         "h, spec",
-        [(single_excitation_hamiltonian(complete_graph(n)), spec) for n, spec in SPECS]
+        [(single_excitation_hamiltonian(n), spec) for n, spec in SPECS]
         # W is the whole excitation space of a path noisy at one end
-        + [(single_excitation_hamiltonian(_path_graph(7)), NoiseSpec((6, 7), 1.0))],
+        + [(_path_hamiltonian(7), NoiseSpec((6, 7), 1.0))],
         ids=[*SPEC_IDS, "path"],
     )
     def test_matches_full_space_reference(self, h, spec, start):
@@ -562,7 +561,7 @@ class TestReduction:
         assert np.max(np.abs(mean - want)) < 1e-13
 
     def test_path_steps_the_whole_excitation_space(self):
-        h = single_excitation_hamiltonian(_path_graph(7))
+        h = _path_hamiltonian(7)
         space = _space(h, NoiseSpec((6, 7), 1.0), PROBE)
         assert space.basis.shape == (8, 7)
         # only the vacuum is left outside W, and it does not move
@@ -571,7 +570,7 @@ class TestReduction:
 
     @pytest.mark.parametrize("n, m", [(4, 2), (6, 2), (6, 4), (1002, 2)])
     def test_complete_graph_steps_v_plus_one_rows(self, n, m):
-        h = single_excitation_hamiltonian(complete_graph(n))
+        h = single_excitation_hamiltonian(n)
         space = _space(h, standard_noise_spec(n, m, 1.0), PROBE)
         assert space.basis.shape == (n + 1, m + 1)
         assert space.operator.shape == (2 * (m + 1), 2 * (m + 1) + 2 * m)
@@ -581,7 +580,7 @@ class TestReduction:
     def test_thousand_vertices_match_lumped_master_equation(self):
         # n = 1,002, m = 2: three stepped rows out of 1,003
         n, m, eta, t, dt = 1002, 2, 100.0, 0.01, 4e-5
-        h = single_excitation_hamiltonian(complete_graph(n))
+        h = single_excitation_hamiltonian(n)
         a, b = PROBE.amplitudes()
         psi = np.zeros(n + 1, dtype=complex)
         psi[0], psi[1] = a, b
@@ -705,7 +704,7 @@ class TestTimeGrid:
         # steps. The noise of one step is 2,048 x 703 normals; the run
         # holds at most four times that, the coupling block included.
         n, batch = 40, 2048
-        h = single_excitation_hamiltonian(complete_graph(n))
+        h = single_excitation_hamiltonian(n)
         spec = standard_noise_spec(n, n - 2, 1.0)
         psi = np.zeros(n + 1, dtype=complex)
         psi[1] = 1.0
