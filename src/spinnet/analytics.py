@@ -314,11 +314,10 @@ def _check_trajectories(config: ReportConfig) -> ConsistencyCheck:
         master_seed=config.seed,
         noise=standard_noise_spec(n, m, eta),
     )
-    h = single_excitation_hamiltonian(n)
     a, b = lindblad.PROBE.amplitudes()
     psi = np.zeros(n + 1, dtype=complex)
     psi[0], psi[INPUT_VERTEX] = a, b
-    result = stochastic.ensemble_average(plan, h, psi)
+    result = stochastic.ensemble_average(plan, psi)
     excess = np.abs(result.rho_mean.rho - target.rho) - 3.0 * result.std_err
     disc = max(float(excess.max()), 0.0)
     return ConsistencyCheck(

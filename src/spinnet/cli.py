@@ -347,8 +347,7 @@ def _engine_curve(config: ExperimentConfig, times: np.ndarray) -> lindblad.Fidel
         master_seed=config.master_seed,
         noise=spec,
     )
-    h = single_excitation_hamiltonian(config.n)
-    results = stochastic.ensemble_average(plan, h, psi, times=times)
+    results = stochastic.ensemble_average(plan, psi, times=times)
     return lindblad.FidelityCurve.of(
         lindblad.extract_channel(r.rho_mean, lindblad.PROBE, *pair) for r in results
     )

@@ -314,6 +314,7 @@ _ORBITS = (
 _ORBIT = {orbit: j for j, orbit in enumerate(_ORBITS)}
 _PARTNER = np.array([_ORBIT[q, p, same] for p, q, same in _ORBITS])
 _OUT = _KINDS.index("o")
+_IN_IN = _ORBIT["i", "i", True]
 _OUT_OUT = _ORBIT["o", "o", True]
 
 
@@ -367,7 +368,7 @@ def _probe_sectors() -> tuple[np.ndarray, np.ndarray]:
     c0 = np.zeros(4, dtype=complex)
     c0[0] = b * a.conjugate()
     x0 = np.zeros(len(_ORBITS), dtype=complex)
-    x0[_ORBIT["i", "i", True]] = abs(b) ** 2
+    x0[_IN_IN] = abs(b) ** 2
     return c0, x0
 
 
@@ -534,14 +535,28 @@ class LumpedLiouvillian:
         times = np.asarray(times, dtype=float).reshape(-1)
         if times.size == 0 or not np.all(times >= 0):
             raise ValueError("times must be a nonempty list of nonnegative numbers")
+        k = self.n - 2 - self.m
         c0, x0 = _probe_sectors()
+        # The population sector is stepped as y = T x, T the identity with
+        # its d_in row replaced by w, the multiplicities (1, 1, k, m) on the
+        # diagonal orbits, so y carries the trace of X as its d_in entry.
+        # w^T G = 0, so that row of T G T^-1 is set to exactly 0 and no
+        # exponential changes the trace; expm(G dt) itself keeps w^T only
+        # to about 1e-9 once ||G dt|| is near 1e4.
+        mult = _multiplicities(k, self.m)
+        w = np.array([mult[p] if p == q and same else 0 for p, q, same in _ORBITS], dtype=float)
+        to_y, to_x = np.eye(len(w)), np.eye(len(w))
+        to_y[_IN_IN], to_x[_IN_IN] = w, -w
+        to_x[_IN_IN, _IN_IN] = 1.0
+        generator = to_y @ self.population_generator @ to_x
+        generator[_IN_IN] = 0.0
         states = LumpedStates(
-            k=self.n - 2 - self.m,
+            k=k,
             m=self.m,
             times=times,
             vacuum=abs(PROBE.amplitudes()[0]) ** 2,
             coherence=_propagate(self.coherence_generator, c0, times),
-            population=_propagate(self.population_generator, x0, times),
+            population=_propagate(generator, to_y @ x0, times) @ to_x.T,
         )
         states.validate()
         return states

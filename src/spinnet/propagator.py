@@ -161,16 +161,6 @@ def optimal_avg_fidelity(params: ChannelParams) -> tuple[float, complex]:
     return avg_fidelity_given_decode(params, u), u
 
 
-def _pointwise_fidelity(params: ChannelParams, state: BlochInput, decode: np.ndarray) -> float:
-    a, b = state.amplitudes()
-    p = abs(b) ** 2 * params.transfer_prob
-    coh = params.dephasing * params.amplitude * b * a.conjugate()
-    rho = np.array([[1.0 - p, coh.conjugate()], [coh, p]])
-    psi = np.array([a, b])
-    decoded = decode @ rho @ decode.conj().T
-    return float((psi.conj() @ decoded @ psi).real)
-
-
 def bloch_sphere_average(
     params: ChannelParams,
     u: complex = 1.0 + 0j,
@@ -180,18 +170,25 @@ def bloch_sphere_average(
     """Average the decoded fidelity over input states by direct quadrature.
 
     Gauss-Legendre in cos(theta) crossed with a trapezoid rule in phi
-    (exact for the low azimuthal harmonics that appear). Kept separate
-    from the closed form on purpose, as an independent route to the same
-    number.
+    (exact for the low azimuthal harmonics that appear). At each node
+    the input a|0> + b|1> goes through the channel to rho, the decoding
+    D turns it to D rho D^dag, and the fidelity is psi^dag D rho D^dag psi.
+    Kept separate from the closed form on purpose, as an independent
+    route to the same number.
     """
     nodes, weights = np.polynomial.legendre.leggauss(n_polar)
     phis = np.linspace(0.0, 2.0 * math.pi, n_azimuth, endpoint=False)
     decode = _decode_matrix(u)
-    total = 0.0
-    for mu, w in zip(nodes, weights):
-        theta = math.acos(float(mu))
-        row = sum(_pointwise_fidelity(params, BlochInput(theta, phi), decode) for phi in phis)
-        total += w * row / n_azimuth
+    theta = np.arccos(nodes)[:, np.newaxis]
+    # BlochInput(theta, phi)'s amplitudes on the (n_polar, n_azimuth) grid; a is real
+    a = np.repeat(np.cos(theta / 2.0), n_azimuth, axis=1)
+    b = np.exp(1j * phis) * np.sin(theta / 2.0)
+    p = np.abs(b) ** 2 * params.transfer_prob
+    coh = params.dephasing * params.amplitude * b * a
+    rho = np.stack((np.stack((1.0 - p, coh.conj()), axis=-1), np.stack((coh, p), axis=-1)), axis=-2)
+    psi = np.stack((a, b), axis=-1)
+    decoded = decode @ rho @ decode.conj().T
+    fidelity = np.einsum("...i,...ij,...j->...", psi.conj(), decoded, psi).real
     # leggauss weights integrate d(cos theta) over [-1, 1]; halving
     # normalizes the solid angle.
-    return total / 2.0
+    return float(weights @ fidelity.mean(axis=1)) / 2.0

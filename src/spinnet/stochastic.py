@@ -1,7 +1,7 @@
 """Monte Carlo unraveling of the white-noise couplings.
 
-Each trajectory integrates the Schrodinger equation under the network
-Hamiltonian plus piecewise-constant random edge couplings, one
+Each trajectory integrates the Schrodinger equation under the complete
+graph's Hamiltonian plus piecewise-constant random edge couplings, one
 independent Gaussian per noisy pair per step with variance 2 eta / dt.
 That variance makes the integrated coupling over a step match the
 delta-correlation of the continuous noise, and stepping with the exact
@@ -17,32 +17,31 @@ batches of 2,048 whose moments are added to running sums in batch
 order. The bytes of a result therefore depend on the plan alone, and an
 ensemble holds one batch's moments at a time, whatever its size.
 
-Reduction: the noise couples only the noisy vertices, so it maps every
-state into the span E of their rows and annihilates the complement of
-E. Let W be the smallest H-invariant subspace that contains E. The
-noise maps into W and annihilates its complement, and H (real
-symmetric) keeps both, so every trajectory is Q psi_W(t) + psi_perp(t):
-psi_W is stepped in a real orthonormal basis Q of W under Q^T H Q plus
-the noise, and psi_perp, the part of psi0 outside W, moves under H
-alone, the same for every trajectory. It is added exactly at each
-readout from the eigenvectors of H on its own H-closure. On a complete
-graph W is the noisy vertices plus the uniform clean vector, so a step
-costs the same at any n: v + 1 stepped rows for v noisy rows.
+Reduction: the network is the complete graph on n = len(psi0) - 1
+vertices, H = J - I on the vertices, with the vacuum row zero. The
+noise couples only the v noisy vertices, so it maps every state into
+the span of their rows and annihilates the rest. W adds to those rows
+the uniform vector over the other vertices; H keeps W and its
+complement, so every trajectory is Q psi_W(t) + psi_perp(t). psi_W is
+stepped in a real orthonormal basis Q of W under Q^T H Q plus the
+noise, v + 1 rows at any n; psi_perp, the part of psi0 outside W, is
+its constant vacuum entry plus an eigenvector of H at energy -1, so it
+moves by a phase, the same in every trajectory, added exactly at each
+readout (see _Subspace).
 
-Kernel: H must be real, as the XY couplings of every network here are.
-A batch is held as one real buffer of columns: the real and the
-imaginary plane of the reduced states, r rows each with the noisy rows
-first, then 2v spare rows. Each step's couplings fill one symmetric
-block over the noisy vertices, shape (v, v, batch), whatever the number
-of noisy edges. A Taylor term is three numpy calls: one contraction
-writes the block times the noisy rows into the spare rows, one real
-product applies tau H, the noise rows, 1/k and -i together, and one add
-puts back the start. The series is summed by Horner's rule with a term
-count fixed beforehand from a bound on ||H + noise||, so that every
-entry of the dropped tail is below 1e-17; a step whose bound would need
-more than 80 terms (a dense noisy set near the step limits) is taken in
-equal substeps. The block spans the noisy vertices from the lowest to
-the highest; without gaps in the noisy set it holds about twice one
+Kernel: the reduced H is real, so a batch is held as one real buffer
+of columns: the real and the imaginary plane of the reduced states, r
+rows each with the noisy rows first, then 2v spare rows. Each step's
+couplings fill one symmetric block over the noisy vertices, shape
+(v, v, batch), whatever the number of noisy edges. A Taylor term is
+three numpy calls: one contraction writes the block times the noisy
+rows into the spare rows, one real product applies tau H, the noise
+rows, 1/k and -i together, and one add puts back the start. The
+series is summed by Horner's rule with a term count fixed beforehand
+from a bound on ||H + noise||, so that every entry of the dropped tail
+is below 1e-17; a step whose bound would need more than 80 terms (a
+dense noisy set near the step limits) is taken in equal substeps. The
+block covers exactly the noisy vertices, so it holds about twice one
 step's normals, and where one step's noise alone is over the draw
 budget (n = 40, m = 38 at 2,048 trajectories), a batch stays within
 four steps' worth of normals.
@@ -68,7 +67,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .lindblad import NetworkState
-from .network import NoiseSpec, require_hermitian
+from .network import NoiseSpec
 
 __all__ = [
     "TrajectoryPlan",
@@ -106,11 +105,6 @@ _SUBSTEP_RHO = 18.0
 # columns) five are made at a time, so they never cost what the batch
 # buffers cost.
 _OPERATOR_BUDGET = 2**16
-
-# A direction is part of an H-closure when its component outside the
-# basis so far exceeds this fraction of its scale (1 for a start vector,
-# ||H|| for an image under H). Rounding leaves about 1e-16 of it.
-_DEFLATION = 1e-12
 
 
 @dataclass(frozen=True)
@@ -167,7 +161,7 @@ class _PhiloxKey(ISeedSequence):
 
     ``Philox(key=...)`` first builds a SeedSequence from OS entropy that
     the key then overrides, and it converts a seed of 2**63 or more
-    through float64, so neighbouring seeds there share a key. Passed as
+    through float64, so adjacent seeds there share a key. Passed as
     the seed sequence, this object gives the key word for word, with no
     entropy read: below 2**63 the draws equal those of
     ``Philox(key=[seed, index])``.
@@ -184,34 +178,32 @@ class _PhiloxKey(ISeedSequence):
 
 @dataclass(frozen=True, eq=False)
 class _EdgeBlock:
-    """The noisy edges as one symmetric block over the span of the noisy vertices.
+    """The noisy edges as one symmetric block over the noisy vertices.
 
-    The block covers the state's rows from the lowest noisy vertex to
-    the highest, so a noiseless vertex inside that span (vertex 4 of the
-    noisy pair (3, 5)) has zero couplings; a gapped set thus costs what
-    a set without gaps over the same span costs. A step's couplings
-    fill a real (v, v, batch) block, each edge at its two mirrored
-    places, so the noise of a Taylor term is one contraction over the
-    block whatever the number of edges.
+    Row j of the block is the j-th noisy vertex in sorted order, the
+    vertices being those on the spec's edges. A step's couplings fill a
+    real (v, v, batch) block, each edge at its two mirrored places, so
+    the noise of a Taylor term is one contraction over the block
+    whatever the number of edges.
     """
 
-    rows: slice  # the rows of a state that the block spans
+    vertices: np.ndarray  # the noisy vertices, sorted
     first: np.ndarray  # block row of each edge's first vertex, in draw order
     second: np.ndarray  # and of its second
-    rates: np.ndarray  # (v, v) edge rates, symmetric, zero on the diagonal
+    rates: np.ndarray  # each edge's rate, in draw order
 
     @classmethod
-    def of(cls, spec: NoiseSpec, dim: int) -> _EdgeBlock:
+    def of(cls, spec: NoiseSpec, n: int) -> _EdgeBlock:
         edges = spec.edge_strengths()
-        vertices = {v for edge in edges for v in edge}
-        low, high = min(vertices, default=0), max(vertices, default=-1)
-        if high >= dim:
-            raise ValueError(f"noisy vertex {high} outside the {dim - 1}-vertex network")
-        first = np.array([k - low for k, _ in edges], dtype=np.intp)
-        second = np.array([l - low for _, l in edges], dtype=np.intp)
-        rates = np.zeros((high + 1 - low, high + 1 - low))
-        rates[first, second] = rates[second, first] = list(edges.values())
-        return cls(slice(low, high + 1), first, second, rates)
+        vertices = sorted({v for edge in edges for v in edge})
+        for vertex in vertices:
+            if not 1 <= vertex <= n:
+                raise ValueError(f"noisy vertex {vertex} outside 1..{n}")
+        row = {vertex: j for j, vertex in enumerate(vertices)}
+        first = np.array([row[k] for k, _ in edges], dtype=np.intp)
+        second = np.array([row[l] for _, l in edges], dtype=np.intp)
+        rates = np.array(list(edges.values()), dtype=float)
+        return cls(np.array(vertices, dtype=np.intp), first, second, rates)
 
     def fill(self, block: np.ndarray, normals: np.ndarray, tau: float) -> float:
         """Write one step's couplings into ``block``; return a bound on their norm.
@@ -219,14 +211,22 @@ class _EdgeBlock:
         ``normals`` holds one edge per row, shape (edges, batch), and each
         coupling is a normal times sqrt(2 eta / tau). The bound holds for
         every column's noise matrix N: N is symmetric with zero trace, so
-        ||N||^2 <= (1 - 1/v) ||N||_F^2, which is exact for a single edge.
+        ||N||^2 <= (1 - 1/v) ||N||_F^2, which is exact for a single edge;
+        ||N||_F^2 is twice the sum of the column's squared couplings.
+        Couplings are made _NOISE_BUDGET floats at a time, so a dense
+        noisy set holds no second copy of a step's normals.
         """
-        block[self.first, self.second] = normals
-        block[self.second, self.first] = normals
-        block *= np.sqrt(2.0 * self.rates / tau)[:, :, np.newaxis]
-        v = len(self.rates)
-        frobenius2 = float(np.einsum("ijb,ijb->b", block, block).max())
-        return math.sqrt(frobenius2 * max(v - 1, 0) / max(v, 1))
+        sigma = np.sqrt(2.0 * self.rates / tau)
+        squares = np.zeros(normals.shape[1])
+        group = max(1, _NOISE_BUDGET // normals.shape[1])
+        for low in range(0, len(sigma), group):
+            edges = slice(low, low + group)
+            couplings = normals[edges] * sigma[edges, np.newaxis]
+            block[self.first[edges], self.second[edges]] = couplings
+            block[self.second[edges], self.first[edges]] = couplings
+            squares += np.einsum("eb,eb->b", couplings, couplings)
+        v = len(self.vertices)
+        return math.sqrt(2.0 * float(squares.max()) * max(v - 1, 0) / max(v, 1))
 
 
 def _term_count(rho: float) -> int:
@@ -286,62 +286,44 @@ def _taylor_step(
 
 
 def _term_operator(h: np.ndarray, v: int) -> np.ndarray:
-    """[[0, H, 0, E], [-H, 0, -E, 0]] for a real (r, r) H whose first v rows are the noisy ones.
-
-    H is symmetrized, so the step it drives is unitary to rounding.
-    """
+    """[[0, H, 0, E], [-H, 0, -E, 0]] for a real symmetric (r, r) H, noisy rows first."""
     r = len(h)
     operator = np.zeros((2 * r, 2 * r + 2 * v))
-    operator[:r, r : 2 * r] = 0.5 * (h + h.T)
-    operator[r:, :r] = -operator[:r, r : 2 * r]
+    operator[:r, r : 2 * r] = h
+    operator[r:, :r] = -h
     operator[:v, 2 * r + v :] = np.eye(v)
     operator[r : r + v, 2 * r : 2 * r + v] = -np.eye(v)
     return operator
 
 
-def _closure(h: np.ndarray, h_norm: float, basis: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """Extend the orthonormal columns of ``basis`` to the smallest H-invariant space holding ``seed``.
-
-    The seed's columns are at most unit length. Each round takes the
-    images under H of the directions the last round added, removes the
-    basis from them twice (classical Gram-Schmidt), and keeps what is
-    left above _DEFLATION of its scale, one column at a time; it stops
-    when a round adds nothing. A basis column that is a unit vector
-    e_j leaves row j of every added direction exactly zero.
-    """
-    block, scale = seed, 1.0
-    while block.shape[1]:
-        for _ in range(2):
-            block = block - basis @ (basis.T @ block)
-        fresh: list[np.ndarray] = []
-        for vec in block.T:
-            for _ in range(2):
-                for q in fresh:
-                    vec = vec - (q @ vec) * q
-            size = np.linalg.norm(vec)
-            if size > _DEFLATION * scale:
-                fresh.append(vec / size)
-        added = np.array(fresh).reshape(len(fresh), len(h)).T
-        basis = np.hstack((basis, added))
-        block, scale = h @ added, h_norm
-    return basis
-
-
 @dataclass(frozen=True, eq=False)
 class _Subspace:
-    """The start state split over W, the H-closure of the noisy rows, and its complement.
+    """The start state split over W, the noisy vertices plus the uniform rest, and its complement.
 
-    ``edges`` and ``h_norm`` give each step's noise and norm bound.
-    ``basis`` is a real orthonormal basis Q of W, shape (dim, r), whose
-    first v columns are the unit vectors of the noisy rows, so the
-    noise block acts on the first v reduced rows; ``operator`` is the
-    (2r, 2r + 2v) term operator of _taylor_step for Q^T H Q, and
-    ``start`` the buffer rows of Q^T psi0. The part of psi0 outside W
-    evolves as psi_perp(t) = psi_perp + U (exp(-i E t) - 1) U^T psi_perp,
-    with U the eigenvectors and E the eigenvalues of H on the
-    H-closure of psi_perp (``modes``, ``energies`` and, for U^T psi_perp,
-    ``weights``). A state is read as psi0 + Q (x - x0) + that shift, so
-    a time of zero steps returns psi0 as given.
+    On the complete graph on n vertices, H = 1 1^T - I over the vertex
+    rows, and the vacuum row is zero. Let the v noisy vertices be those
+    on the spec's edges, sorted, and the c = n - v others the rest. The
+    real orthonormal basis Q of W, shape (n + 1, r), holds the unit
+    vectors e_j of the noisy vertices, then u = 1_rest / sqrt(c), left
+    out when c = 0. With s = Q^T 1 = (1, ..., 1, sqrt(c)) and Q^T Q = I,
+
+        Q^T H Q = s s^T - I = [[J_v - I_v, sqrt(c) 1], [sqrt(c) 1^T, c - 1]],
+
+    and ||H|| = n - 1 (the spectrum is n - 1 once and -1 n - 1 times),
+    which serves both the step guard and the norm bound of each step.
+    H 1_rest = c 1 - 1_rest lies in W, so H keeps W, and the noise acts
+    inside it. The rest of the start state, psi_perp = psi0 - Q Q^T psi0,
+    keeps its vacuum entry, and its vertex entries sit on the rest and
+    sum to zero there, so they are an eigenvector of H at -1:
+
+        psi_perp(t) = psi_perp[0] |0> + e^{it} (psi_perp - psi_perp[0] |0>),
+
+    the same for every trajectory; ``moving`` is that vertex part.
+    ``operator`` is the (2r, 2r + 2v) term operator of _taylor_step for
+    Q^T H Q, so the noise block acts on the first v reduced rows, and
+    ``start`` the buffer rows of Q^T psi0. A state is read as
+    psi0 + Q (x - x0) + (e^{it} - 1) ``moving``, so a time of zero steps
+    returns psi0 as given.
     """
 
     edges: _EdgeBlock
@@ -350,26 +332,25 @@ class _Subspace:
     basis: np.ndarray
     operator: np.ndarray
     start: np.ndarray
-    modes: np.ndarray
-    energies: np.ndarray
-    weights: np.ndarray
+    moving: np.ndarray
 
     @classmethod
-    def of(cls, h: np.ndarray, h_norm: float, spec: NoiseSpec, psi0: np.ndarray) -> _Subspace:
-        edges = _EdgeBlock.of(spec, len(h))
-        dim, v = len(h), len(edges.rates)
-        noisy_rows = np.eye(dim, v, -edges.rows.start)
-        basis = _closure(h, h_norm, np.empty((dim, 0)), noisy_rows)
-        r = basis.shape[1]
-        operator = _term_operator(basis.T @ h @ basis, v)
+    def of(cls, spec: NoiseSpec, psi0: np.ndarray) -> _Subspace:
+        n = len(psi0) - 1
+        edges = _EdgeBlock.of(spec, n)
+        v = len(edges.vertices)
+        rest = np.setdiff1d(np.arange(1, n + 1), edges.vertices)
+        # s = Q^T 1: one per noisy vertex, then sqrt(c) for u, left out at c = 0
+        s = np.sqrt([1.0] * v + [len(rest)] * (len(rest) > 0))
+        basis = np.zeros((n + 1, len(s)))
+        basis[edges.vertices, np.arange(v)] = 1.0
+        basis[rest, v:] = 1.0 / s[v:]
+        operator = _term_operator(np.outer(s, s) - np.eye(len(s)), v)
         x0 = basis.T @ psi0
-        perp = psi0 - basis @ x0
-        closure = _closure(h, h_norm, basis, np.stack((perp.real, perp.imag), axis=1))[:, r:]
-        energies, vectors = np.linalg.eigh(closure.T @ h @ closure)
-        modes = closure @ vectors
+        moving = psi0 - basis @ x0
+        moving[0] = 0.0
         start = np.concatenate((x0.real, x0.imag))[:, np.newaxis]
-        weights = modes.T @ perp
-        return cls(edges, h_norm, psi0, basis, operator, start, modes, energies, weights)
+        return cls(edges, float(n - 1), psi0, basis, operator, start, moving)
 
     def buffer(self, batch: int) -> np.ndarray:
         """The batch buffer of _taylor_step with every column at psi0."""
@@ -378,12 +359,11 @@ class _Subspace:
         return states
 
     def rows(self, states: np.ndarray, t: float) -> np.ndarray:
-        """The (batch, dim) complex states of a buffer stepped to time t."""
+        """The (batch, n + 1) complex states of a buffer stepped to time t."""
         r, batch = self.basis.shape[1], states.shape[1]
         delta = states[: 2 * r] - self.start
         re, im = self.basis @ delta.reshape(2, r, batch)
-        shift = self.modes @ (np.expm1(-1j * self.energies * t) * self.weights)
-        return (re + 1j * im).T + (self.psi0 + shift)
+        return (re + 1j * im).T + (self.psi0 + np.expm1(1j * t) * self.moving)
 
 
 def _split_horizon(t: float, dt: float) -> tuple[int, float]:
@@ -436,7 +416,8 @@ def _sweep(
     marks = sorted((*_split_horizon(t, dt), i) for i, t in enumerate(times))
     n_rows = max(n_full + (remainder > 0) for n_full, remainder, _ in marks)
     noise = _noise_rows(rngs, n_rows, len(space.edges.first))
-    block = np.zeros((*space.edges.rates.shape, len(rngs)))
+    v = len(space.edges.vertices)
+    block = np.zeros((v, v, len(rngs)))
     states = space.buffer(len(rngs))
 
     def advance(states: np.ndarray, normals: np.ndarray, tau: float) -> np.ndarray:
@@ -452,34 +433,30 @@ def _sweep(
         yield i, space.rows(stepped, n_full * dt + remainder)
 
 
-def _validated(hamiltonian: np.ndarray, spec: NoiseSpec, dt: float, psi0: np.ndarray) -> _Subspace:
+def _validated(spec: NoiseSpec, dt: float, psi0: np.ndarray) -> _Subspace:
     """Check the inputs of a run; return psi0 split over the subspace the noise reaches.
 
-    The step bounds eta * dt <= 0.05 and ||H|| * dt <= 0.05 keep the
-    Taylor series of every step short.
+    The network is the complete graph on len(psi0) - 1 vertices. The
+    step bounds eta * dt <= 0.05 and ||H|| * dt <= 0.05 keep the Taylor
+    series of every step short.
     """
-    h = require_hermitian(hamiltonian)
-    if np.iscomplexobj(h) and np.any(h.imag):
-        raise ValueError("hamiltonian must be real: the kernel applies it as a real matrix")
-    h = np.ascontiguousarray(h.real, dtype=float)
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     eta_max = spec.max_strength()
     if eta_max * dt > 0.05:
         raise ValueError(f"eta * dt = {eta_max * dt:.3g} exceeds 0.05; shrink dt")
-    h_norm = float(np.abs(np.linalg.eigvalsh(h)).max())
-    if h_norm * dt > 0.05:
-        raise ValueError(f"||H|| * dt = {h_norm * dt:.3g} exceeds 0.05; shrink dt")
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (h.shape[0],):
-        raise ValueError(f"state shape {psi0.shape} does not match dimension {h.shape[0]}")
+    if psi0.ndim != 1 or len(psi0) < 2:
+        raise ValueError(f"state shape {psi0.shape} is not the vacuum plus n >= 1 vertices")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
-    return _Subspace.of(h, h_norm, spec, psi0)
+    space = _Subspace.of(spec, psi0)
+    if space.h_norm * dt > 0.05:
+        raise ValueError(f"||H|| * dt = {space.h_norm * dt:.3g} exceeds 0.05; shrink dt")
+    return space
 
 
 def evolve_trajectory(
-    hamiltonian: np.ndarray,
     spec: NoiseSpec,
     psi0: np.ndarray,
     t: float,
@@ -489,12 +466,13 @@ def evolve_trajectory(
 ) -> np.ndarray:
     """Integrate one noise realization, returning the endpoint state vector.
 
-    The Hamiltonian must be real. The final partial step (when t is not
-    a multiple of dt) uses the variance matched to its own length.
+    The network is the complete graph on len(psi0) - 1 vertices. The
+    final partial step (when t is not a multiple of dt) uses the
+    variance matched to its own length.
     Passing the master seed of an ensemble together with a trajectory
     index reproduces that member's noise stream.
     """
-    space = _validated(hamiltonian, spec, dt, psi0)
+    space = _validated(spec, dt, psi0)
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be nonnegative and finite, got {t}")
     rng = _stream(_require_key(seed, "seed"), _require_key(stream_index, "stream_index"))
@@ -504,24 +482,24 @@ def evolve_trajectory(
 
 def ensemble_average(
     plan: TrajectoryPlan,
-    hamiltonian: np.ndarray,
     psi0: np.ndarray,
     times: Sequence[float] | None = None,
 ) -> EnsembleResult | list[EnsembleResult]:
-    """Average |psi><psi| over the planned trajectory ensemble under a real Hamiltonian.
+    """Average |psi><psi| over the planned trajectory ensemble on the complete graph.
 
-    Without ``times`` the ensemble is read at ``plan.t_final`` and one
-    result is returned. With ``times`` (each in [0, plan.t_final]) every
-    batch is stepped once, up to the latest of them, and one result per
-    time is returned in their order; each is bit-identical to the
-    single-time ensemble at that time.
+    The network has len(psi0) - 1 vertices. Without ``times`` the
+    ensemble is read at ``plan.t_final`` and one result is returned.
+    With ``times`` (each in [0, plan.t_final]) every batch is stepped
+    once, up to the latest of them, and one result per time is returned
+    in their order; each is bit-identical to the single-time ensemble at
+    that time.
 
     Each batch's first moments and per-entry second moments are added to
     running sums, in batch order, as soon as the batch is done, so the
     memory held does not grow with ``plan.n_traj``. Standard errors come
     from the second moments.
     """
-    space = _validated(hamiltonian, plan.noise, plan.dt, psi0)
+    space = _validated(plan.noise, plan.dt, psi0)
     grid = [plan.t_final] if times is None else [float(t) for t in times]
     if not grid or not all(0.0 <= t <= plan.t_final for t in grid):
         raise ValueError(f"times must be a nonempty list within [0, t_final = {plan.t_final}]")

@@ -84,7 +84,7 @@ class TestCriterion2OracleTriple:
             plan = sn.TrajectoryPlan(
                 n_traj=20000, dt=1e-3, t_final=self.TIMES[-1], master_seed=SEED, noise=spec
             )
-            ensembles = sn.ensemble_average(plan, h, psi, times=self.TIMES)
+            ensembles = sn.ensemble_average(plan, psi, times=self.TIMES)
             liou = sn.complete_network_liouvillian(4, 2, eta)
             for t, ensemble in zip(self.TIMES, ensembles):
                 exact = lindblad.evolve_at_times(liou, start, [t])[0]

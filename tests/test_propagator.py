@@ -11,6 +11,7 @@ from spinnet.network import single_excitation_hamiltonian
 from spinnet.propagator import (
     BlochInput,
     ChannelParams,
+    _decode_matrix,
     avg_fidelity_given_decode,
     bloch_sphere_average,
     complete_graph_transfer_prob,
@@ -140,6 +141,23 @@ class TestAverageFidelity:
             closed = avg_fidelity_given_decode(params, u)
             quad = bloch_sphere_average(params, u)
             assert quad == pytest.approx(closed, abs=1e-9)
+
+    def test_quadrature_equals_pointwise_loop(self):
+        # the grid evaluated node by node from BlochInput's amplitudes
+        params, u = ChannelParams(0.5 + 0.2j, 0.7), np.exp(-0.31j)
+        decode = _decode_matrix(u)
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        total = 0.0
+        for mu, w in zip(nodes, weights):
+            for phi in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
+                a, b = BlochInput(math.acos(mu), phi).amplitudes()
+                p = abs(b) ** 2 * params.transfer_prob
+                coh = params.dephasing * params.amplitude * b * a.conjugate()
+                rho = np.array([[1.0 - p, coh.conjugate()], [coh, p]])
+                psi = np.array([a, b])
+                total += w * (psi.conj() @ decode @ rho @ decode.conj().T @ psi).real / 16
+        quad = bloch_sphere_average(params, u, n_polar=8, n_azimuth=16)
+        assert quad == pytest.approx(total / 2.0, abs=1e-15)
 
     def test_quadrature_converged_in_resolution(self):
         params = ChannelParams(0.5 + 0.2j, 0.7)

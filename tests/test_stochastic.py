@@ -29,17 +29,16 @@ PROBE = BlochInput(math.pi / 2, 0.0)
 
 
 def _setup(n=4, m=2, eta=1.0):
-    h = single_excitation_hamiltonian(n)
     spec = standard_noise_spec(n, m, eta)
     a, b = PROBE.amplitudes()
     psi = np.zeros(n + 1, dtype=complex)
     psi[0], psi[1] = a, b
-    return h, spec, psi
+    return spec, psi
 
 
 class TestTrajectoryPlan:
     def test_validation(self):
-        _, spec, _ = _setup()
+        spec, _ = _setup()
         with pytest.raises(ValueError):
             TrajectoryPlan(0, 1e-3, 1.0, 0, spec)
         with pytest.raises(ValueError):
@@ -50,7 +49,7 @@ class TestTrajectoryPlan:
             TrajectoryPlan(10, 1e-3, 1.0, 2**64, spec)
 
     def test_valid_plan_accepted(self):
-        _, spec, _ = _setup()
+        spec, _ = _setup()
         plan = TrajectoryPlan(10, 1e-3, 1.0, 7, spec)
         assert plan.n_traj == 10
 
@@ -58,87 +57,98 @@ class TestTrajectoryPlan:
         "field, run",
         [
             # 1.5 would run seed 1's streams, 2.5 two trajectories
-            ("master_seed", lambda h, spec, psi: TrajectoryPlan(10, 1e-3, 1.0, 1.5, spec)),
-            ("master_seed", lambda h, spec, psi: TrajectoryPlan(10, 1e-3, 1.0, True, spec)),
-            ("master_seed", lambda h, spec, psi: TrajectoryPlan(10, 1e-3, 1.0, -1, spec)),
-            ("master_seed", lambda h, spec, psi: TrajectoryPlan(10, 1e-3, 1.0, 2**64, spec)),
-            ("n_traj", lambda h, spec, psi: TrajectoryPlan(2.5, 1e-3, 1.0, 0, spec)),
-            ("n_traj", lambda h, spec, psi: TrajectoryPlan(True, 1e-3, 1.0, 0, spec)),
-            ("n_traj", lambda h, spec, psi: TrajectoryPlan(np.float64(10), 1e-3, 1.0, 0, spec)),
-            ("seed", lambda h, spec, psi: evolve_trajectory(h, spec, psi, 0.1, 1e-3, 2**64)),
-            ("seed", lambda h, spec, psi: evolve_trajectory(h, spec, psi, 0.1, 1e-3, -1)),
-            ("seed", lambda h, spec, psi: evolve_trajectory(h, spec, psi, 0.1, 1e-3, 1.0)),
-            ("stream_index", lambda h, spec, psi: evolve_trajectory(h, spec, psi, 0.1, 1e-3, 0, 2**64)),
-            ("stream_index", lambda h, spec, psi: evolve_trajectory(h, spec, psi, 0.1, 1e-3, 0, -3)),
-            ("stream_index", lambda h, spec, psi: evolve_trajectory(h, spec, psi, 0.1, 1e-3, 0, False)),
+            ("master_seed", lambda spec, psi: TrajectoryPlan(10, 1e-3, 1.0, 1.5, spec)),
+            ("master_seed", lambda spec, psi: TrajectoryPlan(10, 1e-3, 1.0, True, spec)),
+            ("master_seed", lambda spec, psi: TrajectoryPlan(10, 1e-3, 1.0, -1, spec)),
+            ("master_seed", lambda spec, psi: TrajectoryPlan(10, 1e-3, 1.0, 2**64, spec)),
+            ("n_traj", lambda spec, psi: TrajectoryPlan(2.5, 1e-3, 1.0, 0, spec)),
+            ("n_traj", lambda spec, psi: TrajectoryPlan(True, 1e-3, 1.0, 0, spec)),
+            ("n_traj", lambda spec, psi: TrajectoryPlan(np.float64(10), 1e-3, 1.0, 0, spec)),
+            ("seed", lambda spec, psi: evolve_trajectory(spec, psi, 0.1, 1e-3, 2**64)),
+            ("seed", lambda spec, psi: evolve_trajectory(spec, psi, 0.1, 1e-3, -1)),
+            ("seed", lambda spec, psi: evolve_trajectory(spec, psi, 0.1, 1e-3, 1.0)),
+            ("stream_index", lambda spec, psi: evolve_trajectory(spec, psi, 0.1, 1e-3, 0, 2**64)),
+            ("stream_index", lambda spec, psi: evolve_trajectory(spec, psi, 0.1, 1e-3, 0, -3)),
+            ("stream_index", lambda spec, psi: evolve_trajectory(spec, psi, 0.1, 1e-3, 0, False)),
         ],
     )
     def test_bad_seed_or_count_rejected_naming_field(self, field, run):
-        h, spec, psi = _setup()
+        spec, psi = _setup()
         with pytest.raises(ValueError, match=f"^{field} must"):
-            run(h, spec, psi)
+            run(spec, psi)
 
     def test_numpy_integers_accepted(self):
-        h, spec, psi = _setup()
+        spec, psi = _setup()
         plan = TrajectoryPlan(np.int64(3), 1e-3, 0.01, np.uint64(2**63 + 5), spec)
         assert type(plan.n_traj) is int and plan.master_seed == 2**63 + 5
-        want = ensemble_average(TrajectoryPlan(3, 1e-3, 0.01, 2**63 + 5, spec), h, psi)
-        assert np.array_equal(ensemble_average(plan, h, psi).rho_mean.rho, want.rho_mean.rho)
-        got = evolve_trajectory(h, spec, psi, 0.01, 1e-3, np.uint64(2**64 - 1), np.int32(2))
-        assert np.array_equal(got, evolve_trajectory(h, spec, psi, 0.01, 1e-3, 2**64 - 1, 2))
+        want = ensemble_average(TrajectoryPlan(3, 1e-3, 0.01, 2**63 + 5, spec), psi)
+        assert np.array_equal(ensemble_average(plan, psi).rho_mean.rho, want.rho_mean.rho)
+        got = evolve_trajectory(spec, psi, 0.01, 1e-3, np.uint64(2**64 - 1), np.int32(2))
+        assert np.array_equal(got, evolve_trajectory(spec, psi, 0.01, 1e-3, 2**64 - 1, 2))
 
     @pytest.mark.parametrize(
         "field, run",
         [
-            ("dt", lambda h, spec, psi: TrajectoryPlan(10, math.nan, 1.0, 0, spec)),
-            ("t_final", lambda h, spec, psi: TrajectoryPlan(10, 1e-3, math.inf, 0, spec)),
-            ("t_final", lambda h, spec, psi: TrajectoryPlan(10, 1e-3, math.nan, 0, spec)),
-            ("t", lambda h, spec, psi: evolve_trajectory(h, spec, psi, math.nan, 1e-3, 0)),
-            ("t", lambda h, spec, psi: evolve_trajectory(h, spec, psi, math.inf, 1e-3, 0)),
-            ("dt", lambda h, spec, psi: evolve_trajectory(h, spec, psi, 0.1, math.nan, 0)),
+            ("dt", lambda spec, psi: TrajectoryPlan(10, math.nan, 1.0, 0, spec)),
+            ("t_final", lambda spec, psi: TrajectoryPlan(10, 1e-3, math.inf, 0, spec)),
+            ("t_final", lambda spec, psi: TrajectoryPlan(10, 1e-3, math.nan, 0, spec)),
+            ("t", lambda spec, psi: evolve_trajectory(spec, psi, math.nan, 1e-3, 0)),
+            ("t", lambda spec, psi: evolve_trajectory(spec, psi, math.inf, 1e-3, 0)),
+            ("dt", lambda spec, psi: evolve_trajectory(spec, psi, 0.1, math.nan, 0)),
         ],
     )
     def test_non_finite_input_rejected_naming_field(self, field, run):
         # a NaN passes every comparison check, and an infinite horizon
         # would overflow the step count
-        h, spec, psi = _setup()
+        spec, psi = _setup()
         with pytest.raises(ValueError, match=f"^{field} must be"):
-            run(h, spec, psi)
+            run(spec, psi)
 
 
 class TestStepSampling:
-    """The engine's own noise draws, seen through one step of a trajectory.
+    """The engine's own noise draws, as one step's couplings.
 
-    Under a zero Hamiltonian with a single noisy edge (k, l), one step
-    of length dt started on k leaves sin^2(g dt) on l, where g is the
-    sampled coupling; for g ~ N(0, 2 eta / dt) that has mean
-    (1 - exp(-4 eta dt)) / 2 = 2 eta dt (1 - O(eta dt)).
+    Each edge's normal lands at the edge's two mirrored places in the
+    coupling block, times sqrt(2 eta / tau), so the coupling has
+    variance 2 eta / tau; nothing else in the block is written.
     """
 
-    def test_noise_moves_population_only_along_noisy_edge(self):
-        h = np.zeros((6, 6))
-        spec = NoiseSpec((4, 5), 1.0)
-        psi = np.zeros(6, dtype=complex)
-        psi[4] = 1.0
-        for j in range(20):
-            out = evolve_trajectory(h, spec, psi, 0.05, 1e-3, 3, stream_index=j)
-            assert np.all(out[[0, 1, 2, 3]] == 0.0)
-            assert abs(out[5]) > 0.0
-            assert abs(np.vdot(out, out).real - 1.0) < 1e-12
+    # every pair of {3, 4, 6} at its own rate, vertex 5 noiseless
+    SPEC = NoiseSpec((3, 4, 6), {(3, 4): 0.5, (3, 6): 2.0, (4, 6): 1.0})
 
-    def test_step_population_matches_coupling_variance(self):
-        eta = 2.0
-        h = np.zeros((5, 5))
-        spec = NoiseSpec((3, 4), eta)
-        psi = np.zeros(5, dtype=complex)
-        psi[3] = 1.0
-        for dt in (1e-3, 1e-4):
-            moved = [
-                abs(evolve_trajectory(h, spec, psi, dt, dt, 5, stream_index=j)[4]) ** 2
-                for j in range(4000)
-            ]
-            # relative standard error of the mean is sqrt(2 / 4000) = 2.2%
-            assert np.mean(moved) == pytest.approx(2 * eta * dt, rel=0.1)
+    def _couplings(self, tau, batch):
+        edges = stochastic._EdgeBlock.of(self.SPEC, 6)
+        rngs = [stochastic._stream(5, j) for j in range(batch)]
+        normals = next(stochastic._noise_rows(rngs, 1, len(edges.first))).copy()
+        block = np.full((3, 3, batch), np.nan)
+        block[[0, 1, 2], [0, 1, 2]] = 0.0
+        bound = edges.fill(block, normals, tau)
+        return edges, normals, block, bound
+
+    def test_couplings_land_only_on_their_edge(self):
+        tau = 1e-3
+        edges, normals, block, bound = self._couplings(tau, 64)
+        # the block covers exactly the noisy vertices, in sorted order
+        assert edges.vertices.tolist() == [3, 4, 6]
+        assert np.all(block[[0, 1, 2], [0, 1, 2]] == 0.0)
+        for e, ((k, l), eta) in enumerate(self.SPEC.edge_strengths().items()):
+            j, i = [3, 4, 6].index(k), [3, 4, 6].index(l)
+            assert (edges.first[e], edges.second[e]) == (j, i)
+            want = normals[e] * np.sqrt(2.0 * eta / tau)
+            assert np.array_equal(block[j, i], want)
+            assert np.array_equal(block[i, j], want)
+        # the returned bound holds for every column's coupling matrix
+        largest = np.abs(np.linalg.eigvalsh(block.transpose(2, 0, 1))).max()
+        assert largest <= bound
+
+    @pytest.mark.parametrize("tau", [1e-3, 1e-4])
+    def test_coupling_variance_is_two_eta_over_tau(self, tau):
+        # 4,000 trajectories: the relative standard error of a sample
+        # variance is sqrt(2 / 4000) = 2.2%
+        _, _, block, _ = self._couplings(tau, 4000)
+        for (k, l), eta in self.SPEC.edge_strengths().items():
+            j, i = [3, 4, 6].index(k), [3, 4, 6].index(l)
+            assert np.mean(block[j, i] ** 2) == pytest.approx(2 * eta / tau, rel=0.1)
 
 
 class TestStreams:
@@ -177,68 +187,71 @@ class TestStreams:
         assert len(np.random.SeedSequence().entropy.to_bytes(16, "little")) == 16
         assert calls, "the spy does not see numpy's entropy reads"
         calls.clear()
-        h, spec, psi = _setup()
-        ensemble_average(TrajectoryPlan(20, 1e-3, 0.01, 5, spec), h, psi)
-        evolve_trajectory(h, spec, psi, 0.01, 1e-3, 5, stream_index=3)
+        spec, psi = _setup()
+        ensemble_average(TrajectoryPlan(20, 1e-3, 0.01, 5, spec), psi)
+        evolve_trajectory(spec, psi, 0.01, 1e-3, 5, stream_index=3)
         assert calls == []
 
 
 class TestSingleTrajectory:
     def test_norm_preserved(self):
-        h, spec, psi = _setup()
-        out = evolve_trajectory(h, spec, psi, 1.0, 1e-3, 42)
+        spec, psi = _setup()
+        out = evolve_trajectory(spec, psi, 1.0, 1e-3, 42)
         assert np.vdot(out, out).real == pytest.approx(1.0, abs=1e-9)
 
     def test_deterministic_replay(self):
-        h, spec, psi = _setup()
-        a = evolve_trajectory(h, spec, psi, 0.8, 1e-3, 42, stream_index=3)
-        b = evolve_trajectory(h, spec, psi, 0.8, 1e-3, 42, stream_index=3)
+        spec, psi = _setup()
+        a = evolve_trajectory(spec, psi, 0.8, 1e-3, 42, stream_index=3)
+        b = evolve_trajectory(spec, psi, 0.8, 1e-3, 42, stream_index=3)
         assert np.array_equal(a, b)
 
     def test_streams_differ_by_index(self):
-        h, spec, psi = _setup()
-        a = evolve_trajectory(h, spec, psi, 0.8, 1e-3, 42, stream_index=0)
-        b = evolve_trajectory(h, spec, psi, 0.8, 1e-3, 42, stream_index=1)
+        spec, psi = _setup()
+        a = evolve_trajectory(spec, psi, 0.8, 1e-3, 42, stream_index=0)
+        b = evolve_trajectory(spec, psi, 0.8, 1e-3, 42, stream_index=1)
         assert np.max(np.abs(a - b)) > 1e-6
 
     def test_zero_time_is_identity(self):
-        h, spec, psi = _setup()
-        out = evolve_trajectory(h, spec, psi, 0.0, 1e-3, 0)
+        spec, psi = _setup()
+        out = evolve_trajectory(spec, psi, 0.0, 1e-3, 0)
         assert np.array_equal(out, psi)
 
     def test_zero_noise_matches_unitary(self):
-        h, spec, psi = _setup(4, 2, 0.0)
-        out = evolve_trajectory(h, spec, psi, 1.0, 1e-4, 0)
+        spec, psi = _setup(4, 2, 0.0)
+        out = evolve_trajectory(spec, psi, 1.0, 1e-4, 0)
         from spinnet.propagator import propagator_matrix
 
-        want = propagator_matrix(h, 1.0) @ psi
+        want = propagator_matrix(single_excitation_hamiltonian(4), 1.0) @ psi
         assert np.max(np.abs(out - want)) < 1e-8
 
-    def test_complex_hamiltonian_rejected(self):
-        # Hermitian but not real: the kernel applies H as a real matrix
-        _, spec, psi = _setup()
-        h = np.zeros((5, 5), dtype=complex)
-        h[1, 2], h[2, 1] = 1j, -1j
-        with pytest.raises(ValueError, match="hamiltonian"):
-            evolve_trajectory(h, spec, psi, 0.1, 1e-3, 0)
-        with pytest.raises(ValueError, match="hamiltonian"):
-            ensemble_average(TrajectoryPlan(4, 1e-3, 0.1, 0, spec), h, psi)
-        # a complex array holding a real matrix is accepted
-        real = single_excitation_hamiltonian(4)
-        out = evolve_trajectory(real.astype(complex), spec, psi, 0.1, 1e-3, 0)
-        assert np.array_equal(out, evolve_trajectory(real, spec, psi, 0.1, 1e-3, 0))
-
     def test_unnormalized_start_rejected(self):
-        h, spec, psi = _setup()
+        spec, psi = _setup()
         with pytest.raises(ValueError):
-            evolve_trajectory(h, spec, 2.0 * psi, 1.0, 1e-3, 0)
+            evolve_trajectory(spec, 2.0 * psi, 1.0, 1e-3, 0)
+
+    @pytest.mark.parametrize("psi", [np.ones(1), np.eye(5) / math.sqrt(5)])
+    def test_state_without_a_vertex_rejected(self, psi):
+        spec = NoiseSpec((), 0.0)
+        with pytest.raises(ValueError, match="state shape"):
+            evolve_trajectory(spec, psi, 0.1, 1e-3, 0)
+
+    @pytest.mark.parametrize("vertices, bad", [((3, 5), 5), ((0, 3), 0)])
+    def test_noisy_vertex_outside_network_rejected(self, vertices, bad):
+        # n = 4: vertex 5 is not in the network, and 0 is the vacuum
+        _, psi = _setup()
+        with pytest.raises(ValueError, match=f"noisy vertex {bad} outside 1..4"):
+            evolve_trajectory(NoiseSpec(vertices, 1.0), psi, 0.1, 1e-3, 0)
 
     def test_step_load_guard(self):
         # eta dt and ||H|| dt are both capped; a huge rate at the
         # default step must be rejected, not silently integrated
-        h, spec, psi = _setup(4, 2, 1000.0)
-        with pytest.raises(ValueError):
-            evolve_trajectory(h, spec, psi, 1.0, 1e-3, 0)
+        spec, psi = _setup(4, 2, 1000.0)
+        with pytest.raises(ValueError, match="eta"):
+            evolve_trajectory(spec, psi, 1.0, 1e-3, 0)
+        # ||H|| = n - 1 on the complete graph, so ||H|| dt = 0.059 at n = 60
+        spec, psi = _setup(60, 2, 1.0)
+        with pytest.raises(ValueError, match=r"\|\|H\|\| \* dt = 0.059"):
+            evolve_trajectory(spec, psi, 1.0, 1e-3, 0)
 
 
 class TestEnsemble:
@@ -249,14 +262,14 @@ class TestEnsemble:
         # asked for 20 times over, so the grid is long but the run takes
         # only 19 steps.
         monkeypatch.setattr(stochastic, "_BATCH", 16)
-        h, spec, psi = _setup(10, 2)
+        spec, psi = _setup(10, 2)
         times = np.repeat(np.arange(20) * 1e-3, 20)
         peaks = []
         for batches in (2, 16):
             plan = TrajectoryPlan(16 * batches, 1e-3, times[-1], 7, spec)
             tracemalloc.start()
             try:
-                ensemble_average(plan, h, psi, times=times)
+                ensemble_average(plan, psi, times=times)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -266,13 +279,13 @@ class TestEnsemble:
         # n = 20, one trajectory read at each of 2,000 steps: the running
         # sums take 2,000 x 21^2 x 24 bytes, 20.2 MiB, and the means and
         # standard errors are made from them in place
-        h, spec, psi = _setup(20, 2)
+        spec, psi = _setup(20, 2)
         dt = 2e-3
         times = np.arange(1, 2001) * dt
         plan = TrajectoryPlan(1, dt, times[-1], 3, spec)
         tracemalloc.start()
         try:
-            ensemble_average(plan, h, psi, times=times)
+            ensemble_average(plan, psi, times=times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -280,9 +293,9 @@ class TestEnsemble:
         assert peak < 1.3 * sums
 
     def test_mean_is_valid_state(self):
-        h, spec, psi = _setup()
+        spec, psi = _setup()
         plan = TrajectoryPlan(50, 1e-3, 0.5, 9, spec)
-        r = ensemble_average(plan, h, psi)
+        r = ensemble_average(plan, psi)
         rho = r.rho_mean.rho
         assert abs(np.trace(rho).real - 1.0) < 1e-9
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
@@ -290,25 +303,25 @@ class TestEnsemble:
     def test_ensemble_contains_replayable_trajectories(self):
         # trajectory j of a run is exactly evolve_trajectory with
         # stream index j; averaging the replays reproduces the mean
-        h, spec, psi = _setup()
+        spec, psi = _setup()
         plan = TrajectoryPlan(5, 1e-3, 0.4, 77, spec)
-        r = ensemble_average(plan, h, psi)
+        r = ensemble_average(plan, psi)
         acc = np.zeros((len(psi), len(psi)), dtype=complex)
         for j in range(plan.n_traj):
-            v = evolve_trajectory(h, spec, psi, plan.t_final, plan.dt, 77, stream_index=j)
+            v = evolve_trajectory(spec, psi, plan.t_final, plan.dt, 77, stream_index=j)
             acc += np.outer(v, v.conj())
         assert np.max(np.abs(acc / plan.n_traj - r.rho_mean.rho)) < 1e-12
 
     def test_moments_match_einsum_form(self):
         # the running sums are BLAS products; the einsum sums over the
         # replayed trajectories give the same means and standard errors
-        h, spec, psi = _setup(6, 4)
+        spec, psi = _setup(6, 4)
         times = [0.05, 0.1]
         plan = TrajectoryPlan(64, 1e-3, times[-1], 21, spec)
-        results = ensemble_average(plan, h, psi, times=times)
+        results = ensemble_average(plan, psi, times=times)
         for t, r in zip(times, results):
             states = np.array(
-                [evolve_trajectory(h, spec, psi, t, plan.dt, 21, stream_index=j) for j in range(64)]
+                [evolve_trajectory(spec, psi, t, plan.dt, 21, stream_index=j) for j in range(64)]
             )
             pops = np.abs(states) ** 2
             mean = np.einsum("bi,bj->ij", states, states.conj()) / 64
@@ -320,18 +333,18 @@ class TestEnsemble:
             assert np.max(np.abs(r.std_err**2 - variance)) < 1e-15
 
     def test_converges_to_master_equation(self):
-        h, spec, psi = _setup(4, 2, 1.0)
+        spec, psi = _setup(4, 2, 1.0)
         plan = TrajectoryPlan(800, 1e-3, 1.0, 1234, spec)
-        r = ensemble_average(plan, h, psi)
+        r = ensemble_average(plan, psi)
         liou = complete_network_liouvillian(4, 2, 1.0)
         want = evolve_at_times(liou, initial_network_state(4, 1, PROBE), [1.0])[0].rho
         diff = np.abs(r.rho_mean.rho - want)
         assert np.all(diff <= 4.0 * np.maximum(r.std_err, 1e-12))
 
     def test_std_err_shrinks_with_ensemble_size(self):
-        h, spec, psi = _setup()
-        small = ensemble_average(TrajectoryPlan(100, 1e-3, 0.5, 5, spec), h, psi)
-        large = ensemble_average(TrajectoryPlan(900, 1e-3, 0.5, 5, spec), h, psi)
+        spec, psi = _setup()
+        small = ensemble_average(TrajectoryPlan(100, 1e-3, 0.5, 5, spec), psi)
+        large = ensemble_average(TrajectoryPlan(900, 1e-3, 0.5, 5, spec), psi)
         # 9x the samples cuts the error about 3x on the big entries
         ratio = small.std_err[1, 1] / large.std_err[1, 1]
         assert 2.0 < ratio < 4.5
@@ -339,9 +352,9 @@ class TestEnsemble:
     def test_fractional_final_step(self):
         # horizon not divisible by dt lands exactly on t_final with a
         # shortened last step at matching variance
-        h, spec, psi = _setup()
+        spec, psi = _setup()
         plan = TrajectoryPlan(20, 1e-3, 0.5005, 3, spec)
-        r = ensemble_average(plan, h, psi)
+        r = ensemble_average(plan, psi)
         assert abs(np.trace(r.rho_mean.rho).real - 1.0) < 1e-9
 
 
@@ -365,12 +378,12 @@ def _row_kernel(states, h, pairs, couplings, tau):
 
 
 def _full_space(h, spec):
-    """The kernel's layout over the whole space: the row order, noisy rows
-    first, and the term operator of H in that order."""
-    edges = stochastic._EdgeBlock.of(spec, h.shape[0])
-    everything = np.arange(h.shape[0])
-    order = np.r_[everything[edges.rows], np.delete(everything, edges.rows)]
-    return order, stochastic._term_operator(h[np.ix_(order, order)], len(edges.rates))
+    """The kernel's layout over the whole space: the noisy edges, the row
+    order, noisy rows first, and the term operator of H in that order."""
+    edges = stochastic._EdgeBlock.of(spec, len(h) - 1)
+    order = np.r_[edges.vertices, np.delete(np.arange(len(h)), edges.vertices)]
+    operator = stochastic._term_operator(h[np.ix_(order, order)], len(edges.vertices))
+    return edges, order, operator
 
 
 def _buffer(rows, order, operator):
@@ -388,12 +401,16 @@ def _unbuffer(states, order):
     return rows.T
 
 
-def _kernel_step(states, operator, h, spec, normals, tau):
+def _kernel_step(states, operator, h_norm, edges, normals, tau):
     """One step of the kernel on a buffer, driven by normals of shape (edges, batch)."""
-    edges = stochastic._EdgeBlock.of(spec, h.shape[0])
-    block = np.zeros((*edges.rates.shape, states.shape[1]))
-    norm = np.abs(np.linalg.eigvalsh(h)).max() + edges.fill(block, normals, tau)
+    v = len(edges.vertices)
+    block = np.zeros((v, v, states.shape[1]))
+    norm = h_norm + edges.fill(block, normals, tau)
     return stochastic._taylor_step(states, operator, block, tau, norm)
+
+
+def _norm(h):
+    return float(np.abs(np.linalg.eigvalsh(h)).max())
 
 
 def _unit_rows(rng, batch, dim):
@@ -433,14 +450,14 @@ class TestStepKernel:
         pairs, strengths = list(edges), np.array(list(edges.values()))
         rng = np.random.default_rng(batch + 100 * n)
         rows = _unit_rows(rng, batch, n + 1)
-        order, operator = _full_space(h, spec)
+        edges, order, operator = _full_space(h, spec)
         states = _buffer(rows, order, operator)
         dt = 1e-3
         for tau in [dt] * 50 + [0.4 * dt]:
             normals = rng.standard_normal((batch, len(pairs)))
             couplings = normals * np.sqrt(2.0 * strengths / tau)
             rows = _row_kernel(rows, h.astype(complex), pairs, couplings, tau)
-            states = _kernel_step(states, operator, h, spec, normals.T, tau)
+            states = _kernel_step(states, operator, _norm(h), edges, normals.T, tau)
         out = _unbuffer(states, order)
         assert out.shape == (batch, n + 1)
         assert np.max(np.abs(out - rows)) < 1e-14
@@ -453,20 +470,20 @@ class TestStepKernel:
 
         n, dt, batch = 6, 1e-3, 2049
         h = single_excitation_hamiltonian(n)
-        h *= 0.05 / (dt * np.abs(np.linalg.eigvalsh(h)).max())
+        h *= 0.05 / (dt * _norm(h))
         spec = standard_noise_spec(n, n - 2, 0.05 / dt)
-        edges = spec.edge_strengths()
+        strengths = spec.edge_strengths()
         rng = np.random.default_rng(11)
         rows = _unit_rows(rng, batch, n + 1)
-        normals = rng.standard_normal((len(edges), batch))
-        order, operator = _full_space(h, spec)
-        states = _kernel_step(_buffer(rows, order, operator), operator, h, spec, normals, dt)
-        out = _unbuffer(states, order)
+        normals = rng.standard_normal((len(strengths), batch))
+        edges, order, operator = _full_space(h, spec)
+        states = _buffer(rows, order, operator)
+        out = _unbuffer(_kernel_step(states, operator, _norm(h), edges, normals, dt), order)
         assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-12
-        sigma = np.sqrt(2.0 * np.array(list(edges.values())) / dt)
+        sigma = np.sqrt(2.0 * np.array(list(strengths.values())) / dt)
         for b in range(5):
             a = h.copy()
-            for (k, l), g in zip(edges, sigma * normals[:, b]):
+            for (k, l), g in zip(strengths, sigma * normals[:, b]):
                 a[k, l] += g
                 a[l, k] += g
             assert np.max(np.abs(out[b] - expm(-1j * dt * a) @ rows[b])) < 1e-13
@@ -485,7 +502,7 @@ class TestStepKernel:
         psi[1] = 1.0
         sigma = np.sqrt(2.0 * eta / dt)
         for j in range(2):
-            out = evolve_trajectory(h, spec, psi, dt, dt, seed, stream_index=j)
+            out = evolve_trajectory(spec, psi, dt, dt, seed, stream_index=j)
             rng = np.random.Generator(np.random.Philox(key=[seed, j]))
             normals = rng.standard_normal(len(edges))
             a = h.astype(complex)
@@ -494,7 +511,7 @@ class TestStepKernel:
                 a[l, k] += g
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
             assert np.max(np.abs(out - expm(-1j * dt * a) @ psi)) < 1e-12
-        r = ensemble_average(TrajectoryPlan(8, dt, 2.5 * dt, seed, spec), h, psi)
+        r = ensemble_average(TrajectoryPlan(8, dt, 2.5 * dt, seed, spec), psi)
         assert abs(np.trace(r.rho_mean.rho).real - 1.0) < 1e-12
 
     def test_term_count_bounds_the_tail(self):
@@ -508,14 +525,11 @@ class TestStepKernel:
             stochastic._term_count(math.nan)
 
 
-def _path_hamiltonian(n):
-    """H of the path 1 - 2 - ... - n, vacuum included."""
-    return np.pad(np.eye(n, k=1) + np.eye(n, k=-1), (1, 0))
-
-
-def _full_space_trajectory(h, spec, psi, t, dt, seed, index):
-    """One trajectory stepped by the row kernel over every row, on the
-    noise the engine draws: the whole horizon's normals, then a tail row."""
+def _full_space_trajectory(spec, psi, t, dt, seed, index):
+    """One trajectory stepped by the row kernel over every row of the
+    complete graph, on the noise the engine draws: the whole horizon's
+    normals, then a tail row."""
+    h = single_excitation_hamiltonian(len(psi) - 1)
     edges = spec.edge_strengths()
     pairs, strengths = list(edges), np.array(list(edges.values()))
     rng = stochastic._stream(seed, index)
@@ -531,19 +545,14 @@ def _full_space_trajectory(h, spec, psi, t, dt, seed, index):
 
 
 class TestReduction:
-    """Trajectories stepped in W, the H-closure of the noisy rows, plus the
-    exact evolution of the rest, against the whole space."""
+    """Trajectories stepped in W, the noisy vertices plus the uniform rest,
+    plus the exact phase of the rest of the start state, against the
+    whole space."""
 
     @pytest.mark.parametrize("start", ["probe", "random"])
-    @pytest.mark.parametrize(
-        "h, spec",
-        [(single_excitation_hamiltonian(n), spec) for n, spec in SPECS]
-        # W is the whole excitation space of a path noisy at one end
-        + [(_path_hamiltonian(7), NoiseSpec((6, 7), 1.0))],
-        ids=[*SPEC_IDS, "path"],
-    )
-    def test_matches_full_space_reference(self, h, spec, start):
-        dim = len(h)
+    @pytest.mark.parametrize("n, spec", SPECS, ids=SPEC_IDS)
+    def test_matches_full_space_reference(self, n, spec, start):
+        dim = n + 1
         if start == "probe":
             a, b = PROBE.amplitudes()
             psi = np.zeros(dim, dtype=complex)
@@ -553,54 +562,88 @@ class TestReduction:
         t, dt, seed, n_traj = 0.0304, 1e-3, 11, 5
         want = np.zeros((dim, dim), dtype=complex)
         for j in range(n_traj):
-            ref = _full_space_trajectory(h, spec, psi, t, dt, seed, j)
-            got = evolve_trajectory(h, spec, psi, t, dt, seed, stream_index=j)
+            ref = _full_space_trajectory(spec, psi, t, dt, seed, j)
+            got = evolve_trajectory(spec, psi, t, dt, seed, stream_index=j)
             assert np.max(np.abs(got - ref)) < 1e-13
             want += np.outer(ref, ref.conj()) / n_traj
-        mean = ensemble_average(TrajectoryPlan(n_traj, dt, t, seed, spec), h, psi).rho_mean.rho
+        mean = ensemble_average(TrajectoryPlan(n_traj, dt, t, seed, spec), psi).rho_mean.rho
         assert np.max(np.abs(mean - want)) < 1e-13
 
-    def test_path_steps_the_whole_excitation_space(self):
-        h = _path_hamiltonian(7)
-        space = _space(h, NoiseSpec((6, 7), 1.0), PROBE)
-        assert space.basis.shape == (8, 7)
-        # only the vacuum is left outside W, and it does not move
-        assert space.modes.shape == (8, 1)
-        assert space.energies.tolist() == [0.0]
+    @pytest.mark.parametrize(
+        "n, spec",
+        [*SPECS, (4, NoiseSpec((), 0.0)), (5, NoiseSpec((4,), 1.0)),
+         (4, NoiseSpec((1, 2, 3, 4), 1.0))],
+        ids=[*SPEC_IDS, "m0", "m1", "all-noisy"],
+    )
+    def test_closed_form_is_h_on_w(self, n, spec):
+        h = single_excitation_hamiltonian(n)
+        space = _space(n, spec, PROBE)
+        q = space.basis
+        r = q.shape[1]
+        assert np.max(np.abs(q.T @ q - np.eye(r))) < 1e-15
+        # W is H-invariant, and the closed form is Q^T H Q
+        assert np.max(np.abs(h @ q - q @ (q.T @ h @ q))) < 1e-14
+        assert np.max(np.abs(space.operator[:r, r : 2 * r] - q.T @ h @ q)) < 1e-14
+        assert space.h_norm == pytest.approx(_norm(h), abs=1e-12)
+        # the rest of the start state is an eigenvector of H at -1
+        assert space.moving[0] == 0.0
+        assert np.max(np.abs(q.T @ space.moving)) < 1e-15
+        assert np.max(np.abs(h @ space.moving + space.moving)) < 1e-15
 
     @pytest.mark.parametrize("n, m", [(4, 2), (6, 2), (6, 4), (1002, 2)])
     def test_complete_graph_steps_v_plus_one_rows(self, n, m):
-        h = single_excitation_hamiltonian(n)
-        space = _space(h, standard_noise_spec(n, m, 1.0), PROBE)
+        space = _space(n, standard_noise_spec(n, m, 1.0), PROBE)
         assert space.basis.shape == (n + 1, m + 1)
         assert space.operator.shape == (2 * (m + 1), 2 * (m + 1) + 2 * m)
-        # the rest of the probe: the vacuum and (e_i - e_o) / 2
-        assert space.modes.shape == (n + 1, 2)
+        # the rest of the probe: b (e_i - 1_rest / (n - m)) over the rest
+        b = PROBE.amplitudes()[1]
+        want = np.zeros(n + 1, dtype=complex)
+        want[1 : n - m + 1] = -b / (n - m)
+        want[1] += b
+        assert np.max(np.abs(space.moving - want)) < 1e-15
+
+    def test_gapped_set_steps_only_its_noisy_rows(self):
+        # (3, 5) at n = 7: the block is 2 x 2, and vertex 4 is in u
+        space = _space(7, NoiseSpec((3, 5), 1.0), PROBE)
+        assert space.edges.vertices.tolist() == [3, 5]
+        assert space.basis.shape == (8, 3)
+        assert np.count_nonzero(space.basis[:, 2]) == 5
 
     def test_thousand_vertices_match_lumped_master_equation(self):
         # n = 1,002, m = 2: three stepped rows out of 1,003
         n, m, eta, t, dt = 1002, 2, 100.0, 0.01, 4e-5
-        h = single_excitation_hamiltonian(n)
         a, b = PROBE.amplitudes()
         psi = np.zeros(n + 1, dtype=complex)
         psi[0], psi[1] = a, b
         plan = TrajectoryPlan(256, dt, t, 5, standard_noise_spec(n, m, eta))
-        r = ensemble_average(plan, h, psi)
+        r = ensemble_average(plan, psi)
         lumped = LumpedLiouvillian(n, m, eta).evolve([t])
         oo, o0 = lumped.rho_oo[0], lumped.rho_o0[0]
         assert abs(r.rho_mean.rho[2, 2].real - oo) <= 4.0 * r.std_err[2, 2]
         assert abs(r.rho_mean.rho[2, 0] - o0) <= 4.0 * r.std_err[2, 0]
 
+    def test_trajectory_memory_bounded_at_any_n(self):
+        # n = 2,002, m = 2: an (n+1) x (n+1) H alone would take 32 MB
+        n, dt = 2002, 2e-5
+        spec, psi = _setup(n, 2, 1.0)
+        tracemalloc.start()
+        try:
+            out = evolve_trajectory(spec, psi, 5 * dt, dt, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+        assert peak < 5 << 20
 
-def _space(h, spec, state):
+
+def _space(n, spec, state):
     a, b = state.amplitudes()
-    psi = np.zeros(len(h), dtype=complex)
+    psi = np.zeros(n + 1, dtype=complex)
     psi[0], psi[1] = a, b
-    h_norm = float(np.abs(np.linalg.eigvalsh(h)).max())
-    return stochastic._Subspace.of(h, h_norm, spec, psi)
+    return stochastic._Subspace.of(spec, psi)
 
 
-def _restart_reference(h, spec, psi, t, dt, seed, index):
+def _restart_reference(spec, psi, t, dt, seed, index):
     """One trajectory by the restart schedule: from t = 0, the whole
     horizon's noise in one draw, the full steps, then a tail step on
     the next normals at the variance of the tail's length, all in the
@@ -608,14 +651,14 @@ def _restart_reference(h, spec, psi, t, dt, seed, index):
     rng = stochastic._stream(seed, index)
     n_edges = len(spec.edge_strengths())
     n_full, remainder = stochastic._split_horizon(t, dt)
-    h_norm = float(np.abs(np.linalg.eigvalsh(h)).max())
-    space = stochastic._Subspace.of(h, h_norm, spec, psi)
+    space = stochastic._Subspace.of(spec, psi)
     states = space.buffer(1)
+    step = (states, space.operator, space.h_norm, space.edges)
     for row in rng.standard_normal((n_full, n_edges)):
-        _kernel_step(states, space.operator, h, spec, row[:, np.newaxis], dt)
+        _kernel_step(*step, row[:, np.newaxis], dt)
     if remainder:
         row = rng.standard_normal((1, n_edges))
-        _kernel_step(states, space.operator, h, spec, row.T, remainder)
+        _kernel_step(*step, row.T, remainder)
     return space.rows(states, n_full * dt + remainder)[0]
 
 
@@ -638,16 +681,16 @@ class TestTimeGrid:
             assert np.array_equal(a.std_err, b.std_err)
 
     def test_trajectory_matches_restart_schedule(self, monkeypatch):
-        h, spec, psi = _setup(5, 3)
+        spec, psi = _setup(5, 3)
         for chunk in (1, 7, stochastic._CHUNK):
             monkeypatch.setattr(stochastic, "_CHUNK", chunk)
             for t in self.TIMES:
-                got = evolve_trajectory(h, spec, psi, t, 1e-3, 42, stream_index=5)
-                assert np.array_equal(got, _restart_reference(h, spec, psi, t, 1e-3, 42, 5))
+                got = evolve_trajectory(spec, psi, t, 1e-3, 42, stream_index=5)
+                assert np.array_equal(got, _restart_reference(spec, psi, t, 1e-3, 42, 5))
 
-    def _separate(self, h, spec, psi, n_traj):
+    def _separate(self, spec, psi, n_traj):
         return [
-            ensemble_average(TrajectoryPlan(n_traj, 1e-3, t, 42, spec), h, psi)
+            ensemble_average(TrajectoryPlan(n_traj, 1e-3, t, 42, spec), psi)
             for t in self.TIMES
         ]
 
@@ -655,43 +698,43 @@ class TestTimeGrid:
         # batches of 128 make 300 trajectories three batches, the last
         # partial, so the batch-order sums are exercised
         monkeypatch.setattr(stochastic, "_BATCH", 128)
-        h, spec, psi = _setup(5, 3)
+        spec, psi = _setup(5, 3)
         plan = TrajectoryPlan(300, 1e-3, self.TIMES[-1], 42, spec)
-        multi = ensemble_average(plan, h, psi, times=self.TIMES)
-        self._assert_same(multi, self._separate(h, spec, psi, 300))
+        multi = ensemble_average(plan, psi, times=self.TIMES)
+        self._assert_same(multi, self._separate(spec, psi, 300))
         # the order of the requested times is the order of the results
-        backwards = ensemble_average(plan, h, psi, times=self.TIMES[::-1])
+        backwards = ensemble_average(plan, psi, times=self.TIMES[::-1])
         self._assert_same(backwards[::-1], multi)
 
     def test_chunk_length_does_not_change_bytes(self, monkeypatch):
-        h, spec, psi = _setup(5, 3)
+        spec, psi = _setup(5, 3)
         plan = TrajectoryPlan(40, 1e-3, self.TIMES[-1], 42, spec)
-        want = ensemble_average(plan, h, psi, times=self.TIMES)
+        want = ensemble_average(plan, psi, times=self.TIMES)
         for chunk in (1, 7):
             monkeypatch.setattr(stochastic, "_CHUNK", chunk)
-            self._assert_same(ensemble_average(plan, h, psi, times=self.TIMES), want)
+            self._assert_same(ensemble_average(plan, psi, times=self.TIMES), want)
 
     def test_times_outside_horizon_rejected(self):
-        h, spec, psi = _setup()
+        spec, psi = _setup()
         plan = TrajectoryPlan(4, 1e-3, 0.2, 42, spec)
         with pytest.raises(ValueError, match="times"):
-            ensemble_average(plan, h, psi, times=[0.1, 0.3])
+            ensemble_average(plan, psi, times=[0.1, 0.3])
         with pytest.raises(ValueError, match="times"):
-            ensemble_average(plan, h, psi, times=[])
+            ensemble_average(plan, psi, times=[])
 
     def test_noise_memory_does_not_grow_with_horizon(self, monkeypatch):
         # one batch of 256 trajectories on three noisy edges; a draw of
         # the whole horizon would hold 256 x steps x 3 normals at once,
         # a chunk of 32 steps holds 256 x 32 x 3
         monkeypatch.setattr(stochastic, "_CHUNK", 32)
-        h, spec, psi = _setup(5, 3, 1.0)
+        spec, psi = _setup(5, 3, 1.0)
         edges = len(spec.edge_strengths())
         peaks = []
         for t_final in (0.2, 0.8):
             plan = TrajectoryPlan(256, 1e-3, t_final, 7, spec)
             tracemalloc.start()
             try:
-                ensemble_average(plan, h, psi)
+                ensemble_average(plan, psi)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -704,14 +747,13 @@ class TestTimeGrid:
         # steps. The noise of one step is 2,048 x 703 normals; the run
         # holds at most four times that, the coupling block included.
         n, batch = 40, 2048
-        h = single_excitation_hamiltonian(n)
         spec = standard_noise_spec(n, n - 2, 1.0)
         psi = np.zeros(n + 1, dtype=complex)
         psi[1] = 1.0
         plan = TrajectoryPlan(batch, 1e-3, 2e-3, 7, spec)
         tracemalloc.start()
         try:
-            ensemble_average(plan, h, psi)
+            ensemble_average(plan, psi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -769,10 +811,11 @@ class TestEngineIndependence:
             if module != "network" and name not in self.ALLOWED.get(module, ())
         }
 
-    def test_stochastic_imports_only_network_and_network_state(self):
+    def test_stochastic_imports_only_noise_spec_and_network_state(self):
+        # the engine models the complete graph itself: it takes no H
         source = inspect.getsource(stochastic)
         assert self._foreign(source) == set()
-        assert ("lindblad", "NetworkState") in _package_imports(source)
+        assert _package_imports(source) == {("lindblad", "NetworkState"), ("network", "NoiseSpec")}
 
     @pytest.mark.parametrize(
         "line",
