@@ -22,16 +22,16 @@ from .analytics import (
     zeno_limit_channel,
 )
 from .lindblad import (
+    DenseStates,
     FidelityCurve,
     Liouvillian,
     LumpedLiouvillian,
-    NetworkState,
     build_liouvillian,
     complete_network_liouvillian,
     evolve_at_times,
-    extract_channel,
     fidelity_curve,
     initial_network_state,
+    probe_vector,
 )
 from .network import (
     INPUT_VERTEX,
@@ -77,12 +77,12 @@ __all__ = [
     "ChannelParams",
     "ConsistencyCheck",
     "ConsistencyReport",
+    "DenseStates",
     "EnsembleResult",
     "FidelityCurve",
     "FourNodeClosedForm",
     "Liouvillian",
     "LumpedLiouvillian",
-    "NetworkState",
     "NoiseSpec",
     "ReportConfig",
     "TrajectoryPlan",
@@ -102,7 +102,6 @@ __all__ = [
     "ensemble_average",
     "evolve_at_times",
     "evolve_trajectory",
-    "extract_channel",
     "fidelity_curve",
     "first_order_numeric",
     "four_node_closed_form",
@@ -112,6 +111,7 @@ __all__ = [
     "network_reduction_check",
     "optimal_avg_fidelity",
     "printed_weak_noise_channel",
+    "probe_vector",
     "propagator_matrix",
     "single_excitation_hamiltonian",
     "standard_noise_spec",

@@ -306,7 +306,7 @@ def _check_trajectories(config: ReportConfig) -> ConsistencyCheck:
     n, m, eta, t = 4, 2, 1.0, 1.0
     liouville = lindblad.complete_network_liouvillian(n, m, eta)
     start = lindblad.initial_network_state(n, INPUT_VERTEX, lindblad.PROBE)
-    target = lindblad.evolve_at_times(liouville, start, [t])[0]
+    target = lindblad.evolve_at_times(liouville, start, [t]).rho[0]
     plan = stochastic.TrajectoryPlan(
         n_traj=config.n_traj,
         dt=config.dt,
@@ -314,18 +314,16 @@ def _check_trajectories(config: ReportConfig) -> ConsistencyCheck:
         master_seed=config.seed,
         noise=standard_noise_spec(n, m, eta),
     )
-    a, b = lindblad.PROBE.amplitudes()
-    psi = np.zeros(n + 1, dtype=complex)
-    psi[0], psi[INPUT_VERTEX] = a, b
-    result = stochastic.ensemble_average(plan, psi)
-    excess = np.abs(result.rho_mean.rho - target.rho) - 3.0 * result.std_err
+    result = stochastic.ensemble_average(plan, lindblad.probe_vector(n, INPUT_VERTEX))
+    mean = result.rho_mean.rho[0]
+    excess = np.abs(mean - target) - 3.0 * result.std_err[0]
     disc = max(float(excess.max()), 0.0)
     return ConsistencyCheck(
         name="lindblad-vs-trajectories",
         oracle="trajectory ensemble mean (independent stochastic route)",
         parameters={"n": n, "m": m, "eta": eta, "t": t, "n_traj": config.n_traj, "dt": config.dt},
-        reference=_fmt(target.rho[OUTPUT_VERTEX, OUTPUT_VERTEX].real),
-        engine=_fmt(result.rho_mean.rho[OUTPUT_VERTEX, OUTPUT_VERTEX].real),
+        reference=_fmt(target[OUTPUT_VERTEX, OUTPUT_VERTEX].real),
+        engine=_fmt(mean[OUTPUT_VERTEX, OUTPUT_VERTEX].real),
         discrepancy=disc,
         tolerance=1e-9,
         engine_grade=True,

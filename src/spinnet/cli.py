@@ -337,9 +337,6 @@ def _engine_curve(config: ExperimentConfig, times: np.ndarray) -> lindblad.Fidel
 
     spec = config.noise_spec()
     spec.validate_for(config.n, *pair)
-    a, b = lindblad.PROBE.amplitudes()
-    psi = np.zeros(config.n + 1, dtype=complex)
-    psi[0], psi[config.input_vertex] = a, b
     plan = stochastic.TrajectoryPlan(
         n_traj=config.n_traj,
         dt=config.dt,
@@ -347,10 +344,10 @@ def _engine_curve(config: ExperimentConfig, times: np.ndarray) -> lindblad.Fidel
         master_seed=config.master_seed,
         noise=spec,
     )
-    results = stochastic.ensemble_average(plan, psi, times=times)
-    return lindblad.FidelityCurve.of(
-        lindblad.extract_channel(r.rho_mean, lindblad.PROBE, *pair) for r in results
-    )
+    psi = lindblad.probe_vector(config.n, config.input_vertex)
+    rho = stochastic.ensemble_average(plan, psi, times=times).rho_mean.rho
+    out = config.output_vertex
+    return lindblad.FidelityCurve.read(rho[:, out, out].real, rho[:, out, 0])
 
 
 def _curve_records(

@@ -14,15 +14,18 @@ sector and an 18-dimensional population sector at any n.
 ``Liouvillian`` is the dense generator on the column-stacked vec(rho), a
 fixed (n+1)^2 x (n+1)^2 matrix; it serves per-edge rate maps, the
 full-state comparison with trajectories, and the tests, where it is the
-lumped engine's oracle. Both step exactly by matrix exponentials.
-``fidelity_curve`` reads the channel off rho_oo and rho_o0 for either.
+lumped engine's oracle. Both step exactly by matrix exponentials, and
+each returns its states at every time as one stack, checked whole when
+it is made: ``LumpedStates`` and ``DenseStates``, which also holds the
+trajectory ensemble's means. ``FidelityCurve.read`` turns rho_oo and
+rho_o0 into the channel of ``PROBE`` for every engine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -39,16 +42,16 @@ from .propagator import BlochInput, ChannelParams, optimal_avg_fidelity
 
 __all__ = [
     "PROBE",
-    "NetworkState",
+    "DenseStates",
     "Liouvillian",
     "LumpedLiouvillian",
     "LumpedStates",
     "FidelityCurve",
+    "probe_vector",
     "initial_network_state",
     "build_liouvillian",
     "complete_network_liouvillian",
     "evolve_at_times",
-    "extract_channel",
     "fidelity_curve",
 ]
 
@@ -67,62 +70,77 @@ EIGENVALUE_FLOOR = -1e-8
 POPULATION_FLOOR = 1e-14
 
 
-def _vec(rho: np.ndarray) -> np.ndarray:
-    return rho.reshape(-1, order="F")
+def _check_states(
+    times: np.ndarray,
+    herm: np.ndarray,
+    trace_err: np.ndarray,
+    lowest: Callable[[np.ndarray], Sequence[float]],
+) -> None:
+    """Raise RuntimeError naming the first t whose state breaks an invariant.
 
-
-def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    return v.reshape((dim, dim), order="F")
+    ``herm`` and ``trace_err`` hold each state's Hermiticity and trace
+    defects, and ``lowest`` maps the indices of some states to their
+    smallest eigenvalues. It is asked only about the states that pass
+    the other two checks, so a non-finite state is named by its defect
+    before an eigensolver sees it.
+    """
+    # negated tests, so that a non-finite entry fails too
+    sound = (herm <= HERMITICITY_ATOL) & (trace_err <= TRACE_ATOL)
+    low = np.zeros(times.size)
+    low[sound] = lowest(np.flatnonzero(sound))
+    bad = np.flatnonzero(~(sound & (low >= EIGENVALUE_FLOOR)))
+    if bad.size == 0:
+        return
+    j = bad[0]
+    if not herm[j] <= HERMITICITY_ATOL:
+        problem = f"Hermiticity defect {herm[j]:.3e}"
+    elif not trace_err[j] <= TRACE_ATOL:
+        problem = f"trace defect {trace_err[j]:.3e}"
+    else:
+        problem = f"negative eigenvalue {low[j]:.3e}"
+    raise RuntimeError(f"numeric failure at t={times[j]}: {problem}")
 
 
 @dataclass(frozen=True, eq=False)
-class NetworkState:
-    """Density matrix of the network in the vacuum + single-excitation basis.
+class DenseStates:
+    """Density matrices of the network at a list of times, checked when made.
 
-    Construction validates Hermiticity, unit trace, and positivity (the
-    smallest eigenvalue may sit slightly below zero from rounding, but
-    no further than 1e-8).
+    ``rho`` stacks one matrix in the vacuum + single-excitation basis per
+    entry of ``times``. Each must be Hermitian and of unit trace to 1e-10
+    and have no eigenvalue below -1e-8 (rounding may leave the smallest
+    slightly negative); RuntimeError names the first t that fails. The
+    matrices are checked one at a time, so that the check holds no
+    second copy of the stack.
     """
 
+    times: np.ndarray
     rho: np.ndarray
 
     def __post_init__(self) -> None:
+        times = np.asarray(self.times, dtype=float).reshape(-1)
         rho = np.asarray(self.rho, dtype=complex)
+        if rho.ndim != 3 or rho.shape[1] != rho.shape[2] or len(rho) != times.size:
+            raise ValueError(f"states of shape {rho.shape} are not one square matrix per time")
+        object.__setattr__(self, "times", times)
         object.__setattr__(self, "rho", rho)
-        problem = state_defect(rho)
-        if problem is not None:
-            raise ValueError(f"invalid network state: {problem}")
-
-    @property
-    def dim(self) -> int:
-        return self.rho.shape[0]
+        herm = np.array([np.abs(r - r.conj().T).max() for r in rho])
+        trace_err = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
+        _check_states(times, herm, trace_err, lambda rows: [np.linalg.eigvalsh(rho[j]).min() for j in rows])
 
 
-def state_defect(rho: np.ndarray) -> str | None:
-    """Describe the worst violated density-matrix invariant, or None if clean."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        return f"shape {rho.shape} is not square"
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > HERMITICITY_ATOL:
-        return f"Hermiticity defect {herm:.3e}"
-    trace_err = abs(rho.trace() - 1.0)
-    if trace_err > TRACE_ATOL:
-        return f"trace defect {trace_err:.3e}"
-    low = np.linalg.eigvalsh(rho).min()
-    if low < EIGENVALUE_FLOOR:
-        return f"negative eigenvalue {low:.3e}"
-    return None
-
-
-def initial_network_state(n: int, input_vertex: int, state: BlochInput) -> NetworkState:
-    """Pure product start a|vacuum> + b|input vertex| as a rank-1 density matrix."""
+def probe_vector(n: int, input_vertex: int, state: BlochInput = PROBE) -> np.ndarray:
+    """The start a|vacuum> + b|input vertex> of a transfer, as a vector of n + 1 entries."""
     if not 1 <= input_vertex <= n:
         raise ValueError(f"input vertex {input_vertex} outside 1..{n}")
-    a, b = state.amplitudes()
     psi = np.zeros(n + 1, dtype=complex)
-    psi[0] = a
-    psi[input_vertex] = b
-    return NetworkState(np.outer(psi, psi.conj()))
+    psi[0], psi[input_vertex] = state.amplitudes()
+    return psi
+
+
+def initial_network_state(n: int, input_vertex: int, state: BlochInput) -> DenseStates:
+    """Pure product start a|vacuum> + b|input vertex> as the rank-1 state at t = 0."""
+    psi = probe_vector(n, input_vertex, state)
+    return DenseStates(np.zeros(1), np.outer(psi, psi.conj())[np.newaxis])
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,72 +238,42 @@ def _propagate(generator: np.ndarray, start: np.ndarray, times: np.ndarray) -> n
 
 def evolve_at_times(
     liouvillian: Liouvillian,
-    state: NetworkState,
+    state: DenseStates,
     times: Sequence[float],
-) -> list[NetworkState]:
-    """Exact-stepping evolution sampled at many times.
+) -> DenseStates:
+    """Exact-stepping evolution of a state at t = 0, sampled at many times.
 
-    The time grid need not be sorted or uniform; each entry must be
-    nonnegative. A uniform grid costs two matrix exponentials in all.
-    Every returned state is validated; a violated invariant raises
+    ``state`` holds the one start matrix. The time grid need not be
+    sorted or uniform; each entry must be nonnegative. A uniform grid
+    costs two matrix exponentials in all. The states come back in the
+    order of ``times``, checked as one stack; a violated invariant raises
     RuntimeError naming its time.
     """
-    times = [float(t) for t in times]
-    if any(t < 0 for t in times):
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if np.any(times < 0):
         raise ValueError("times must be nonnegative")
-    dim = state.dim
+    if len(state.times) != 1:
+        raise ValueError(f"evolution starts from one state, not {len(state.times)}")
+    dim = state.rho.shape[1]
     if liouvillian.generator.shape[0] != dim**2:
         raise ValueError("generator and state dimensions do not match")
-    vecs = _propagate(liouvillian.generator, _vec(state.rho).astype(complex), np.asarray(times))
-    states = []
-    for t, vt in zip(times, vecs):
-        rho = _unvec(vt, dim)
-        # the exponential keeps Hermiticity only to rounding
-        try:
-            states.append(NetworkState(0.5 * (rho + rho.conj().T)))
-        except ValueError as err:
-            raise RuntimeError(f"numeric failure at t={t}: {err}") from None
-    return states
-
-
-def extract_channel(
-    state: NetworkState | np.ndarray,
-    probe: BlochInput,
-    input_vertex: int,
-    output_vertex: int,
-) -> ChannelParams:
-    """Read the effective qubit channel (z, lambda) off an evolved state.
-
-    With probe amplitudes a, b the evolved state stores |z|^2 in the
-    output population <o|rho|o> / |b|^2 and the product lambda*z in the
-    coherence <o|rho|0> / (b a*). Splitting the product needs the
-    population above its rounding level, POPULATION_FLOOR; at or below
-    it the channel carries no amplitude information and the convention
-    z = 0, lambda = 1 applies. Probes at either pole are
-    rejected: theta = 0 sends no excitation, and theta = pi leaves no
-    vacuum component against which the coherence could be read.
-
-    A raw density matrix is also accepted, skipping the NetworkState
-    invariant checks. No package route passes one; the test suite's
-    dense first-order oracle does, since its states are positive only
-    to first order in eta.
-    """
-    rho = state.rho if isinstance(state, NetworkState) else np.asarray(state, dtype=complex)
-    dim = rho.shape[0]
-    if input_vertex == output_vertex:
-        raise ValueError("input and output vertices must differ")
-    for v in (input_vertex, output_vertex):
-        if not 1 <= v < dim:
-            raise ValueError(f"vertex {v} outside 1..{dim - 1}")
-    a, b = probe.amplitudes()
-    if abs(b) < 1e-12:
-        raise ValueError("probe carries no excitation (theta = 0)")
-    if abs(a) < 1e-12:
-        raise ValueError("probe has no vacuum component (theta = pi); coherence readout needs one")
-    return _channel(rho[output_vertex, output_vertex].real, rho[output_vertex, 0], a, b)
+    # vec(rho) stacks the columns of rho, so each row reshapes to rho^T
+    flat = _propagate(liouvillian.generator, state.rho[0].reshape(-1, order="F"), times)
+    rho = flat.reshape(-1, dim, dim).transpose(0, 2, 1)
+    # the exponential keeps Hermiticity only to rounding
+    return DenseStates(times, 0.5 * (rho + rho.conj().transpose(0, 2, 1)))
 
 
 def _channel(rho_oo: float, rho_o0: complex, a: complex, b: complex) -> ChannelParams:
+    """The channel (z, lambda) of the probe a|0> + b|input> from one rho_oo and rho_o0.
+
+    The evolved state stores |z|^2 in the output population
+    rho_oo / |b|^2 and the product lambda*z in the coherence
+    rho_o0 / (b a*). Splitting the product needs the population above
+    its rounding level, POPULATION_FLOOR; at or below it the channel
+    carries no amplitude information and the convention z = 0,
+    lambda = 1 applies.
+    """
     prob = rho_oo / abs(b) ** 2
     if prob < -1e-10:
         raise RuntimeError(f"numeric failure: output population {prob:.3e} below zero")
@@ -372,11 +360,6 @@ def _probe_sectors() -> tuple[np.ndarray, np.ndarray]:
     return c0, x0
 
 
-def _output_entries(coherence: np.ndarray, population: np.ndarray) -> tuple[float, complex]:
-    """rho_oo and rho_o0 of one coherence and one population vector."""
-    return float(population[_OUT_OUT].real), complex(coherence[_OUT])
-
-
 @dataclass(frozen=True, eq=False)
 class LumpedStates:
     """Lumped density matrices at a list of times.
@@ -428,17 +411,17 @@ class LumpedStates:
                     out[:, a + 1, b + 1] = self._entry(p, p, True)
         return out
 
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues of rho at every time (one row each) and their multiplicities.
+    def spectrum(self, rows: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues of rho at every time, or at ``rows`` of the times, and their multiplicities.
 
         The sector matrix gives one eigenvalue per column; d_C - o_C
         repeats k - 1 times and d_N - o_N repeats m - 1 times.
         """
-        values = [np.linalg.eigvalsh(self.sector_matrices())]
+        values = [np.linalg.eigvalsh(self.sector_matrices()[rows])]
         counts = [1] * values[0].shape[1]
         for kind, mult in (("C", self.k), ("N", self.m)):
             if mult >= 2:
-                values.append((self._entry(kind, kind, True) - self._entry(kind, kind)).real[:, None])
+                values.append((self._entry(kind, kind, True) - self._entry(kind, kind)).real[rows, None])
                 counts.append(mult - 1)
         return np.hstack(values), np.array(counts)
 
@@ -457,19 +440,7 @@ class LumpedStates:
         x = self.population[:, present]
         herm = np.abs(x - self.population[:, _PARTNER[present]].conj()).max(axis=1)
         trace = self.vacuum + sum(mult[p] * self._entry(p, p, True) for p in _KINDS)
-        trace_err = np.abs(trace - 1.0)
-        low = self.spectrum()[0].min(axis=1)
-        # negated tests, so that a non-finite entry fails too
-        for j in range(self.times.size):
-            if not herm[j] <= HERMITICITY_ATOL:
-                problem = f"Hermiticity defect {herm[j]:.3e}"
-            elif not trace_err[j] <= TRACE_ATOL:
-                problem = f"trace defect {trace_err[j]:.3e}"
-            elif not low[j] >= EIGENVALUE_FLOOR:
-                problem = f"negative eigenvalue {low[j]:.3e}"
-            else:
-                continue
-            raise RuntimeError(f"numeric failure at t={self.times[j]}: {problem}")
+        _check_states(self.times, herm, np.abs(trace - 1.0), lambda rows: self.spectrum(rows)[0].min(axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -574,6 +545,15 @@ class FidelityCurve:
         channels = tuple(channels)
         return cls(channels, np.array([optimal_avg_fidelity(c)[0] for c in channels]))
 
+    @classmethod
+    def read(cls, rho_oo: Iterable[float], rho_o0: Iterable[complex]) -> FidelityCurve:
+        """The channel of ``PROBE`` at each time, from the output population and coherence."""
+        a, b = PROBE.amplitudes()
+        # Each route's scalars reach _channel as the route made them:
+        # CPython and numpy round complex division differently, so
+        # converting them would move outputs in their last digit.
+        return cls.of(_channel(oo, o0, a, b) for oo, o0 in zip(rho_oo, rho_o0))
+
 
 def fidelity_curve(
     engine: LumpedLiouvillian | Liouvillian,
@@ -584,15 +564,18 @@ def fidelity_curve(
 
     A lumped engine needs only those two entries. A dense engine starts
     at the input vertex of ``pair`` and is read at its output vertex;
-    the lumped engine is the same for every pair.
+    the lumped engine is the same for every pair. The two vertices must
+    differ and lie in 1..n.
     """
+    n = engine.n if isinstance(engine, LumpedLiouvillian) else engine.dim - 1
+    source, target = pair
+    if source == target:
+        raise ValueError(f"input and output vertex are both {source}")
+    for vertex in pair:
+        if not 1 <= vertex <= n:
+            raise ValueError(f"vertex {vertex} outside 1..{n}")
     if isinstance(engine, LumpedLiouvillian):
         states = engine.evolve(times)
-        entries = zip(states.rho_oo, states.rho_o0)
-    else:
-        source, target = pair
-        start = initial_network_state(engine.dim - 1, source, PROBE)
-        evolved = evolve_at_times(engine, start, times)
-        entries = ((s.rho[target, target].real, s.rho[target, 0]) for s in evolved)
-    a, b = PROBE.amplitudes()
-    return FidelityCurve.of(_channel(oo, o0, a, b) for oo, o0 in entries)
+        return FidelityCurve.read(states.rho_oo, states.rho_o0)
+    rho = evolve_at_times(engine, initial_network_state(n, source, PROBE), times).rho
+    return FidelityCurve.read(rho[:, target, target].real, rho[:, target, 0])

@@ -242,9 +242,9 @@ def first_order_numeric(n: int, m: int, eta: float, t: float) -> WeakNoiseChanne
     e^{G t} at eta = 0. One exponential per sector, applied to the start
     (0, s0), thus gives the first-order correction and the zeroth-order
     state together, at a cost and memory independent of n and t. The
-    channel is read off rho_oo and rho_o0 of rho0 + eta D s0 by the
-    readout of fidelity_curve; the correction is exactly linear in eta
-    by construction. Shares no closed-form input with
+    channel is read off rho_oo and rho_o0 of rho0 + eta D s0 by
+    FidelityCurve.read, as every engine's is; the correction is exactly
+    linear in eta by construction. Shares no closed-form input with
     printed_weak_noise_channel, so agreement between the two is
     evidence, not tautology.
     """
@@ -267,13 +267,21 @@ def first_order_numeric(n: int, m: int, eta: float, t: float) -> WeakNoiseChanne
         evolved = lindblad._propagate(block, np.concatenate([np.zeros(dim), start]), np.array([t]))[0]
         sectors.append((evolved[dim:], scale * evolved[:dim]))
     (coherence, d_coherence), (population, d_population) = sectors
-    a, b = lindblad.PROBE.amplitudes()
-    zeroth = lindblad._channel(*lindblad._output_entries(coherence, population), a, b)
+    # rho0 and rho0 + eta D s0, unchecked: the second is a state only to first order
+    states = lindblad.LumpedStates(
+        k=n - 2 - m,
+        m=m,
+        times=np.array([t, t]),
+        vacuum=abs(lindblad.PROBE.amplitudes()[0]) ** 2,
+        coherence=np.array([coherence, coherence + eta * d_coherence]),
+        population=np.array([population, population + eta * d_population]),
+    )
+    # read as Python scalars: numpy's complex division would move these
+    # channels in their last digit (see FidelityCurve.read)
+    zeroth, params = lindblad.FidelityCurve.read(states.rho_oo.tolist(), states.rho_o0.tolist()).channels
     z_sq_0 = abs(zeroth.amplitude) ** 2
     if eta == 0.0 or m < 2 or t == 0.0:
         return WeakNoiseChannel(z_sq_0=z_sq_0, xi1=0.0, xi2=0j, eta=0.0)
-    entries = lindblad._output_entries(coherence + eta * d_coherence, population + eta * d_population)
-    params = lindblad._channel(*entries, a, b)
     z_sq = abs(params.amplitude) ** 2
     lam_z_mod = params.dephasing * z_sq
     return WeakNoiseChannel(

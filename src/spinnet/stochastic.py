@@ -47,7 +47,9 @@ budget (n = 40, m = 38 at 2,048 trajectories), a batch stays within
 four steps' worth of normals.
 
 Time grids: an ensemble read at many times steps each batch once, up
-to the latest time, and takes the moments at every time on the way.
+to the latest time, and takes the moments at every time on the way. Its
+one result carries a leading time axis: the means at every time, checked
+as one lindblad.DenseStates, and their standard errors.
 Each time gets the bytes of an independent single-time ensemble, on
 any grid: a time between step boundaries is reached by a tail step on
 a copy of the states, from the noise row a single-time run would draw
@@ -66,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .lindblad import NetworkState
+from .lindblad import DenseStates
 from .network import NoiseSpec
 
 __all__ = [
@@ -130,9 +132,13 @@ class TrajectoryPlan:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
-    """Trajectory-averaged density matrix with per-entry standard errors."""
+    """Trajectory-averaged density matrices with per-entry standard errors, one per time.
 
-    rho_mean: NetworkState
+    ``rho_mean`` holds the means at every time as one checked stack;
+    ``std_err`` has the same (times, n + 1, n + 1) shape.
+    """
+
+    rho_mean: DenseStates
     std_err: np.ndarray
     n_traj: int
 
@@ -484,15 +490,14 @@ def ensemble_average(
     plan: TrajectoryPlan,
     psi0: np.ndarray,
     times: Sequence[float] | None = None,
-) -> EnsembleResult | list[EnsembleResult]:
+) -> EnsembleResult:
     """Average |psi><psi| over the planned trajectory ensemble on the complete graph.
 
     The network has len(psi0) - 1 vertices. Without ``times`` the
-    ensemble is read at ``plan.t_final`` and one result is returned.
-    With ``times`` (each in [0, plan.t_final]) every batch is stepped
-    once, up to the latest of them, and one result per time is returned
-    in their order; each is bit-identical to the single-time ensemble at
-    that time.
+    ensemble is read at ``plan.t_final`` alone. With ``times`` (each in
+    [0, plan.t_final]) every batch is stepped once, up to the latest of
+    them, and the result holds one mean per time, in their order; each
+    is bit-identical to the single-time ensemble at that time.
 
     Each batch's first moments and per-entry second moments are added to
     running sums, in batch order, as soon as the batch is done, so the
@@ -521,5 +526,4 @@ def ensemble_average(
     np.maximum(second, 0.0, out=second)
     second /= plan.n_traj
     np.sqrt(second, out=second)
-    results = [EnsembleResult(NetworkState(m), e, plan.n_traj) for m, e in zip(first, second)]
-    return results[0] if times is None else results
+    return EnsembleResult(DenseStates(grid, first), second, plan.n_traj)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -302,6 +303,38 @@ class TestFailureExits:
         code, err = self._broken_eigvalsh_exit({"3-4": 1.0}, tmp_path, capsys, monkeypatch)
         assert code == 2
         assert err.startswith("numeric failure:")
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"eta": 1.0},
+            {"eta": {"3-4": 1.0}},
+            {"eta": 1.0, "method": "trajectories", "n_traj": 8, "t_max": 0.01},
+        ],
+        ids=["lumped", "per-edge-map", "trajectories"],
+    )
+    def test_defective_state_exits_2_naming_t(self, config, tmp_path, capsys, monkeypatch):
+        # every eigenvalue read one low: the first state of each route, at
+        # t = 0, fails its check as a numeric failure, not a config error
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda matrix: eigvalsh(matrix) - 1.0)
+        code, err = _main(["simulate"], {"n": 4, "m": 2, "t_steps": 2, **config}, tmp_path, capsys)
+        assert code == 2
+        assert err == "numeric failure at t=0.0: negative eigenvalue -1.000e+00\n"
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"n": 4, "m": 2, "eta": 1e300},
+            {"n": 5, "noisy_vertices": [3, 4], "eta": {"3-4": 1e300}},
+        ],
+        ids=["lumped", "per-edge-map"],
+    )
+    def test_non_finite_state_exits_2_naming_t_and_defect(self, config, tmp_path, capsys):
+        # the states after t = 0 are not finite; no eigensolver sees them
+        code, err = _main(["simulate"], {"t_steps": 4, **config}, tmp_path, capsys)
+        assert code == 2
+        assert re.fullmatch(r"numeric failure at t=2\.0943951023931953: (Hermiticity|trace) defect nan\n", err)
 
 
 # one out-of-range value per accepted field of every subcommand, and one

@@ -23,15 +23,16 @@ import scipy.linalg
 
 from spinnet import lindblad
 from spinnet.lindblad import (
+    DenseStates,
+    FidelityCurve,
     Liouvillian,
     LumpedLiouvillian,
-    NetworkState,
     build_liouvillian,
     complete_network_liouvillian,
     evolve_at_times,
-    extract_channel,
     fidelity_curve,
     initial_network_state,
+    probe_vector,
 )
 from spinnet.network import (
     lindblad_edge_operators,
@@ -48,41 +49,83 @@ def _single_edge_dissipator(n: int, eta: float) -> Liouvillian:
     return build_liouvillian(np.zeros((n + 1, n + 1)), ops)
 
 
-class TestNetworkState:
+def _pure(psi: np.ndarray) -> DenseStates:
+    return DenseStates([0.0], [np.outer(psi, psi.conj())])
+
+
+def _channels(states: DenseStates, output: int = 2):
+    return FidelityCurve.read(states.rho[:, output, output].real, states.rho[:, output, 0]).channels
+
+
+# a state, and one state breaking each invariant, on three rows
+_GOOD = np.diag([0.5, 0.5, 0.0]).astype(complex)
+_BAD = {
+    "Hermiticity defect": np.eye(3, dtype=complex) / 3 + 0.5 * np.eye(3, k=1),
+    "trace defect": np.eye(3, dtype=complex),
+    "negative eigenvalue": np.diag([1.2, -0.2, 0.0]).astype(complex),
+}
+
+
+class TestDenseStates:
     def test_accepts_valid_state(self):
         st = initial_network_state(4, 1, PROBE)
-        assert st.rho.shape == (5, 5)
-        assert np.trace(st.rho).real == pytest.approx(1.0)
+        assert st.rho.shape == (1, 5, 5)
+        assert st.times.tolist() == [0.0]
+        assert np.trace(st.rho[0]).real == pytest.approx(1.0)
 
-    def test_rejects_nonhermitian(self):
-        rho = np.eye(3, dtype=complex) / 3
-        rho[0, 1] = 0.5
-        with pytest.raises(ValueError):
-            NetworkState(rho)
+    @pytest.mark.parametrize("defect", list(_BAD))
+    def test_rejects_each_defect_naming_t(self, defect):
+        with pytest.raises(RuntimeError, match=f"^numeric failure at t=0.0: {defect} "):
+            DenseStates([0.0], [_BAD[defect]])
 
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
-            NetworkState(np.eye(3, dtype=complex))
+    @pytest.mark.parametrize("first", list(_BAD))
+    def test_names_first_bad_time(self, first):
+        # the other two defects come later in the stack
+        rest = [rho for defect, rho in _BAD.items() if defect != first]
+        rho = [_GOOD, _GOOD, _BAD[first], *rest]
+        with pytest.raises(RuntimeError, match=f"^numeric failure at t=1.0: {first} "):
+            DenseStates([0.0, 0.5, 1.0, 1.5, 2.0], rho)
 
-    def test_rejects_negative_eigenvalue(self):
-        rho = np.diag([1.2, -0.2, 0.0]).astype(complex)
-        with pytest.raises(ValueError):
-            NetworkState(rho)
+    def test_non_finite_state_reaches_no_eigensolver(self, monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(matrix):
+            seen.append(np.isfinite(matrix).all())
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        with pytest.raises(RuntimeError, match="^numeric failure at t=1.0: Hermiticity defect nan$"):
+            DenseStates([0.0, 1.0, 2.0], [_GOOD, np.full((3, 3), np.nan), _GOOD])
+        assert seen == [True, True]
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="one square matrix per time"):
+            DenseStates([0.0, 1.0], [_GOOD])
+        with pytest.raises(ValueError, match="one square matrix per time"):
+            DenseStates([0.0], [np.eye(3, 2)])
 
     def test_initial_state_populations(self):
         st = initial_network_state(4, 2, BlochInput(1.0, 0.5))
         a, b = BlochInput(1.0, 0.5).amplitudes()
-        assert st.rho[0, 0].real == pytest.approx(abs(a) ** 2)
-        assert st.rho[2, 2].real == pytest.approx(abs(b) ** 2)
-        assert st.rho[1, 1].real == 0.0
+        assert st.rho[0, 0, 0].real == pytest.approx(abs(a) ** 2)
+        assert st.rho[0, 2, 2].real == pytest.approx(abs(b) ** 2)
+        assert st.rho[0, 1, 1].real == 0.0
+
+    def test_probe_vector(self):
+        a, b = PROBE.amplitudes()
+        assert probe_vector(4, 3).tolist() == [a, 0, 0, b, 0]
+        assert np.array_equal(probe_vector(4, 1, BlochInput(1.0, 0.5)), [*BlochInput(1.0, 0.5).amplitudes(), 0, 0, 0])
+        for vertex in (0, 5):
+            with pytest.raises(ValueError, match=f"input vertex {vertex} outside 1..4"):
+                probe_vector(4, vertex)
 
 
 class TestGeneratorStructure:
     def test_pure_hamiltonian_part_matches_commutator(self):
         h = single_excitation_hamiltonian(4)
         liou = build_liouvillian(h, [])
-        st = initial_network_state(4, 1, PROBE)
-        rho = st.rho
+        rho = initial_network_state(4, 1, PROBE).rho[0]
         lhs = liou.generator @ rho.flatten(order="F")
         rhs = (-1j * (h @ rho - rho @ h)).flatten(order="F")
         assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -90,7 +133,7 @@ class TestGeneratorStructure:
     def test_dissipator_traceless(self):
         liou = complete_network_liouvillian(5, 3, 1.3)
         st = initial_network_state(5, 1, PROBE)
-        deriv = (liou.generator @ st.rho.flatten(order="F")).reshape((6, 6), order="F")
+        deriv = (liou.generator @ st.rho[0].flatten(order="F")).reshape((6, 6), order="F")
         assert abs(np.trace(deriv)) < 1e-12
 
     def test_generator_splits_into_parts(self):
@@ -108,8 +151,8 @@ class TestGeneratorStructure:
         liou = _single_edge_dissipator(n, eta)
         psi = np.zeros(n + 1, dtype=complex)
         psi[1] = psi[3] = 1 / math.sqrt(2)
-        st = evolve_at_times(liou, NetworkState(np.outer(psi, psi.conj())), [t])[0]
-        assert st.rho[1, 3].real == pytest.approx(0.5 * math.exp(-eta * t), abs=1e-12)
+        rho = evolve_at_times(liou, _pure(psi), [t]).rho[0]
+        assert rho[1, 3].real == pytest.approx(0.5 * math.exp(-eta * t), abs=1e-12)
 
     def test_edge_parity_coherence_decay_rate(self):
         # symmetric and antisymmetric edge modes are jump eigenvectors
@@ -122,11 +165,9 @@ class TestGeneratorStructure:
         s[3] = s[4] = 1 / math.sqrt(2)
         a[3], a[4] = 1 / math.sqrt(2), -1 / math.sqrt(2)
         rho0 = 0.5 * np.outer(s + a, (s + a).conj())
-        st = evolve_at_times(liou, NetworkState(rho0), [t])[0]
-        assert (s.conj() @ st.rho @ a).real == pytest.approx(
-            0.5 * math.exp(-4 * eta * t), abs=1e-12
-        )
-        assert (s.conj() @ st.rho @ s).real == pytest.approx(0.5, abs=1e-12)
+        rho = evolve_at_times(liou, DenseStates([0.0], [rho0]), [t]).rho[0]
+        assert (s.conj() @ rho @ a).real == pytest.approx(0.5 * math.exp(-4 * eta * t), abs=1e-12)
+        assert (s.conj() @ rho @ s).real == pytest.approx(0.5, abs=1e-12)
 
 
 class TestEvolution:
@@ -134,8 +175,8 @@ class TestEvolution:
         liou = complete_network_liouvillian(4, 2, 1.0)
         st = initial_network_state(4, 1, PROBE)
         t = 1.3
-        direct = scipy.linalg.expm(liou.generator * t) @ st.rho.flatten(order="F")
-        got = evolve_at_times(liou, st, [t])[0].rho.flatten(order="F")
+        direct = scipy.linalg.expm(liou.generator * t) @ st.rho[0].flatten(order="F")
+        got = evolve_at_times(liou, st, [t]).rho[0].flatten(order="F")
         assert np.max(np.abs(direct - got)) < 1e-10
 
     def test_exact_at_generator_exceptional_point(self):
@@ -143,70 +184,66 @@ class TestEvolution:
         # evolution must still return a valid state
         liou = complete_network_liouvillian(4, 2, 8.0)
         st = initial_network_state(4, 1, PROBE)
-        out = evolve_at_times(liou, st, [1.2])[0]
-        assert abs(np.trace(out.rho).real - 1.0) < 1e-10
+        out = evolve_at_times(liou, st, [1.2]).rho[0]
+        assert abs(np.trace(out).real - 1.0) < 1e-10
 
     def test_stiff_strong_noise_regime(self):
         liou = complete_network_liouvillian(4, 2, 1000.0)
         st = initial_network_state(4, 1, PROBE)
-        out = evolve_at_times(liou, st, [2.0])[0]
-        assert abs(np.trace(out.rho).real - 1.0) < 1e-10
+        out = evolve_at_times(liou, st, [2.0]).rho[0]
+        assert abs(np.trace(out).real - 1.0) < 1e-10
 
     def test_evolve_at_times_matches_single_calls(self):
         liou = complete_network_liouvillian(4, 2, 0.7)
         st = initial_network_state(4, 1, PROBE)
         times = [0.0, 0.4, 1.1]
         batch = evolve_at_times(liou, st, times)
-        for t, got in zip(times, batch):
-            solo = evolve_at_times(liou, st, [t])[0]
-            assert np.max(np.abs(solo.rho - got.rho)) < 1e-12
+        assert batch.times.tolist() == times
+        for t, got in zip(times, batch.rho):
+            solo = evolve_at_times(liou, st, [t]).rho[0]
+            assert np.max(np.abs(solo - got)) < 1e-12
 
     def test_vacuum_population_conserved(self):
         liou = complete_network_liouvillian(5, 3, 2.0)
         probe = BlochInput(1.1, 0.4)
         st = initial_network_state(5, 1, probe)
-        vac0 = st.rho[0, 0].real
-        for out in evolve_at_times(liou, st, [0.5, 2.0, 5.0]):
-            assert out.rho[0, 0].real == pytest.approx(vac0, abs=1e-12)
+        vac0 = st.rho[0, 0, 0].real
+        for out in evolve_at_times(liou, st, [0.5, 2.0, 5.0]).rho:
+            assert out[0, 0].real == pytest.approx(vac0, abs=1e-12)
 
     def test_noiseless_evolution_is_unitary(self):
         liou = complete_network_liouvillian(4, 2, 0.0)
         st = initial_network_state(4, 1, PROBE)
-        out = evolve_at_times(liou, st, [1.3])[0]
-        params = extract_channel(out, PROBE, 1, 2)
+        [params] = _channels(evolve_at_times(liou, st, [1.3]))
         h = single_excitation_hamiltonian(4)
         z = transfer_amplitude(h, 1.3, 1, 2)
         assert params.amplitude == pytest.approx(z, abs=1e-10)
         assert params.dephasing == pytest.approx(1.0, abs=1e-9)
 
 
-class TestExtractChannel:
-    def test_probe_poles_rejected(self):
-        st = initial_network_state(4, 1, BlochInput(math.pi / 2))
-        with pytest.raises(ValueError):
-            extract_channel(st, BlochInput(0.0), 1, 2)
-        with pytest.raises(ValueError):
-            extract_channel(st, BlochInput(math.pi), 1, 2)
+class TestReadout:
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ((1, 0), "vertex 0 outside 1..4"),  # the vacuum row
+            ((1, 1), "input and output vertex are both 1"),
+            ((1, -3), "vertex -3 outside 1..4"),  # would wrap round to vertex 2
+            ((5, 2), "vertex 5 outside 1..4"),
+        ],
+    )
+    def test_pair_checked(self, pair, message):
+        for engine in (complete_network_liouvillian(4, 2, 1.0), LumpedLiouvillian(4, 2, 1.0)):
+            with pytest.raises(ValueError, match=message):
+                fidelity_curve(engine, [1.0], pair)
 
     def test_dephasing_bounded(self):
         liou = complete_network_liouvillian(4, 2, 3.0)
-        st = initial_network_state(4, 1, PROBE)
-        for out in evolve_at_times(liou, st, [0.3, 1.0, 4.0]):
-            params = extract_channel(out, PROBE, 1, 2)
+        for params in fidelity_curve(liou, [0.3, 1.0, 4.0]).channels:
             assert 0.0 <= params.dephasing <= 1.0 + 1e-9
             assert abs(params.amplitude) <= 1.0 + 1e-9
 
-    def test_accepts_raw_matrix(self):
-        # perturbative constructions hand over matrices that are not
-        # exactly positive; the raw-array path skips state validation
-        st = initial_network_state(4, 1, PROBE)
-        from_state = extract_channel(st, PROBE, 1, 2)
-        from_raw = extract_channel(st.rho, PROBE, 1, 2)
-        assert from_state.amplitude == from_raw.amplitude
-
     def test_zero_time_channel_is_empty(self):
-        st = initial_network_state(4, 1, PROBE)
-        params = extract_channel(st, PROBE, 1, 2)
+        [params] = _channels(initial_network_state(4, 1, PROBE))
         assert params.amplitude == 0.0
         assert params.dephasing == 1.0
 
@@ -222,15 +259,15 @@ class TestExtractChannel:
         # a population just above the floor is split as before
         a, b = PROBE.amplitudes()
         z = math.sqrt(10 * lindblad.POPULATION_FLOOR) / abs(b)
-        params = lindblad._channel(abs(b) ** 2 * z**2, 0.5 * z * b * a.conjugate(), a, b)
+        [params] = FidelityCurve.read([abs(b) ** 2 * z**2], [0.5 * z * b * a.conjugate()]).channels
         assert params.dephasing == pytest.approx(0.5)
         assert params.amplitude == pytest.approx(z)
 
 
 def _dense_entries(n: int, m: int, eta: float, times) -> tuple[np.ndarray, np.ndarray]:
     start = initial_network_state(n, 1, PROBE)
-    states = evolve_at_times(complete_network_liouvillian(n, m, eta), start, times)
-    return np.array([s.rho[2, 2].real for s in states]), np.array([s.rho[2, 0] for s in states])
+    rho = evolve_at_times(complete_network_liouvillian(n, m, eta), start, times).rho
+    return rho[:, 2, 2].real, rho[:, 2, 0]
 
 
 def _lumped_cases():
@@ -269,9 +306,9 @@ class TestLumpedEngine:
         assert counts.sum() == n + 1
         start = initial_network_state(n, 1, PROBE)
         dense = evolve_at_times(complete_network_liouvillian(n, m, eta), start, times)
-        for row, state in zip(values, dense):
+        for row, rho in zip(values, dense.rho):
             expanded = np.sort(np.repeat(row, counts))
-            assert np.max(np.abs(expanded - np.linalg.eigvalsh(state.rho))) < 1e-12
+            assert np.max(np.abs(expanded - np.linalg.eigvalsh(rho))) < 1e-12
 
     @pytest.mark.parametrize(
         "builder, row, col, change",

@@ -296,7 +296,8 @@ class TestEnsemble:
         spec, psi = _setup()
         plan = TrajectoryPlan(50, 1e-3, 0.5, 9, spec)
         r = ensemble_average(plan, psi)
-        rho = r.rho_mean.rho
+        assert r.rho_mean.times.tolist() == [0.5] and r.std_err.shape == (1, 5, 5)
+        rho = r.rho_mean.rho[0]
         assert abs(np.trace(rho).real - 1.0) < 1e-9
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
 
@@ -310,7 +311,7 @@ class TestEnsemble:
         for j in range(plan.n_traj):
             v = evolve_trajectory(spec, psi, plan.t_final, plan.dt, 77, stream_index=j)
             acc += np.outer(v, v.conj())
-        assert np.max(np.abs(acc / plan.n_traj - r.rho_mean.rho)) < 1e-12
+        assert np.max(np.abs(acc / plan.n_traj - r.rho_mean.rho[0])) < 1e-12
 
     def test_moments_match_einsum_form(self):
         # the running sums are BLAS products; the einsum sums over the
@@ -318,8 +319,8 @@ class TestEnsemble:
         spec, psi = _setup(6, 4)
         times = [0.05, 0.1]
         plan = TrajectoryPlan(64, 1e-3, times[-1], 21, spec)
-        results = ensemble_average(plan, psi, times=times)
-        for t, r in zip(times, results):
+        result = ensemble_average(plan, psi, times=times)
+        for t, rho, std_err in zip(times, result.rho_mean.rho, result.std_err):
             states = np.array(
                 [evolve_trajectory(spec, psi, t, plan.dt, 21, stream_index=j) for j in range(64)]
             )
@@ -329,15 +330,15 @@ class TestEnsemble:
             # squared standard errors: the square root would magnify the
             # rounding of a near-zero variance
             variance = np.maximum(second - np.abs(mean) ** 2, 0.0) / 64
-            assert np.max(np.abs(r.rho_mean.rho - mean)) < 1e-15
-            assert np.max(np.abs(r.std_err**2 - variance)) < 1e-15
+            assert np.max(np.abs(rho - mean)) < 1e-15
+            assert np.max(np.abs(std_err**2 - variance)) < 1e-15
 
     def test_converges_to_master_equation(self):
         spec, psi = _setup(4, 2, 1.0)
         plan = TrajectoryPlan(800, 1e-3, 1.0, 1234, spec)
         r = ensemble_average(plan, psi)
         liou = complete_network_liouvillian(4, 2, 1.0)
-        want = evolve_at_times(liou, initial_network_state(4, 1, PROBE), [1.0])[0].rho
+        want = evolve_at_times(liou, initial_network_state(4, 1, PROBE), [1.0]).rho
         diff = np.abs(r.rho_mean.rho - want)
         assert np.all(diff <= 4.0 * np.maximum(r.std_err, 1e-12))
 
@@ -346,7 +347,7 @@ class TestEnsemble:
         small = ensemble_average(TrajectoryPlan(100, 1e-3, 0.5, 5, spec), psi)
         large = ensemble_average(TrajectoryPlan(900, 1e-3, 0.5, 5, spec), psi)
         # 9x the samples cuts the error about 3x on the big entries
-        ratio = small.std_err[1, 1] / large.std_err[1, 1]
+        ratio = small.std_err[0, 1, 1] / large.std_err[0, 1, 1]
         assert 2.0 < ratio < 4.5
 
     def test_fractional_final_step(self):
@@ -355,7 +356,7 @@ class TestEnsemble:
         spec, psi = _setup()
         plan = TrajectoryPlan(20, 1e-3, 0.5005, 3, spec)
         r = ensemble_average(plan, psi)
-        assert abs(np.trace(r.rho_mean.rho).real - 1.0) < 1e-9
+        assert abs(np.trace(r.rho_mean.rho[0]).real - 1.0) < 1e-9
 
 
 def _row_kernel(states, h, pairs, couplings, tau):
@@ -512,7 +513,7 @@ class TestStepKernel:
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
             assert np.max(np.abs(out - expm(-1j * dt * a) @ psi)) < 1e-12
         r = ensemble_average(TrajectoryPlan(8, dt, 2.5 * dt, seed, spec), psi)
-        assert abs(np.trace(r.rho_mean.rho).real - 1.0) < 1e-12
+        assert abs(np.trace(r.rho_mean.rho[0]).real - 1.0) < 1e-12
 
     def test_term_count_bounds_the_tail(self):
         for rho in np.linspace(0.0, stochastic._SUBSTEP_RHO, 361):
@@ -566,7 +567,7 @@ class TestReduction:
             got = evolve_trajectory(spec, psi, t, dt, seed, stream_index=j)
             assert np.max(np.abs(got - ref)) < 1e-13
             want += np.outer(ref, ref.conj()) / n_traj
-        mean = ensemble_average(TrajectoryPlan(n_traj, dt, t, seed, spec), psi).rho_mean.rho
+        mean = ensemble_average(TrajectoryPlan(n_traj, dt, t, seed, spec), psi).rho_mean.rho[0]
         assert np.max(np.abs(mean - want)) < 1e-13
 
     @pytest.mark.parametrize(
@@ -619,8 +620,8 @@ class TestReduction:
         r = ensemble_average(plan, psi)
         lumped = LumpedLiouvillian(n, m, eta).evolve([t])
         oo, o0 = lumped.rho_oo[0], lumped.rho_o0[0]
-        assert abs(r.rho_mean.rho[2, 2].real - oo) <= 4.0 * r.std_err[2, 2]
-        assert abs(r.rho_mean.rho[2, 0] - o0) <= 4.0 * r.std_err[2, 0]
+        assert abs(r.rho_mean.rho[0, 2, 2].real - oo) <= 4.0 * r.std_err[0, 2, 2]
+        assert abs(r.rho_mean.rho[0, 2, 0] - o0) <= 4.0 * r.std_err[0, 2, 0]
 
     def test_trajectory_memory_bounded_at_any_n(self):
         # n = 2,002, m = 2: an (n+1) x (n+1) H alone would take 32 MB
@@ -674,11 +675,15 @@ class TestTimeGrid:
     TIMES = [0.0, 0.0005, 0.1, 0.1002, 0.1007, 0.2, 0.3, 0.3004]
 
     @staticmethod
+    def _per_time(result):
+        return list(zip(result.rho_mean.rho, result.std_err))
+
+    @staticmethod
     def _assert_same(got, want):
         assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert np.array_equal(a.rho_mean.rho, b.rho_mean.rho)
-            assert np.array_equal(a.std_err, b.std_err)
+        for (mean_a, err_a), (mean_b, err_b) in zip(got, want):
+            assert np.array_equal(mean_a, mean_b)
+            assert np.array_equal(err_a, err_b)
 
     def test_trajectory_matches_restart_schedule(self, monkeypatch):
         spec, psi = _setup(5, 3)
@@ -690,8 +695,9 @@ class TestTimeGrid:
 
     def _separate(self, spec, psi, n_traj):
         return [
-            ensemble_average(TrajectoryPlan(n_traj, 1e-3, t, 42, spec), psi)
+            moments
             for t in self.TIMES
+            for moments in self._per_time(ensemble_average(TrajectoryPlan(n_traj, 1e-3, t, 42, spec), psi))
         ]
 
     def test_multi_time_equals_single_time_calls(self, monkeypatch):
@@ -700,19 +706,19 @@ class TestTimeGrid:
         monkeypatch.setattr(stochastic, "_BATCH", 128)
         spec, psi = _setup(5, 3)
         plan = TrajectoryPlan(300, 1e-3, self.TIMES[-1], 42, spec)
-        multi = ensemble_average(plan, psi, times=self.TIMES)
+        multi = self._per_time(ensemble_average(plan, psi, times=self.TIMES))
         self._assert_same(multi, self._separate(spec, psi, 300))
         # the order of the requested times is the order of the results
-        backwards = ensemble_average(plan, psi, times=self.TIMES[::-1])
+        backwards = self._per_time(ensemble_average(plan, psi, times=self.TIMES[::-1]))
         self._assert_same(backwards[::-1], multi)
 
     def test_chunk_length_does_not_change_bytes(self, monkeypatch):
         spec, psi = _setup(5, 3)
         plan = TrajectoryPlan(40, 1e-3, self.TIMES[-1], 42, spec)
-        want = ensemble_average(plan, psi, times=self.TIMES)
+        want = self._per_time(ensemble_average(plan, psi, times=self.TIMES))
         for chunk in (1, 7):
             monkeypatch.setattr(stochastic, "_CHUNK", chunk)
-            self._assert_same(ensemble_average(plan, psi, times=self.TIMES), want)
+            self._assert_same(self._per_time(ensemble_average(plan, psi, times=self.TIMES)), want)
 
     def test_times_outside_horizon_rejected(self):
         spec, psi = _setup()
@@ -802,7 +808,7 @@ class TestEngineIndependence:
     shares the network model and the state type with it, and no stepping
     or propagation code."""
 
-    ALLOWED = {"lindblad": {"NetworkState"}}
+    ALLOWED = {"lindblad": {"DenseStates"}}
 
     def _foreign(self, source):
         return {
@@ -811,17 +817,17 @@ class TestEngineIndependence:
             if module != "network" and name not in self.ALLOWED.get(module, ())
         }
 
-    def test_stochastic_imports_only_noise_spec_and_network_state(self):
+    def test_stochastic_imports_only_noise_spec_and_dense_states(self):
         # the engine models the complete graph itself: it takes no H
         source = inspect.getsource(stochastic)
         assert self._foreign(source) == set()
-        assert _package_imports(source) == {("lindblad", "NetworkState"), ("network", "NoiseSpec")}
+        assert _package_imports(source) == {("lindblad", "DenseStates"), ("network", "NoiseSpec")}
 
     @pytest.mark.parametrize(
         "line",
         [
             "from .propagator import propagator_matrix",
-            "from .lindblad import NetworkState, evolve_at_times",
+            "from .lindblad import DenseStates, evolve_at_times",
             "from . import lindblad",
             "from spinnet.lindblad import _propagate",
             "import spinnet.propagator as p",
