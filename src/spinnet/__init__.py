@@ -1,11 +1,13 @@
 """Qubit state transfer through fully connected spin networks with edge noise.
 
-The package follows one experiment end to end: build the network and
-its single-excitation Hamiltonian (`network`), evolve unitarily or
-under the noise-averaged master equation (`propagator`, `lindblad`),
-cross-check against stochastic trajectories (`stochastic`), compare
-with closed forms and limits (`analytics`, `perturbation`), and drive
-everything reproducibly from the command line (`cli`).
+The package follows one experiment end to end: place the noise on the
+complete graph (`network`), evolve unitarily (`propagator`) or under
+the noise-averaged master equation (`lindblad`: `LumpedLiouvillian(n,
+m, eta)` for one rate, `DenseLiouvillian(n, noise)` for any
+`NoiseSpec`), cross-check against stochastic trajectories
+(`stochastic`), compare with closed forms and limits (`analytics`,
+`perturbation`), and drive everything reproducibly from the command
+line (`cli`).
 """
 
 from __future__ import annotations
@@ -22,22 +24,17 @@ from .analytics import (
     zeno_limit_channel,
 )
 from .lindblad import (
+    DenseLiouvillian,
     DenseStates,
     FidelityCurve,
-    Liouvillian,
     LumpedLiouvillian,
-    build_liouvillian,
-    complete_network_liouvillian,
-    evolve_at_times,
     fidelity_curve,
-    initial_network_state,
     probe_vector,
 )
 from .network import (
     INPUT_VERTEX,
     OUTPUT_VERTEX,
     NoiseSpec,
-    lindblad_edge_operators,
     single_excitation_hamiltonian,
     standard_noise_spec,
 )
@@ -48,7 +45,6 @@ from .perturbation import (
     baseline_max_fidelity,
     beta,
     beta_prime,
-    delta_profile,
     first_order_numeric,
     longest_positive_run,
     printed_weak_noise_channel,
@@ -77,11 +73,11 @@ __all__ = [
     "ChannelParams",
     "ConsistencyCheck",
     "ConsistencyReport",
+    "DenseLiouvillian",
     "DenseStates",
     "EnsembleResult",
     "FidelityCurve",
     "FourNodeClosedForm",
-    "Liouvillian",
     "LumpedLiouvillian",
     "NoiseSpec",
     "ReportConfig",
@@ -93,20 +89,14 @@ __all__ = [
     "beta",
     "beta_prime",
     "bloch_sphere_average",
-    "build_liouvillian",
     "complete_graph_peak_fidelity",
     "complete_graph_transfer_prob",
-    "complete_network_liouvillian",
     "consistency_report",
-    "delta_profile",
     "ensemble_average",
-    "evolve_at_times",
     "evolve_trajectory",
     "fidelity_curve",
     "first_order_numeric",
     "four_node_closed_form",
-    "initial_network_state",
-    "lindblad_edge_operators",
     "longest_positive_run",
     "network_reduction_check",
     "optimal_avg_fidelity",

@@ -304,17 +304,17 @@ def _check_bloch_average() -> ConsistencyCheck:
 
 def _check_trajectories(config: ReportConfig) -> ConsistencyCheck:
     n, m, eta, t = 4, 2, 1.0, 1.0
-    liouville = lindblad.complete_network_liouvillian(n, m, eta)
-    start = lindblad.initial_network_state(n, INPUT_VERTEX, lindblad.PROBE)
-    target = lindblad.evolve_at_times(liouville, start, [t]).rho[0]
+    spec = standard_noise_spec(n, m, eta)
+    psi = lindblad.probe_vector(n, INPUT_VERTEX)
+    target = lindblad.DenseLiouvillian(n, spec).evolve(psi, [t]).rho[0]
     plan = stochastic.TrajectoryPlan(
         n_traj=config.n_traj,
         dt=config.dt,
         t_final=t,
         master_seed=config.seed,
-        noise=standard_noise_spec(n, m, eta),
+        noise=spec,
     )
-    result = stochastic.ensemble_average(plan, lindblad.probe_vector(n, INPUT_VERTEX))
+    result = stochastic.ensemble_average(plan, psi)
     mean = result.rho_mean.rho[0]
     excess = np.abs(mean - target) - 3.0 * result.std_err[0]
     disc = max(float(excess.max()), 0.0)

@@ -33,11 +33,7 @@ import numpy as np
 
 from . import lindblad, stochastic
 from .analytics import ReportConfig, consistency_report
-from .network import (
-    NoiseSpec,
-    lindblad_edge_operators,
-    single_excitation_hamiltonian,
-)
+from .network import NoiseSpec, single_excitation_hamiltonian
 from .perturbation import (
     baseline_max_fidelity,
     first_order_numeric,
@@ -296,19 +292,20 @@ def records_to_csv(records: Sequence[ScanRecord]) -> str:
 def run_simulate(config: ExperimentConfig) -> list[ScanRecord]:
     """Evaluate the configured engine at every time-grid point.
 
-    unitary ignores the noise entirely; lindblad and trajectories run
-    the full noisy engines; the perturbation methods use the
-    first-order machinery, which by the permutation symmetry of the
-    complete graph depends on the noisy set only through its size.
+    Every method checks the noise spec first. unitary then ignores the
+    noise; lindblad and trajectories run the full noisy engines; the
+    perturbation methods use the first-order machinery, which by the
+    permutation symmetry of the complete graph depends on the noisy set
+    only through its size.
     """
     times = config.times()
-    curve = _engine_curve(config, times)
+    curve = _engine_curve(config, config.noise_spec(), times)
     return _curve_records(
         config.n, config.m, config.eta_column(), times, curve, config.master_seed, config.method
     )
 
 
-def _engine_curve(config: ExperimentConfig, times: np.ndarray) -> lindblad.FidelityCurve:
+def _engine_curve(config: ExperimentConfig, spec: NoiseSpec, times: np.ndarray) -> lindblad.FidelityCurve:
     if config.method.startswith("perturbation"):
         # uniform strength only
         eta = config.uniform_eta()
@@ -329,13 +326,11 @@ def _engine_curve(config: ExperimentConfig, times: np.ndarray) -> lindblad.Fidel
         # scalar noise is a relabelling of the standard placement; only a
         # per-edge map needs the dense engine
         if isinstance(config.eta, dict):
-            ops = lindblad_edge_operators(config.n, config.noise_spec(), *pair)
-            engine = lindblad.build_liouvillian(single_excitation_hamiltonian(config.n), ops)
+            engine = lindblad.DenseLiouvillian(config.n, spec)
         else:
             engine = lindblad.LumpedLiouvillian(config.n, config.m, config.eta)
         return lindblad.fidelity_curve(engine, times, pair)
 
-    spec = config.noise_spec()
     spec.validate_for(config.n, *pair)
     plan = stochastic.TrajectoryPlan(
         n_traj=config.n_traj,

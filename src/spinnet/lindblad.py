@@ -2,8 +2,8 @@
 
 Averaging the white-noise edge couplings gives a Lindblad equation
 d rho/dt = -i[H, rho] + sum_edges r (L rho L - {L^2, rho}/2) with one
-Hermitian hopping operator L per noisy pair and generator rate r from
-:func:`spinnet.network.lindblad_edge_operators`.
+Hermitian hopping operator L = |k><l| + |l><k| per noisy pair {k, l}
+at generator rate r = 2 eta_kl.
 
 ``LumpedLiouvillian`` serves every scalar-eta run (``fig1``-``fig3``,
 ``simulate --method lindblad`` with one rate, the curve helpers of
@@ -11,14 +11,16 @@ Hermitian hopping operator L per noisy pair and generator rate r from
 ``perturbation.first_order_numeric`` differentiates in eta: by the
 symmetry of the complete graph it evolves a 4-dimensional coherence
 sector and an 18-dimensional population sector at any n.
-``Liouvillian`` is the dense generator on the column-stacked vec(rho), a
-fixed (n+1)^2 x (n+1)^2 matrix; it serves per-edge rate maps, the
-full-state comparison with trajectories, and the tests, where it is the
-lumped engine's oracle. Both step exactly by matrix exponentials, and
-each returns its states at every time as one stack, checked whole when
-it is made: ``LumpedStates`` and ``DenseStates``, which also holds the
-trajectory ensemble's means. ``FidelityCurve.read`` turns rho_oo and
-rho_o0 into the channel of ``PROBE`` for every engine.
+``DenseLiouvillian(n, noise)`` holds the generator on the column-stacked
+vec(rho), a fixed (n+1)^2 x (n+1)^2 matrix written entrywise from the
+symmetric matrix of edge rates, and evolves any pure start; it serves
+per-edge rate maps, the full-state comparison with trajectories, and
+the tests, where it is the lumped engine's oracle. Both step exactly by
+matrix exponentials, and each returns its states at every time as one
+stack, checked whole when it is made: ``LumpedStates`` and
+``DenseStates``, which also holds the trajectory ensemble's means.
+``FidelityCurve.read`` turns rho_oo and rho_o0 into the channel of
+``PROBE`` for every engine.
 """
 
 from __future__ import annotations
@@ -30,28 +32,17 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .network import (
-    INPUT_VERTEX,
-    OUTPUT_VERTEX,
-    lindblad_edge_operators,
-    require_hermitian,
-    single_excitation_hamiltonian,
-    standard_noise_spec,
-)
+from .network import INPUT_VERTEX, OUTPUT_VERTEX, NoiseSpec, single_excitation_hamiltonian
 from .propagator import BlochInput, ChannelParams, optimal_avg_fidelity
 
 __all__ = [
     "PROBE",
+    "DenseLiouvillian",
     "DenseStates",
-    "Liouvillian",
     "LumpedLiouvillian",
     "LumpedStates",
     "FidelityCurve",
     "probe_vector",
-    "initial_network_state",
-    "build_liouvillian",
-    "complete_network_liouvillian",
-    "evolve_at_times",
     "fidelity_curve",
 ]
 
@@ -137,70 +128,6 @@ def probe_vector(n: int, input_vertex: int, state: BlochInput = PROBE) -> np.nda
     return psi
 
 
-def initial_network_state(n: int, input_vertex: int, state: BlochInput) -> DenseStates:
-    """Pure product start a|vacuum> + b|input vertex> as the rank-1 state at t = 0."""
-    psi = probe_vector(n, input_vertex, state)
-    return DenseStates(np.zeros(1), np.outer(psi, psi.conj())[np.newaxis])
-
-
-@dataclass(frozen=True, eq=False)
-class Liouvillian:
-    """Vectorized generator of the master equation.
-
-    ``generator`` acts on column-stacked density matrices. Immutable;
-    reuse one instance across an entire parameter-scan series.
-    """
-
-    generator: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(round(math.sqrt(self.generator.shape[0])))
-
-
-def build_liouvillian(
-    hamiltonian: np.ndarray,
-    operators: Iterable[tuple[np.ndarray, float]] = (),
-) -> Liouvillian:
-    """Assemble the vectorized generator from H and (operator, rate) pairs.
-
-    Uses vec(A rho B) = kron(B^T, A) vec(rho) for column stacking. The
-    dissipator enters with the physically damping sign: each pair
-    contributes rate * (L rho L^dag - {L^dag L, rho}/2), so populations
-    mix and coherences decay, never grow.
-    """
-    h = require_hermitian(hamiltonian)
-    dim = h.shape[0]
-    eye = np.eye(dim)
-    generator = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for op, rate in operators:
-        op = np.asarray(op, dtype=complex)
-        if op.shape != (dim, dim):
-            raise ValueError(f"operator shape {op.shape} does not match dimension {dim}")
-        if rate < 0:
-            raise ValueError(f"negative rate {rate}")
-        opsq = op.conj().T @ op
-        generator += rate * (
-            np.kron(op.conj(), op)
-            - 0.5 * np.kron(eye, opsq)
-            - 0.5 * np.kron(opsq.T, eye)
-        )
-    return Liouvillian(generator)
-
-
-def complete_network_liouvillian(n: int, m: int, eta: float) -> Liouvillian:
-    """Generator for the complete graph with noise on the m last vertices.
-
-    Convenience wrapper over the standard placement (transfer pair
-    (1, 2), noisy set {n-m+1, ..., n}) used by every scan in the
-    package; heterogeneous strengths or exotic noisy sets go through
-    build_liouvillian directly.
-    """
-    spec = standard_noise_spec(n, m, eta)
-    ops = lindblad_edge_operators(n, spec, INPUT_VERTEX, OUTPUT_VERTEX)
-    return build_liouvillian(single_excitation_hamiltonian(n), ops)
-
-
 def _propagate(generator: np.ndarray, start: np.ndarray, times: np.ndarray) -> np.ndarray:
     """States exp(G t) start at each time, one row per time.
 
@@ -236,32 +163,72 @@ def _propagate(generator: np.ndarray, start: np.ndarray, times: np.ndarray) -> n
     return out
 
 
-def evolve_at_times(
-    liouvillian: Liouvillian,
-    state: DenseStates,
-    times: Sequence[float],
-) -> DenseStates:
-    """Exact-stepping evolution of a state at t = 0, sampled at many times.
+@dataclass(frozen=True, eq=False)
+class DenseLiouvillian:
+    """Master equation of the complete graph on the column-stacked vec(rho).
 
-    ``state`` holds the one start matrix. The time grid need not be
-    sorted or uniform; each entry must be nonnegative. A uniform grid
-    costs two matrix exponentials in all. The states come back in the
-    order of ``times``, checked as one stack; a violated invariant raises
-    RuntimeError naming its time.
+    ``generator`` is the (n+1)^2-square matrix of -i[H, rho] + D[rho],
+    H = J - I. Each noisy pair {k, l} of ``noise`` has the Hermitian
+    hopping operator L = |k><l| + |l><k| at generator rate
+    R_kl = R_lk = 2 eta_kl, and since L^2 = |k><k| + |l><l| the sum of
+    the edge dissipators r (L rho L - {L^2, rho}/2) reads entrywise
+
+        D[rho]_ij = delta_ij sum_l R_il rho_ll + (1 - delta_ij) R_ij rho_ji
+                    - (d_i + d_j) rho_ij / 2,    d = R 1,
+
+    so one symmetric rate matrix fixes it. n must be at least 2 and the
+    noisy vertices must lie in 1..n. Immutable; reuse one instance across
+    times and start states.
     """
-    times = np.asarray(times, dtype=float).reshape(-1)
-    if np.any(times < 0):
-        raise ValueError("times must be nonnegative")
-    if len(state.times) != 1:
-        raise ValueError(f"evolution starts from one state, not {len(state.times)}")
-    dim = state.rho.shape[1]
-    if liouvillian.generator.shape[0] != dim**2:
-        raise ValueError("generator and state dimensions do not match")
-    # vec(rho) stacks the columns of rho, so each row reshapes to rho^T
-    flat = _propagate(liouvillian.generator, state.rho[0].reshape(-1, order="F"), times)
-    rho = flat.reshape(-1, dim, dim).transpose(0, 2, 1)
-    # the exponential keeps Hermiticity only to rounding
-    return DenseStates(times, 0.5 * (rho + rho.conj().transpose(0, 2, 1)))
+
+    n: int
+    noise: NoiseSpec
+    generator: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ValueError(f"need n >= 2, got {self.n}")
+        for vertex in self.noise.noisy_vertices:
+            if not 1 <= vertex <= self.n:
+                raise ValueError(f"noisy vertex {vertex} outside 1..{self.n}")
+        dim = self.n + 1
+        rates = np.zeros((dim, dim))
+        for (k, l), eta in self.noise.edge_strengths().items():
+            rates[k, l] = rates[l, k] = 2.0 * eta
+        h = single_excitation_hamiltonian(self.n)
+        eye = np.eye(dim)
+        generator = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+        # row[i, j] is the row of rho_ij in vec(rho)
+        row = np.arange(dim)[:, None] + dim * np.arange(dim)
+        populations = row.diagonal()
+        generator[np.ix_(populations, populations)] += rates
+        # rho_ji feeds rho_ij; R_ii = 0, so the diagonal gets nothing here
+        generator[row, row.T] += rates
+        decay = rates.sum(axis=1)
+        generator[row, row] -= 0.5 * (decay[:, None] + decay)
+        object.__setattr__(self, "generator", generator)
+
+    def evolve(self, psi0: np.ndarray, times: Sequence[float]) -> DenseStates:
+        """Checked states from the pure start ``psi0`` at each time.
+
+        The time grid need not be sorted or uniform; each entry must be
+        nonnegative. A uniform grid costs two matrix exponentials in
+        all. The states come back in the order of ``times``, checked as
+        one stack; a violated invariant raises RuntimeError naming its
+        time.
+        """
+        dim = self.n + 1
+        psi0 = np.asarray(psi0, dtype=complex)
+        if psi0.shape != (dim,):
+            raise ValueError(f"start state of shape {psi0.shape} is not a vector of n + 1 = {dim} entries")
+        times = np.asarray(times, dtype=float).reshape(-1)
+        if np.any(times < 0):
+            raise ValueError("times must be nonnegative")
+        # vec(rho) stacks the columns of rho, so each row reshapes to rho^T
+        flat = _propagate(self.generator, np.outer(psi0, psi0.conj()).reshape(-1, order="F"), times)
+        rho = flat.reshape(-1, dim, dim).transpose(0, 2, 1)
+        # the exponential keeps Hermiticity only to rounding
+        return DenseStates(times, 0.5 * (rho + rho.conj().transpose(0, 2, 1)))
 
 
 def _channel(rho_oo: float, rho_o0: complex, a: complex, b: complex) -> ChannelParams:
@@ -311,8 +278,8 @@ def _multiplicities(k: int, m: int) -> dict[str, int]:
 
 
 def _rate(m: int, eta: float) -> float:
-    # generator rate of lindblad_edge_operators; fewer than two noisy
-    # vertices span no edge and leave no dissipator
+    # generator rate of each noisy edge, as in DenseLiouvillian; fewer
+    # than two noisy vertices span no edge and leave no dissipator
     return 2.0 * eta if m >= 2 else 0.0
 
 
@@ -556,18 +523,18 @@ class FidelityCurve:
 
 
 def fidelity_curve(
-    engine: LumpedLiouvillian | Liouvillian,
+    engine: LumpedLiouvillian | DenseLiouvillian,
     times: Sequence[float],
     pair: tuple[int, int] = (INPUT_VERTEX, OUTPUT_VERTEX),
 ) -> FidelityCurve:
     """Evolve ``PROBE`` and read the channel off rho_oo and rho_o0 at each time.
 
     A lumped engine needs only those two entries. A dense engine starts
-    at the input vertex of ``pair`` and is read at its output vertex;
-    the lumped engine is the same for every pair. The two vertices must
-    differ and lie in 1..n.
+    at the input vertex of ``pair``, is read at its output vertex, and
+    its noisy set must leave both alone; the lumped engine is the same
+    for every pair. The two vertices must differ and lie in 1..n.
     """
-    n = engine.n if isinstance(engine, LumpedLiouvillian) else engine.dim - 1
+    n = engine.n
     source, target = pair
     if source == target:
         raise ValueError(f"input and output vertex are both {source}")
@@ -577,5 +544,6 @@ def fidelity_curve(
     if isinstance(engine, LumpedLiouvillian):
         states = engine.evolve(times)
         return FidelityCurve.read(states.rho_oo, states.rho_o0)
-    rho = evolve_at_times(engine, initial_network_state(n, source, PROBE), times).rho
+    engine.noise.validate_for(n, source, target)
+    rho = engine.evolve(probe_vector(n, source), times).rho
     return FidelityCurve.read(rho[:, target, target].real, rho[:, target, 0])

@@ -1,4 +1,4 @@
-"""The complete graph's Hamiltonian, noise placement, and jump operators.
+"""The complete graph's Hamiltonian and noise placement.
 
 Vertices are numbered 1..n to match the physics convention for network
 nodes; matrix index 0 is reserved for the vacuum (no excitation) state,
@@ -26,7 +26,6 @@ __all__ = [
     "OUTPUT_VERTEX",
     "standard_noise_spec",
     "single_excitation_hamiltonian",
-    "lindblad_edge_operators",
     "require_hermitian",
 ]
 
@@ -51,7 +50,7 @@ class NoiseSpec:
     from vertex pairs to individual rates; the heterogeneous form covers
     the case of unequal couplings behind the same interface. The noise
     acts on every unordered pair inside ``noisy_vertices``, so a single
-    noisy vertex produces no operators at all.
+    noisy vertex spans no noisy pair at all.
     """
 
     noisy_vertices: tuple[int, ...]
@@ -148,28 +147,3 @@ def single_excitation_hamiltonian(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
     return np.pad(1.0 - np.eye(n), (1, 0))
-
-
-def lindblad_edge_operators(
-    n: int,
-    spec: NoiseSpec,
-    input_vertex: int,
-    output_vertex: int,
-) -> list[tuple[np.ndarray, float]]:
-    """Build the edge-hopping Lindblad operators for a noise specification.
-
-    One Hermitian operator ``|k><l| + |l><k|`` per unordered pair {k, l}
-    of noisy vertices, paired with its generator rate. The rate is twice
-    the noise strength: delta-correlated coupling noise of strength eta
-    averages to an edge dissipator with coefficient 2*eta, and the
-    stochastic sampler in :mod:`spinnet.stochastic` is normalized to the
-    same convention so trajectory ensembles converge to this generator.
-    """
-    spec.validate_for(n, input_vertex, output_vertex)
-    dim = n + 1
-    out: list[tuple[np.ndarray, float]] = []
-    for (k, l), eta in spec.edge_strengths().items():
-        op = np.zeros((dim, dim))
-        op[k, l] = op[l, k] = 1.0
-        out.append((op, 2.0 * eta))
-    return out

@@ -15,9 +15,11 @@ minimizer operation for operation, so results are bitwise scipy's while
 the only scipy module the package loads is linalg.
 
 The noise-benefit statistic Delta(t) = max[F(t; eta) - max_t F(t; 0), 0]
-is always computed from the full master-equation engine, not from
-either first-order route: the interesting windows sit at eta*t of
-order one, where a truncated expansion has no business being trusted.
+of the ``fig2`` and ``fig3`` scans (:mod:`spinnet.cli`) is computed from
+the full master-equation engine, not from either first-order route:
+the interesting windows sit at eta*t of order one, where a truncated
+expansion has no business being trusted. Its baseline is
+baseline_max_fidelity.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ __all__ = [
     "first_order_numeric",
     "baseline_max_fidelity",
     "grid_maximum",
-    "delta_profile",
     "longest_positive_run",
 ]
 
@@ -408,17 +409,6 @@ def baseline_max_fidelity(n: int, t_grid: np.ndarray | None = None) -> float:
         return optimal_avg_fidelity(ChannelParams(math.sqrt(complete_graph_transfer_prob(n, t))))[0]
 
     return grid_maximum(fid, t_grid, [fid(t) for t in t_grid], xatol=1e-10)
-
-
-def delta_profile(n: int, m: int, eta: float, times: np.ndarray) -> np.ndarray:
-    """Delta over a whole time grid from one lumped master-equation run.
-
-    The baseline is the analytic noiseless peak, baseline_max_fidelity(n).
-    """
-    _require_noise_geometry(n, m)
-    baseline = baseline_max_fidelity(n)
-    curve = lindblad.fidelity_curve(lindblad.LumpedLiouvillian(n, m, eta), times)
-    return np.maximum(curve.fidelity - baseline, 0.0)
 
 
 def longest_positive_run(values: np.ndarray) -> int:

@@ -28,15 +28,18 @@ import numpy as np
 import pytest
 
 import spinnet as sn
-from spinnet import lindblad
+from spinnet.cli import run_scan_fig2, run_scan_fig3
 
-PROBE = sn.BlochInput(math.pi / 2, 0.0)
 SEED = 20240817
+
+
+def _dense(n: int, m: int, eta: float) -> sn.DenseLiouvillian:
+    return sn.DenseLiouvillian(n, sn.standard_noise_spec(n, m, eta))
 
 
 def _lindblad_fidelity(n: int, m: int, eta: float, times) -> list[float]:
     # the dense engine, the oracle of the lumped one
-    return list(sn.fidelity_curve(sn.complete_network_liouvillian(n, m, eta), times).fidelity)
+    return list(sn.fidelity_curve(_dense(n, m, eta), times).fidelity)
 
 
 class TestCriterion1NoPerfectTransfer:
@@ -67,7 +70,6 @@ class TestCriterion2OracleTriple:
     @pytest.mark.slow
     def test_three_engines_agree(self, criterion_log):
         h = sn.single_excitation_hamiltonian(4)
-        start = sn.initial_network_state(4, 1, PROBE)
         psi = sn.probe_vector(4, 1)
 
         worst_sigma = 0.0
@@ -77,26 +79,26 @@ class TestCriterion2OracleTriple:
                 n_traj=20000, dt=1e-3, t_final=self.TIMES[-1], master_seed=SEED, noise=spec
             )
             ensembles = sn.ensemble_average(plan, psi, times=self.TIMES)
-            liou = sn.complete_network_liouvillian(4, 2, eta)
+            engine = sn.DenseLiouvillian(4, spec)
             for t, mean, std_err in zip(self.TIMES, ensembles.rho_mean.rho, ensembles.std_err):
-                exact = lindblad.evolve_at_times(liou, start, [t]).rho[0]
+                exact = engine.evolve(psi, [t]).rho[0]
                 sigma = np.maximum(std_err, 1e-30)
                 worst_sigma = max(worst_sigma, float((np.abs(mean - exact) / sigma).max()))
 
         # noiseless master equation is the unitary engine
         worst_unitary = 0.0
-        liou0 = sn.complete_network_liouvillian(4, 2, 0.0)
+        clean = _dense(4, 2, 0.0)
         for t in (0.5, 1.0, 1.5 * math.pi):
-            z_master = sn.fidelity_curve(liou0, [t]).channels[0].amplitude
+            z_master = sn.fidelity_curve(clean, [t]).channels[0].amplitude
             z_unitary = sn.transfer_amplitude(h, t, 1, 2)
             worst_unitary = max(worst_unitary, abs(z_master - z_unitary))
 
         # halving the master-equation step must not move the state: the
         # endpoint of a uniform grid of step ~1e-3, then ~5e-4, is reached
         # by repeated powers of expm(G * step)
-        liou = sn.complete_network_liouvillian(4, 2, 1.0)
-        coarse = lindblad.evolve_at_times(liou, start, np.linspace(0.0, 1.5 * math.pi, 4713)).rho[-1]
-        fine = lindblad.evolve_at_times(liou, start, np.linspace(0.0, 1.5 * math.pi, 9425)).rho[-1]
+        engine = _dense(4, 2, 1.0)
+        coarse = engine.evolve(psi, np.linspace(0.0, 1.5 * math.pi, 4713)).rho[-1]
+        fine = engine.evolve(psi, np.linspace(0.0, 1.5 * math.pi, 9425)).rho[-1]
         drift = float(np.max(np.abs(coarse - fine)))
 
         passed = worst_sigma <= 3.0 and worst_unitary < 1e-8 and drift <= 1e-8
@@ -240,12 +242,9 @@ class TestCriterion5FirstOrderScaling:
 
 class TestCriterion6EnhancementWindows:
     def test_windows_exist_across_sizes(self, criterion_log):
-        times = np.arange(1, 2001) * (4 * math.pi / 2000)
-        missing = []
-        for n in range(4, 13):
-            prof = np.array(sn.delta_profile(n, n - 2, 0.01, times))
-            if not np.any(prof > 0):
-                missing.append(n)
+        # the fig2 scan: n = 4..12 at m = n - 2, eta = 0.01, t = k 4 pi / 2000
+        records = run_scan_fig2({"t_steps": 2000})
+        missing = [n for n in range(4, 13) if not any(r.delta > 0 for r in records if r.n == n)]
         passed = missing == []
         criterion_log(
             "6a enhancement window exists for n=4..12 (m=n-2)",
@@ -255,12 +254,13 @@ class TestCriterion6EnhancementWindows:
         assert passed
 
     def test_window_width_grows_with_noisy_set(self, criterion_log):
+        # the fig3 scan: n = 10, m = 2..8, eta = 0.01, t = k 4 pi / steps
         steps = 16000
-        times = np.arange(1, steps + 1) * (4 * math.pi / steps)
         dt = 4 * math.pi / steps
+        records = run_scan_fig3({"t_steps": steps})
         widths = []
         for m in range(2, 9):
-            prof = np.array(sn.delta_profile(10, m, 0.01, times))
+            prof = np.array([r.delta for r in records if r.m == m])
             assert np.any(prof > 0), f"no enhancement window at n=10, m={m}"
             widths.append(sn.longest_positive_run(prof) * dt)
         gaps = np.diff(widths)
@@ -285,11 +285,10 @@ class TestCriterion7Conservation:
             theta = float(rng.uniform(0.2, math.pi - 0.2))
             phi = float(rng.uniform(0.0, 2 * math.pi))
             probe = sn.BlochInput(theta, phi)
-            liou = sn.complete_network_liouvillian(n, m, eta)
-            start = sn.initial_network_state(n, 1, probe)
-            vac0 = start.rho[0, 0, 0].real
+            psi = sn.probe_vector(n, 1, probe)
+            vac0 = abs(psi[0]) ** 2
             times = rng.uniform(0.1, 6.0, size=6)
-            for rho in lindblad.evolve_at_times(liou, start, np.sort(times)).rho:
+            for rho in _dense(n, m, eta).evolve(psi, np.sort(times)).rho:
                 worst["trace"] = max(worst["trace"], abs(np.trace(rho).real - 1.0))
                 worst["herm"] = max(worst["herm"], float(np.max(np.abs(rho - rho.conj().T))))
                 worst["vacuum"] = max(worst["vacuum"], abs(rho[0, 0].real - vac0))

@@ -18,22 +18,13 @@ from spinnet.analytics import (
     zeno_effective_hamiltonian,
     zeno_limit_channel,
 )
-from spinnet.lindblad import (
-    LumpedLiouvillian,
-    complete_network_liouvillian,
-    evolve_at_times,
-    fidelity_curve,
-    initial_network_state,
-)
+from spinnet.lindblad import DenseLiouvillian, LumpedLiouvillian, fidelity_curve, probe_vector
 from spinnet.network import single_excitation_hamiltonian, standard_noise_spec
 from spinnet.propagator import (
-    BlochInput,
     complete_graph_peak_fidelity,
     optimal_avg_fidelity,
     transfer_amplitude,
 )
-
-PROBE = BlochInput(math.pi / 2, 0.0)
 
 
 class TestPeakFidelity:
@@ -65,12 +56,11 @@ class TestFourNodeClosedForm:
         # the printed coherence solves the same dynamics written with a
         # half-rate convention and a conjugate time direction: engine
         # coherence at eta equals the conjugate closed form at 2 eta
-        start = initial_network_state(4, 1, PROBE)
         b = math.sin(math.pi / 4)
         a = math.cos(math.pi / 4)
         for eta, t in [(0.25, 0.8), (1.0, 1.7), (4.0, 3.0), (30.0, 1.2)]:
-            liou = complete_network_liouvillian(4, 2, eta)
-            rho = evolve_at_times(liou, start, [t]).rho[0]
+            engine = DenseLiouvillian(4, standard_noise_spec(4, 2, eta))
+            rho = engine.evolve(probe_vector(4, 1), [t]).rho[0]
             engine = rho[2, 0] / (b * a)
             closed = np.conj(four_node_closed_form(2 * eta, t).lambda_z)
             assert engine == pytest.approx(closed, abs=1e-8)
@@ -118,10 +108,10 @@ class TestZenoLimit:
             zeno_limit_channel(6, 2, 1.0)
 
     def test_strong_noise_engine_approaches_limit(self):
-        liou = complete_network_liouvillian(4, 2, 1000.0)
+        engine = DenseLiouvillian(4, standard_noise_spec(4, 2, 1000.0))
         worst = 0.0
         for t in np.linspace(0.0, 2 * math.pi, 33):
-            f_engine = fidelity_curve(liou, [float(t)]).fidelity[0]
+            f_engine = fidelity_curve(engine, [float(t)]).fidelity[0]
             f_limit, _ = optimal_avg_fidelity(zeno_limit_channel(4, 2, float(t)))
             worst = max(worst, abs(f_engine - f_limit))
         assert worst < 0.01

@@ -26,7 +26,8 @@ from spinnet.cli import (
     run_scan_fig3,
     run_simulate,
 )
-from spinnet.lindblad import complete_network_liouvillian
+from spinnet.lindblad import DenseLiouvillian
+from spinnet.network import standard_noise_spec
 from spinnet.propagator import complete_graph_transfer_prob
 
 
@@ -185,7 +186,7 @@ class TestFigureScans:
         rho0[np.ix_([0, 1], [0, 1])] = [[a * a, a * b], [a * b, b * b]]
         worst = 0.0
         for eta in (4.0, 8.0):
-            generator = complete_network_liouvillian(4, 2, eta).generator
+            generator = DenseLiouvillian(4, standard_noise_spec(4, 2, eta)).generator
             for r in (r for r in records if r.eta == eta):
                 v = scipy.linalg.expm(generator * r.t) @ rho0.reshape(-1, order="F")
                 rho = v.reshape((5, 5), order="F")
@@ -218,6 +219,21 @@ class TestFigureScans:
         assert {r.n for r in records} == {4, 5}
         assert all(r.m == r.n - 2 for r in records)
         assert all(r.delta is not None and r.delta >= 0.0 for r in records)
+
+    def test_fig3_gain_at_large_noisy_set(self):
+        # n = 10, m = 8, eta = 0.01 gains over the clean peak, and a scan
+        # of its best time alone reads the same Delta
+        records = run_scan_fig3({"m_values": [8]})
+        best = max(records, key=lambda r: r.delta)
+        assert best.delta > 1e-4
+        [alone] = run_scan_fig3({"m_values": [8], "t_max": best.t, "t_steps": 1})
+        assert alone.t == best.t
+        assert alone.delta == pytest.approx(best.delta, abs=1e-12)
+
+    def test_fig2_no_gain_without_noise(self):
+        records = run_scan_fig2({"n_max": 4, "eta": 0.0, "t_max": 6.0, "t_steps": 12})
+        assert len(records) == 12
+        assert max(r.delta for r in records) == 0.0
 
     def test_fig3_rows_cover_m_range(self):
         records = run_scan_fig3({"m_values": [2, 4], "t_steps": 10})
@@ -282,6 +298,22 @@ class TestFailureExits:
         code, err = _main(["report"], {"threads": 7, "n_traj": 50}, tmp_path, capsys)
         assert code == 1
         assert "field 'threads': unknown field" in err
+
+    @pytest.mark.parametrize("method", cli._METHODS)
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"n": 3, "m": 1, "eta": {"3-3": 1.0}}, r"self-loop \(3, 3\) is not allowed"),
+            ({"n": 5, "m": 2, "eta": {"1-2": 1.0}}, r"per-edge strengths missing pairs \[\(4, 5\)\]"),
+            ({"n": 5, "m": 2, "eta": {"4-5": 1.0, "9-9": 3}}, r"self-loop \(9, 9\) is not allowed"),
+        ],
+        ids=["self-loop", "edge-on-transfer-pair", "vertex-outside-network"],
+    )
+    def test_bad_edge_map_exits_1_on_every_method(self, config, message, method, tmp_path, capsys):
+        # unitary reads no noise, yet it checks the map as the other routes do
+        code, err = _main(["simulate"], {**config, "method": method}, tmp_path, capsys)
+        assert code == 1
+        assert re.fullmatch(f"configuration error: field 'eta': {message}\n", err)
 
     @staticmethod
     def _broken_eigvalsh_exit(eta, tmp_path, capsys, monkeypatch):

@@ -1,8 +1,11 @@
 """Master-equation engine: generator structure, evolution, extraction.
 
-The dissipator rate convention is pinned by two independently derived
-decay laws for a single noisy edge (k, l) of strength eta, with the
-Hamiltonian switched off:
+The dense generator is held to the Lindblad form written out in this
+file, -i(I x H - H^T x I) + sum r (L x L - I x L^2 / 2 - L^2T x I / 2)
+over one hopping operator L = |k><l| + |l><k| per noisy pair at rate
+r = 2 eta_kl. The rate convention is pinned by two independently
+derived decay laws for a single noisy edge (k, l) of strength eta, with
+the Hamiltonian switched off:
 
   * a coherence between an untouched vertex and k decays as e^{-eta t}
   * the coherence between the symmetric and antisymmetric combinations
@@ -23,34 +26,54 @@ import scipy.linalg
 
 from spinnet import lindblad
 from spinnet.lindblad import (
+    DenseLiouvillian,
     DenseStates,
     FidelityCurve,
-    Liouvillian,
     LumpedLiouvillian,
-    build_liouvillian,
-    complete_network_liouvillian,
-    evolve_at_times,
     fidelity_curve,
-    initial_network_state,
     probe_vector,
 )
-from spinnet.network import (
-    lindblad_edge_operators,
-    single_excitation_hamiltonian,
-    standard_noise_spec,
-)
+from spinnet.network import NoiseSpec, single_excitation_hamiltonian, standard_noise_spec
 from spinnet.propagator import BlochInput, transfer_amplitude
 
 PROBE = BlochInput(math.pi / 2, 0.0)
+PER_EDGE = NoiseSpec((3, 4, 5), {(3, 4): 0.5, (3, 5): 1.0, (4, 5): 2.0})
 
 
-def _single_edge_dissipator(n: int, eta: float) -> Liouvillian:
-    ops = lindblad_edge_operators(n, standard_noise_spec(n, 2, eta), 1, 2)
-    return build_liouvillian(np.zeros((n + 1, n + 1)), ops)
+def _dense(n: int, m: int, eta: float) -> DenseLiouvillian:
+    return DenseLiouvillian(n, standard_noise_spec(n, m, eta))
 
 
-def _pure(psi: np.ndarray) -> DenseStates:
-    return DenseStates([0.0], [np.outer(psi, psi.conj())])
+def _literal_generator(n: int, spec: NoiseSpec) -> np.ndarray:
+    """The Lindblad form on column-stacked vec(rho), one operator per noisy pair."""
+    h = single_excitation_hamiltonian(n)
+    eye = np.eye(n + 1)
+    out = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for (k, l), eta in spec.edge_strengths().items():
+        op = np.zeros((n + 1, n + 1))
+        op[k, l] = op[l, k] = 1.0
+        sq = op @ op
+        out = out + 2.0 * eta * (np.kron(op, op) - 0.5 * np.kron(eye, sq) - 0.5 * np.kron(sq.T, eye))
+    return out
+
+
+def _dissipator(n: int, spec: NoiseSpec) -> np.ndarray:
+    """The dense generator less its noiseless part."""
+    return DenseLiouvillian(n, spec).generator - DenseLiouvillian(n, NoiseSpec(())).generator
+
+
+def _dissipate(n: int, eta: float, rho0: np.ndarray, t: float) -> np.ndarray:
+    """rho0 after time t under the dissipator of one noisy edge (n-1, n) alone."""
+    vec = scipy.linalg.expm(_dissipator(n, standard_noise_spec(n, 2, eta)) * t) @ rho0.reshape(-1, order="F")
+    return vec.reshape((n + 1, n + 1), order="F")
+
+
+def _edge_rates(n: int, spec: NoiseSpec) -> dict[tuple[int, int], float]:
+    """The rate at which the dissipator moves population from vertex l to k, k < l."""
+    diagonal = np.arange(n + 1) * (n + 2)
+    feed = _dissipator(n, spec)[np.ix_(diagonal, diagonal)]
+    assert np.array_equal(feed.imag, np.zeros_like(feed.imag))
+    return {(k, l): feed[k, l].real for k in range(n + 1) for l in range(k + 1, n + 1) if feed[k, l] != 0}
 
 
 def _channels(states: DenseStates, output: int = 2):
@@ -68,7 +91,7 @@ _BAD = {
 
 class TestDenseStates:
     def test_accepts_valid_state(self):
-        st = initial_network_state(4, 1, PROBE)
+        st = _dense(4, 2, 1.0).evolve(probe_vector(4, 1), [0.0])
         assert st.rho.shape == (1, 5, 5)
         assert st.times.tolist() == [0.0]
         assert np.trace(st.rho[0]).real == pytest.approx(1.0)
@@ -106,7 +129,7 @@ class TestDenseStates:
             DenseStates([0.0], [np.eye(3, 2)])
 
     def test_initial_state_populations(self):
-        st = initial_network_state(4, 2, BlochInput(1.0, 0.5))
+        st = _dense(4, 2, 1.0).evolve(probe_vector(4, 2, BlochInput(1.0, 0.5)), [0.0])
         a, b = BlochInput(1.0, 0.5).amplitudes()
         assert st.rho[0, 0, 0].real == pytest.approx(abs(a) ** 2)
         assert st.rho[0, 2, 2].real == pytest.approx(abs(b) ** 2)
@@ -121,37 +144,43 @@ class TestDenseStates:
                 probe_vector(4, vertex)
 
 
+def _literal_cases():
+    # standard placements at every n from 4 to 12, a per-edge map and a
+    # noisy set with gaps
+    cases = [(n, standard_noise_spec(n, m, 0.7)) for n in range(4, 13) for m in sorted({2, n // 2, n - 2})]
+    return [*cases, (5, PER_EDGE), (8, NoiseSpec((3, 5, 7), 1.3))]
+
+
 class TestGeneratorStructure:
+    @pytest.mark.parametrize("n, spec", _literal_cases())
+    def test_matches_literal_lindblad_form(self, n, spec):
+        generator = DenseLiouvillian(n, spec).generator
+        assert np.max(np.abs(generator - _literal_generator(n, spec))) < 1e-14
+
+    @pytest.mark.parametrize("n, m", [(4, 0), (4, 1), (7, 0), (7, 1)])
+    def test_fewer_than_two_noisy_vertices_leave_no_dissipator(self, n, m):
+        generator = _dense(n, m, 2.0).generator
+        assert np.array_equal(generator, _literal_generator(n, NoiseSpec(())))
+
     def test_pure_hamiltonian_part_matches_commutator(self):
         h = single_excitation_hamiltonian(4)
-        liou = build_liouvillian(h, [])
-        rho = initial_network_state(4, 1, PROBE).rho[0]
-        lhs = liou.generator @ rho.flatten(order="F")
+        generator = _dense(4, 0, 0.0).generator
+        rho = np.outer(probe_vector(4, 1), probe_vector(4, 1).conj())
+        lhs = generator @ rho.flatten(order="F")
         rhs = (-1j * (h @ rho - rho @ h)).flatten(order="F")
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_dissipator_traceless(self):
-        liou = complete_network_liouvillian(5, 3, 1.3)
-        st = initial_network_state(5, 1, PROBE)
-        deriv = (liou.generator @ st.rho[0].flatten(order="F")).reshape((6, 6), order="F")
+        psi = probe_vector(5, 1)
+        deriv = (_dense(5, 3, 1.3).generator @ np.outer(psi, psi.conj()).flatten(order="F")).reshape((6, 6), order="F")
         assert abs(np.trace(deriv)) < 1e-12
-
-    def test_generator_splits_into_parts(self):
-        # the generator is the sum of its Hamiltonian-only and
-        # dissipator-only builds
-        liou = complete_network_liouvillian(4, 2, 0.8)
-        h = single_excitation_hamiltonian(4)
-        ham = build_liouvillian(h, []).generator
-        dis = _single_edge_dissipator(4, 0.8).generator
-        assert np.max(np.abs(liou.generator - ham - dis)) < 1e-14
 
     def test_untouched_coherence_decay_rate(self):
         # derived by hand: d/dt rho_{1,3} = -eta rho_{1,3}
         n, eta, t = 4, 0.9, 0.7
-        liou = _single_edge_dissipator(n, eta)
         psi = np.zeros(n + 1, dtype=complex)
         psi[1] = psi[3] = 1 / math.sqrt(2)
-        rho = evolve_at_times(liou, _pure(psi), [t]).rho[0]
+        rho = _dissipate(n, eta, np.outer(psi, psi.conj()), t)
         assert rho[1, 3].real == pytest.approx(0.5 * math.exp(-eta * t), abs=1e-12)
 
     def test_edge_parity_coherence_decay_rate(self):
@@ -159,66 +188,101 @@ class TestGeneratorStructure:
         # with eigenvalues +1 and -1: their cross coherence decays at
         # 4 eta and the populations do not move
         n, eta, t = 4, 0.9, 0.7
-        liou = _single_edge_dissipator(n, eta)
         s = np.zeros(n + 1, dtype=complex)
         a = np.zeros(n + 1, dtype=complex)
         s[3] = s[4] = 1 / math.sqrt(2)
         a[3], a[4] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-        rho0 = 0.5 * np.outer(s + a, (s + a).conj())
-        rho = evolve_at_times(liou, DenseStates([0.0], [rho0]), [t]).rho[0]
+        rho = _dissipate(n, eta, 0.5 * np.outer(s + a, (s + a).conj()), t)
         assert (s.conj() @ rho @ a).real == pytest.approx(0.5 * math.exp(-4 * eta * t), abs=1e-12)
         assert (s.conj() @ rho @ s).real == pytest.approx(0.5, abs=1e-12)
 
 
+class TestEdgeRates:
+    def test_one_rate_per_noisy_pair(self):
+        assert set(_edge_rates(5, standard_noise_spec(5, 3, 1.0))) == {(3, 4), (3, 5), (4, 5)}
+
+    def test_rates_symmetric(self):
+        diagonal = np.arange(6) * 7
+        feed = _dissipator(5, PER_EDGE)[np.ix_(diagonal, diagonal)]
+        assert np.array_equal(feed, feed.T)
+
+    def test_rate_doubles_the_strength(self):
+        # white-noise averaging of a fluctuating coupling of strength
+        # eta lands on a dissipator rate of exactly 2 eta
+        assert _edge_rates(4, standard_noise_spec(4, 2, 1.5)) == {(3, 4): 3.0}
+
+    def test_per_edge_strengths_carried_through(self):
+        assert _edge_rates(5, PER_EDGE) == {(3, 4): 1.0, (3, 5): 2.0, (4, 5): 4.0}
+
+    def test_empty_noise_gives_no_dissipator(self):
+        assert not _dissipator(4, standard_noise_spec(4, 0, 1.0)).any()
+
+    @pytest.mark.parametrize(
+        "n, spec, message",
+        [
+            (1, NoiseSpec(()), "need n >= 2, got 1"),
+            (4, NoiseSpec((3, 5), 1.0), "noisy vertex 5 outside 1..4"),
+            (5, NoiseSpec((0, 3), 1.0), "noisy vertex 0 outside 1..5"),
+        ],
+    )
+    def test_rejects_bad_network(self, n, spec, message):
+        with pytest.raises(ValueError, match=message):
+            DenseLiouvillian(n, spec)
+
+
 class TestEvolution:
     def test_exact_matches_direct_exponential(self):
-        liou = complete_network_liouvillian(4, 2, 1.0)
-        st = initial_network_state(4, 1, PROBE)
+        engine = _dense(4, 2, 1.0)
+        psi = probe_vector(4, 1)
         t = 1.3
-        direct = scipy.linalg.expm(liou.generator * t) @ st.rho[0].flatten(order="F")
-        got = evolve_at_times(liou, st, [t]).rho[0].flatten(order="F")
+        direct = scipy.linalg.expm(engine.generator * t) @ np.outer(psi, psi.conj()).flatten(order="F")
+        got = engine.evolve(psi, [t]).rho[0].flatten(order="F")
         assert np.max(np.abs(direct - got)) < 1e-10
 
     def test_exact_at_generator_exceptional_point(self):
         # eta = 8 makes the four-node generator non-diagonalizable;
         # evolution must still return a valid state
-        liou = complete_network_liouvillian(4, 2, 8.0)
-        st = initial_network_state(4, 1, PROBE)
-        out = evolve_at_times(liou, st, [1.2]).rho[0]
+        out = _dense(4, 2, 8.0).evolve(probe_vector(4, 1), [1.2]).rho[0]
         assert abs(np.trace(out).real - 1.0) < 1e-10
 
     def test_stiff_strong_noise_regime(self):
-        liou = complete_network_liouvillian(4, 2, 1000.0)
-        st = initial_network_state(4, 1, PROBE)
-        out = evolve_at_times(liou, st, [2.0]).rho[0]
+        out = _dense(4, 2, 1000.0).evolve(probe_vector(4, 1), [2.0]).rho[0]
         assert abs(np.trace(out).real - 1.0) < 1e-10
 
-    def test_evolve_at_times_matches_single_calls(self):
-        liou = complete_network_liouvillian(4, 2, 0.7)
-        st = initial_network_state(4, 1, PROBE)
+    def test_evolve_matches_single_calls(self):
+        engine = _dense(4, 2, 0.7)
+        psi = probe_vector(4, 1)
         times = [0.0, 0.4, 1.1]
-        batch = evolve_at_times(liou, st, times)
+        batch = engine.evolve(psi, times)
         assert batch.times.tolist() == times
         for t, got in zip(times, batch.rho):
-            solo = evolve_at_times(liou, st, [t]).rho[0]
+            solo = engine.evolve(psi, [t]).rho[0]
             assert np.max(np.abs(solo - got)) < 1e-12
 
     def test_vacuum_population_conserved(self):
-        liou = complete_network_liouvillian(5, 3, 2.0)
-        probe = BlochInput(1.1, 0.4)
-        st = initial_network_state(5, 1, probe)
-        vac0 = st.rho[0, 0, 0].real
-        for out in evolve_at_times(liou, st, [0.5, 2.0, 5.0]).rho:
+        psi = probe_vector(5, 1, BlochInput(1.1, 0.4))
+        vac0 = abs(psi[0]) ** 2
+        for out in _dense(5, 3, 2.0).evolve(psi, [0.5, 2.0, 5.0]).rho:
             assert out[0, 0].real == pytest.approx(vac0, abs=1e-12)
 
     def test_noiseless_evolution_is_unitary(self):
-        liou = complete_network_liouvillian(4, 2, 0.0)
-        st = initial_network_state(4, 1, PROBE)
-        [params] = _channels(evolve_at_times(liou, st, [1.3]))
+        [params] = _channels(_dense(4, 2, 0.0).evolve(probe_vector(4, 1), [1.3]))
         h = single_excitation_hamiltonian(4)
         z = transfer_amplitude(h, 1.3, 1, 2)
         assert params.amplitude == pytest.approx(z, abs=1e-10)
         assert params.dephasing == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "psi0, times, message",
+        [
+            (np.ones(4) / 2, [1.0], r"start state of shape \(4,\) is not a vector of n \+ 1 = 5 entries"),
+            (np.eye(5)[:2], [1.0], r"start state of shape \(2, 5\)"),
+            (probe_vector(4, 1), [1.0, -0.5], "times must be nonnegative"),
+        ],
+    )
+    def test_rejects_bad_start_and_times(self, psi0, times, message):
+        with pytest.raises(ValueError, match=message):
+            _dense(4, 2, 1.0).evolve(psi0, times)
 
 
 class TestReadout:
@@ -232,18 +296,24 @@ class TestReadout:
         ],
     )
     def test_pair_checked(self, pair, message):
-        for engine in (complete_network_liouvillian(4, 2, 1.0), LumpedLiouvillian(4, 2, 1.0)):
+        for engine in (_dense(4, 2, 1.0), LumpedLiouvillian(4, 2, 1.0)):
             with pytest.raises(ValueError, match=message):
                 fidelity_curve(engine, [1.0], pair)
 
+    @pytest.mark.parametrize("pair", [(4, 1), (1, 5), (3, 4)])
+    def test_dense_pair_must_avoid_noisy_set(self, pair):
+        with pytest.raises(ValueError, match=r"^noisy vertices \[\d(, \d)?\] overlap the transfer pair$"):
+            fidelity_curve(_dense(5, 2, 1.0), [1.0], pair)
+        # the same pair away from the noise reads a channel
+        assert len(fidelity_curve(DenseLiouvillian(5, NoiseSpec((2, 3), 1.0)), [1.0], (4, 5)).channels) == 1
+
     def test_dephasing_bounded(self):
-        liou = complete_network_liouvillian(4, 2, 3.0)
-        for params in fidelity_curve(liou, [0.3, 1.0, 4.0]).channels:
+        for params in fidelity_curve(_dense(4, 2, 3.0), [0.3, 1.0, 4.0]).channels:
             assert 0.0 <= params.dephasing <= 1.0 + 1e-9
             assert abs(params.amplitude) <= 1.0 + 1e-9
 
     def test_zero_time_channel_is_empty(self):
-        [params] = _channels(initial_network_state(4, 1, PROBE))
+        [params] = fidelity_curve(_dense(4, 2, 1.0), [0.0]).channels
         assert params.amplitude == 0.0
         assert params.dephasing == 1.0
 
@@ -265,8 +335,7 @@ class TestReadout:
 
 
 def _dense_entries(n: int, m: int, eta: float, times) -> tuple[np.ndarray, np.ndarray]:
-    start = initial_network_state(n, 1, PROBE)
-    rho = evolve_at_times(complete_network_liouvillian(n, m, eta), start, times).rho
+    rho = _dense(n, m, eta).evolve(probe_vector(n, 1), times).rho
     return rho[:, 2, 2].real, rho[:, 2, 0]
 
 
@@ -289,7 +358,7 @@ class TestLumpedEngine:
     @pytest.mark.parametrize("n, m, eta", _lumped_cases())
     def test_matches_dense_engine(self, n, m, eta):
         lumped = LumpedLiouvillian(n, m, eta)
-        dense = complete_network_liouvillian(n, m, eta)
+        dense = _dense(n, m, eta)
         for times in self.GRIDS:
             states = lumped.evolve(times)
             rho_oo, rho_o0 = _dense_entries(n, m, eta, times)
@@ -304,8 +373,7 @@ class TestLumpedEngine:
         times = self.GRIDS[1]
         values, counts = LumpedLiouvillian(n, m, eta).evolve(times).spectrum()
         assert counts.sum() == n + 1
-        start = initial_network_state(n, 1, PROBE)
-        dense = evolve_at_times(complete_network_liouvillian(n, m, eta), start, times)
+        dense = _dense(n, m, eta).evolve(probe_vector(n, 1), times)
         for row, rho in zip(values, dense.rho):
             expanded = np.sort(np.repeat(row, counts))
             assert np.max(np.abs(expanded - np.linalg.eigvalsh(rho))) < 1e-12

@@ -1,4 +1,4 @@
-"""The complete graph's Hamiltonian, noise placement, and operator construction."""
+"""The complete graph's Hamiltonian and noise placement."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 
 from spinnet.network import (
     NoiseSpec,
-    lindblad_edge_operators,
     require_hermitian,
     single_excitation_hamiltonian,
     standard_noise_spec,
@@ -117,29 +116,3 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             standard_noise_spec(4, 3, 0.1)
 
-
-class TestEdgeOperators:
-    def test_one_operator_per_noisy_pair(self):
-        ops = lindblad_edge_operators(5, standard_noise_spec(5, 3, 1.0), 1, 2)
-        assert len(ops) == 3
-
-    def test_operator_shape_and_symmetry(self):
-        (op, rate), = lindblad_edge_operators(4, standard_noise_spec(4, 2, 1.5), 1, 2)
-        assert op.shape == (5, 5)
-        assert op[3, 4] == 1.0 and op[4, 3] == 1.0
-        assert np.count_nonzero(op) == 2
-
-    def test_rate_doubles_the_strength(self):
-        # white-noise averaging of a fluctuating coupling of strength
-        # eta lands on a dissipator rate of exactly 2 eta
-        (_, rate), = lindblad_edge_operators(4, standard_noise_spec(4, 2, 1.5), 1, 2)
-        assert rate == pytest.approx(3.0)
-
-    def test_per_edge_strengths_carried_through(self):
-        spec = NoiseSpec((3, 4, 5), {(3, 4): 0.5, (3, 5): 1.0, (4, 5): 2.0})
-        rates = {tuple(np.argwhere(op).flatten()[:2]): rate
-                 for op, rate in lindblad_edge_operators(5, spec, 1, 2)}
-        assert rates == {(3, 4): 1.0, (3, 5): 2.0, (4, 5): 4.0}
-
-    def test_empty_noise_gives_no_operators(self):
-        assert lindblad_edge_operators(4, standard_noise_spec(4, 0, 1.0), 1, 2) == []

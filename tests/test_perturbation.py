@@ -1,4 +1,4 @@
-"""First-order weak-noise machinery and the enhancement statistic.
+"""First-order weak-noise machinery and the enhancement statistic's helpers.
 
 The quadrature oracle: for n = 4 the window integrands reduce to short
 trigonometric polynomials whose antiderivatives fit on one line, so
@@ -22,17 +22,8 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
-from spinnet.lindblad import (
-    FidelityCurve,
-    LumpedLiouvillian,
-    complete_network_liouvillian,
-    fidelity_curve,
-)
-from spinnet.network import (
-    lindblad_edge_operators,
-    single_excitation_hamiltonian,
-    standard_noise_spec,
-)
+from spinnet.lindblad import DenseLiouvillian, FidelityCurve, LumpedLiouvillian, fidelity_curve
+from spinnet.network import single_excitation_hamiltonian, standard_noise_spec
 from spinnet.perturbation import (
     WeakNoiseChannel,
     b_coefficients,
@@ -40,7 +31,6 @@ from spinnet.perturbation import (
     beta,
     beta_prime,
     _bounded_minimum,
-    delta_profile,
     first_order_numeric,
     grid_maximum,
     longest_positive_run,
@@ -83,7 +73,11 @@ def per_node_first_order(n, m, eta, t, step=1e-3):
     z_sq_0 = abs(u_final[2, 1]) ** 2
     if eta == 0.0 or m < 2 or t == 0.0:
         return WeakNoiseChannel(z_sq_0=z_sq_0, xi1=0.0, xi2=0j, eta=0.0)
-    ops = [op for op, _ in lindblad_edge_operators(n, standard_noise_spec(n, m, 1.0), 1, 2)]
+    ops = []
+    for k, l in standard_noise_spec(n, m, 1.0).edge_strengths():
+        op = np.zeros((n + 1, n + 1))
+        op[k, l] = op[l, k] = 1.0
+        ops.append(op)
 
     def unit_dissipator(x):
         out = np.zeros_like(x)
@@ -219,8 +213,7 @@ class TestFirstOrderNumeric:
     def test_matches_master_equation_to_first_order(self):
         eta, t = 0.01, 1.0
         ch = first_order_numeric(4, 2, eta, t)
-        liou = complete_network_liouvillian(4, 2, eta)
-        f_full = fidelity_curve(liou, [t]).fidelity[0]
+        f_full = fidelity_curve(DenseLiouvillian(4, standard_noise_spec(4, 2, eta)), [t]).fidelity[0]
         f_first, _ = optimal_avg_fidelity(ChannelParams(ch.abs_z, ch.dephasing))
         assert abs(f_first - f_full) < 50 * eta**2
 
@@ -438,27 +431,6 @@ class TestScipyEquivalence:
         want = [complex((n - 3) ** 2 * scipy.integrate.simpson(y, x=tau)) for y in integrands]
         co = b_coefficients(n, t, step)
         assert [co.b1, co.b2, co.b3, co.b4, co.b5, co.b6, co.b7, co.b8] == want
-
-
-class TestDeltaStatistic:
-    def test_profile_nonnegative(self):
-        times = np.linspace(0.3, 2.0, 9)
-        prof = delta_profile(4, 2, 0.01, times)
-        assert len(prof) == 9
-        assert all(v >= 0.0 for v in prof)
-
-    def test_enhancement_exists_for_big_noisy_set(self):
-        times = np.arange(1, 201) * (4 * math.pi / 200)
-        prof = np.array(delta_profile(10, 8, 0.01, times))
-        assert prof.max() > 1e-4
-        best = times[int(prof.argmax())]
-        single = delta_profile(10, 8, 0.01, [best])[0]
-        assert single == pytest.approx(prof.max(), abs=1e-12)
-
-    def test_no_enhancement_without_noise(self):
-        times = np.linspace(0.3, 6.0, 12)
-        prof = delta_profile(4, 2, 0.0, times)
-        assert max(prof) == 0.0
 
 
 class TestLongestPositiveRun:

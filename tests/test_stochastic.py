@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 
 from spinnet import stochastic
-from spinnet.lindblad import (
-    LumpedLiouvillian,
-    complete_network_liouvillian,
-    evolve_at_times,
-    initial_network_state,
-)
+from spinnet.lindblad import DenseLiouvillian, LumpedLiouvillian
 from spinnet.network import (
     NoiseSpec,
     single_excitation_hamiltonian,
@@ -337,8 +332,7 @@ class TestEnsemble:
         spec, psi = _setup(4, 2, 1.0)
         plan = TrajectoryPlan(800, 1e-3, 1.0, 1234, spec)
         r = ensemble_average(plan, psi)
-        liou = complete_network_liouvillian(4, 2, 1.0)
-        want = evolve_at_times(liou, initial_network_state(4, 1, PROBE), [1.0]).rho
+        want = DenseLiouvillian(4, spec).evolve(psi, [1.0]).rho
         diff = np.abs(r.rho_mean.rho - want)
         assert np.all(diff <= 4.0 * np.maximum(r.std_err, 1e-12))
 
@@ -827,7 +821,7 @@ class TestEngineIndependence:
         "line",
         [
             "from .propagator import propagator_matrix",
-            "from .lindblad import DenseStates, evolve_at_times",
+            "from .lindblad import DenseLiouvillian, DenseStates",
             "from . import lindblad",
             "from spinnet.lindblad import _propagate",
             "import spinnet.propagator as p",
