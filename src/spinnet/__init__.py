@@ -42,11 +42,9 @@ from .perturbation import (
     WeakNoiseChannel,
     WeakNoiseIntegrals,
     b_coefficients,
-    baseline_max_fidelity,
     beta,
     beta_prime,
     first_order_numeric,
-    longest_positive_run,
     printed_weak_noise_channel,
 )
 from .propagator import (
@@ -54,7 +52,6 @@ from .propagator import (
     ChannelParams,
     bloch_sphere_average,
     complete_graph_peak_fidelity,
-    complete_graph_transfer_prob,
     optimal_avg_fidelity,
     propagator_matrix,
     transfer_amplitude,
@@ -85,19 +82,16 @@ __all__ = [
     "WeakNoiseChannel",
     "WeakNoiseIntegrals",
     "b_coefficients",
-    "baseline_max_fidelity",
     "beta",
     "beta_prime",
     "bloch_sphere_average",
     "complete_graph_peak_fidelity",
-    "complete_graph_transfer_prob",
     "consistency_report",
     "ensemble_average",
     "evolve_trajectory",
     "fidelity_curve",
     "first_order_numeric",
     "four_node_closed_form",
-    "longest_positive_run",
     "network_reduction_check",
     "optimal_avg_fidelity",
     "printed_weak_noise_channel",

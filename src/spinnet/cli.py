@@ -34,12 +34,8 @@ import numpy as np
 from . import lindblad, stochastic
 from .analytics import ReportConfig, consistency_report
 from .network import NoiseSpec, single_excitation_hamiltonian
-from .perturbation import (
-    baseline_max_fidelity,
-    first_order_numeric,
-    printed_weak_noise_channel,
-)
-from .propagator import ChannelParams, transfer_amplitude
+from .perturbation import first_order_numeric, printed_weak_noise_channel
+from .propagator import ChannelParams, complete_graph_peak_fidelity, transfer_amplitude
 
 __all__ = [
     "ConfigError",
@@ -269,9 +265,9 @@ class ScanRecord:
     seed: int
 
     def __post_init__(self) -> None:
-        # the literal first-order forms are claims, not channels, and
-        # may leave the physical range; engine rows must not
-        if self.method != "perturbation-printed":
+        # first-order expansions are states only to first order and may
+        # leave the physical range; engine rows must not
+        if not self.method.startswith("perturbation-"):
             if not 0.5 - 1e-9 <= self.fidelity <= 1.0 + 1e-9:
                 raise RuntimeError(
                     f"numeric failure: fidelity {self.fidelity} outside [1/2, 1] at t={self.t}"
@@ -382,7 +378,7 @@ def _delta_records(
 ) -> list[ScanRecord]:
     """Lindblad channel plus Delta against the analytic noiseless baseline."""
     curve = lindblad.fidelity_curve(lindblad.LumpedLiouvillian(n, m, eta), times)
-    return _curve_records(n, m, eta, times, curve, seed, baseline=baseline_max_fidelity(n))
+    return _curve_records(n, m, eta, times, curve, seed, baseline=complete_graph_peak_fidelity(n))
 
 
 def _open_grid(options: Mapping[str, object]) -> np.ndarray:

@@ -222,7 +222,7 @@ class DenseLiouvillian:
         if psi0.shape != (dim,):
             raise ValueError(f"start state of shape {psi0.shape} is not a vector of n + 1 = {dim} entries")
         times = np.asarray(times, dtype=float).reshape(-1)
-        if np.any(times < 0):
+        if not np.all(times >= 0):
             raise ValueError("times must be nonnegative")
         # vec(rho) stacks the columns of rho, so each row reshapes to rho^T
         flat = _propagate(self.generator, np.outer(psi0, psi0.conj()).reshape(-1, order="F"), times)

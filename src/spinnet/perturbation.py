@@ -1,4 +1,4 @@
-"""Weak-noise expansion and the noise-benefit statistic.
+"""Weak-noise expansion of the transfer channel to first order in eta.
 
 Two independent first-order routes live here. The closed-form route
 assembles the published-style expressions built from the free
@@ -8,36 +8,18 @@ treated as a claim under test. The numeric route differentiates the
 lumped master equation in eta exactly, by one block exponential per
 symmetry sector, which cannot suffer from convention or transcription
 slips, and serves as the ground truth the closed forms are compared
-against; its cost and memory depend on neither n nor t. The b
-integrals' Simpson rule and the peak search are written out in numpy,
-following scipy's composite Simpson rule and its bounded Brent
-minimizer operation for operation, so results are bitwise scipy's while
-the only scipy module the package loads is linalg.
-
-The noise-benefit statistic Delta(t) = max[F(t; eta) - max_t F(t; 0), 0]
-of the ``fig2`` and ``fig3`` scans (:mod:`spinnet.cli`) is computed from
-the full master-equation engine, not from either first-order route:
-the interesting windows sit at eta*t of order one, where a truncated
-expansion has no business being trusted. Its baseline is
-baseline_max_fidelity.
+against; its cost and memory depend on neither n nor t.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lindblad
-from .propagator import (
-    ChannelParams,
-    complete_graph_peak_fidelity,
-    complete_graph_transfer_prob,
-    optimal_avg_fidelity,
-)
 
 __all__ = [
     "WeakNoiseIntegrals",
@@ -47,15 +29,7 @@ __all__ = [
     "b_coefficients",
     "printed_weak_noise_channel",
     "first_order_numeric",
-    "baseline_max_fidelity",
-    "grid_maximum",
-    "longest_positive_run",
 ]
-
-# constants of scipy's bounded Brent minimizer (minimize_scalar, method "bounded")
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_MAX_EVALUATIONS = 500
 
 
 def beta(n: int, t: float) -> complex:
@@ -101,15 +75,12 @@ def b_coefficients(n: int, t: float, step: float = 1e-3) -> WeakNoiseIntegrals:
     The integrands are products of beta and beta' over [0, t], all
     carrying the common prefactor (n-3)^2, so n = 3 short-circuits to
     zeros. The step is capped at 1e-3; halving it moves the values by
-    less than one part in 1e8, which the test suite asserts. The rule
-    is scipy's simpson for an odd number of samples at x = tau, its
-    three weights built once with scipy's operation order, so every
-    integral is bitwise scipy's.
+    less than one part in 1e8, which the test suite asserts.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
+    if not math.isfinite(t) or t < 0:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if not 0 < step <= 1e-3:
         raise ValueError(f"step must lie in (0, 1e-3], got {step}")
     if t == 0.0 or n == 3:
@@ -123,19 +94,14 @@ def b_coefficients(n: int, t: float, step: float = 1e-3) -> WeakNoiseIntegrals:
     bp = np.exp(1j * tau) / n * (np.exp(-1j * n * tau) + n - 1.0)
     ab2 = np.abs(b) ** 2
     abp2 = np.abs(bp) ** 2
-    pref = (n - 3) ** 2
-    h = np.diff(tau)
-    h0, h1 = h[0::2], h[1::2]
-    hsum = h0 + h1
-    ratio = h0 / h1
-    w0 = 2.0 - 1.0 / ratio
-    w1 = hsum * (hsum / (h0 * h1))
-    w2 = 2.0 - ratio
-    scale = hsum / 6.0
+    # composite Simpson weights 1, 4, 2, ..., 4, 1 times h/3, prefactor folded in
+    weights = np.full(num + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[[0, -1]] = 1.0
+    weights *= (n - 3) ** 2 * t / (3.0 * num)
 
     def integral(values: np.ndarray) -> complex:
-        panels = values[:-2:2] * w0 + values[1:-1:2] * w1 + values[2::2] * w2
-        return complex(pref * np.sum(scale * panels))
+        return complex(weights @ values)
 
     return WeakNoiseIntegrals(
         b1=integral(b * bp.conj()),
@@ -291,130 +257,3 @@ def first_order_numeric(n: int, m: int, eta: float, t: float) -> WeakNoiseChanne
         xi2=complex((lam_z_mod - z_sq_0) / eta),
         eta=eta,
     )
-
-
-def _bounded_minimum(
-    func: Callable[[float], float], lo: float, hi: float, xatol: float
-) -> tuple[float, float]:
-    """Minimum (x, func(x)) of func on [lo, hi] by bounded Brent search.
-
-    Follows scipy's minimize_scalar(method="bounded") step for step,
-    parabolic test, golden-section fallback and the cap of 500
-    evaluations included, so the point and value found are bitwise
-    scipy's.
-    """
-    a, b = lo, hi
-    fulc = a + _GOLDEN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    evaluations = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 * _sign(xm - xf)
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = _GOLDEN * e
-
-        x = xf + _sign(rat) * max(abs(rat), tol1)
-        fu = func(x)
-        evaluations += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if evaluations >= _MAX_EVALUATIONS:
-            break
-    return xf, fx
-
-
-def _sign(value: float) -> float:
-    # numpy's sign with zero counted as positive
-    return -1.0 if value < 0 else 1.0
-
-
-def grid_maximum(
-    func: Callable[[float], float], grid: np.ndarray, values: Sequence[float], xatol: float
-) -> float:
-    """Largest value of func, given its samples values on the ascending grid.
-
-    A bounded Brent search between the neighbours of the best sample
-    refines it; the better of the two is returned.
-    """
-    best = int(np.argmax(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-    _, lowest = _bounded_minimum(lambda s: -func(s), lo, hi, xatol)
-    return max(float(values[best]), float(-lowest))
-
-
-def baseline_max_fidelity(n: int, t_grid: np.ndarray | None = None) -> float:
-    """Best noiseless average fidelity over all times on the complete graph.
-
-    Without a grid the analytic maximum |z| = 2/n is used directly.
-    Passing a grid switches to a search (grid_maximum: grid scan plus
-    one bounded Brent refinement around the best point), which must
-    resolve the maximum: the step may not exceed pi/(8n).
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if t_grid is None:
-        return complete_graph_peak_fidelity(n)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size < 3:
-        raise ValueError("baseline grid needs at least 3 points")
-    if np.diff(t_grid).max() > math.pi / (8 * n) + 1e-12:
-        raise ValueError(f"baseline grid step exceeds pi/(8n) = {math.pi / (8 * n):.4g}")
-
-    def fid(t: float) -> float:
-        return optimal_avg_fidelity(ChannelParams(math.sqrt(complete_graph_transfer_prob(n, t))))[0]
-
-    return grid_maximum(fid, t_grid, [fid(t) for t in t_grid], xatol=1e-10)
-
-
-def longest_positive_run(values: np.ndarray) -> int:
-    """Length in grid cells of the longest consecutive strictly-positive run."""
-    best = current = 0
-    for positive in np.asarray(values) > 0.0:
-        current = current + 1 if positive else 0
-        best = max(best, current)
-    return int(best)

@@ -29,7 +29,6 @@ __all__ = [
     "BlochInput",
     "propagator_matrix",
     "transfer_amplitude",
-    "complete_graph_transfer_prob",
     "complete_graph_peak_fidelity",
     "avg_fidelity_given_decode",
     "optimal_avg_fidelity",
@@ -103,17 +102,6 @@ def transfer_amplitude(
             raise ValueError(f"vertex {v} outside 1..{dim - 1}")
     u = propagator_matrix(hamiltonian, t)
     return complex(u[output_vertex, input_vertex])
-
-
-def complete_graph_transfer_prob(n: int, t: float) -> float:
-    """Transfer probability |z|^2 between any two vertices of a complete graph.
-
-    The spectrum {n-1, -1} gives |z(t)|^2 = (2/n^2)(1 - cos(n t)), with
-    maxima 4/n^2 at odd multiples of pi/n. Needs at least two vertices.
-    """
-    if n < 2:
-        raise ValueError(f"transfer needs n >= 2 vertices, got {n}")
-    return (2.0 / n**2) * (1.0 - math.cos(n * t))
 
 
 def complete_graph_peak_fidelity(n: int) -> float:

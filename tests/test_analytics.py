@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from spinnet import analytics
 from spinnet.analytics import (
@@ -126,6 +127,25 @@ class TestZenoLimit:
         n, m, eta = 252, 2, 400.0
         at_peak = fidelity_curve(LumpedLiouvillian(n, m, eta), [math.pi / (n - m)]).fidelity[0]
         assert analytics._max_noisy_fidelity(n, m, eta) >= at_peak
+
+    @pytest.mark.parametrize(
+        "n, m, eta", [(4, 2, 200.0), (4, 2, 400.0), (4, 2, 800.0), (6, 2, 1e3), (12, 10, 1600.0)]
+    )
+    def test_peak_search_matches_scipy_bounded_search(self, n, m, eta):
+        # scipy's bounded Brent search, run to 1e-12 on the two cells
+        # beside the best sample of the same first grid
+        engine = LumpedLiouvillian(n, m, eta)
+        times = np.linspace(0.0, 2 * math.pi, max(801, 16 * n + 1))
+        values = fidelity_curve(engine, times).fidelity
+        best = int(np.argmax(values))
+        found = scipy.optimize.minimize_scalar(
+            lambda s: -fidelity_curve(engine, [s]).fidelity[0],
+            bounds=(times[max(best - 1, 0)], times[min(best + 1, times.size - 1)]),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        want = max(float(values[best]), -found.fun)
+        assert abs(analytics._max_noisy_fidelity(n, m, eta) - want) < 1e-12
 
     def test_reduction_check_requires_strong_noise(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from spinnet.cli import (
     CSV_HEADER,
     ConfigError,
     ExperimentConfig,
+    ScanRecord,
     main,
     records_to_csv,
     run_scan_fig1,
@@ -28,7 +29,6 @@ from spinnet.cli import (
 )
 from spinnet.lindblad import DenseLiouvillian
 from spinnet.network import standard_noise_spec
-from spinnet.propagator import complete_graph_transfer_prob
 
 
 def _cfg(**over):
@@ -151,6 +151,21 @@ class TestCsvShape:
             assert len(records) == 2
             assert all(r.method == method for r in records)
 
+    def test_perturbation_numeric_may_leave_physical_range(self, tmp_path, capsys):
+        # at eta t of order one the first-order state is no state, and
+        # its fidelity passes 1 on the default grid 0..2 pi
+        out = tmp_path / "run.csv"
+        config = {"n": 4, "m": 2, "eta": 1.0, "method": "perturbation-numeric"}
+        code, err = _main(["simulate", "--out", str(out)], config, tmp_path, capsys)
+        assert code == 0, err
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 64
+        assert max(float(row.split(",")[4]) for row in rows) > 1.0
+
+    def test_engine_row_outside_physical_range_raises(self):
+        with pytest.raises(RuntimeError, match=r"fidelity 1.1 outside \[1/2, 1\] at t=1.0"):
+            ScanRecord(4, 2, 1.0, 1.0, 1.1, 1.0, 1.0, None, "lindblad", 0)
+
     def test_trajectories_method_runs(self):
         records = run_simulate(_cfg(method="trajectories", n_traj=30, t_steps=1))
         assert len(records) == 1
@@ -205,7 +220,7 @@ class TestFigureScans:
         assert time.perf_counter() - start < 30.0
         assert len(clean) == len(noisy) == t_steps
         for r in clean:
-            prob = complete_graph_transfer_prob(n, r.t)
+            prob = (2.0 / n**2) * (1.0 - math.cos(n * r.t))
             assert abs(r.abs_z**2 - prob) < 1e-12
             assert abs(r.fidelity - (0.5 + math.sqrt(prob) / 3 + prob / 6)) < 1e-12
         assert max(r.delta for r in noisy) > 0.0

@@ -278,6 +278,8 @@ class TestEvolution:
             (np.ones(4) / 2, [1.0], r"start state of shape \(4,\) is not a vector of n \+ 1 = 5 entries"),
             (np.eye(5)[:2], [1.0], r"start state of shape \(2, 5\)"),
             (probe_vector(4, 1), [1.0, -0.5], "times must be nonnegative"),
+            (probe_vector(4, 1), [math.nan], "times must be nonnegative"),
+            (probe_vector(4, 1), [0.5, math.nan, 1.0], "times must be nonnegative"),
         ],
     )
     def test_rejects_bad_start_and_times(self, psi0, times, message):

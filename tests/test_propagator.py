@@ -14,7 +14,7 @@ from spinnet.propagator import (
     _decode_matrix,
     avg_fidelity_given_decode,
     bloch_sphere_average,
-    complete_graph_transfer_prob,
+    complete_graph_peak_fidelity,
     optimal_avg_fidelity,
     propagator_matrix,
     transfer_amplitude,
@@ -66,25 +66,26 @@ class TestTransferAmplitude:
     def test_probability_matches_closed_form(self, n, t):
         h = single_excitation_hamiltonian(n)
         z = transfer_amplitude(h, t, 1, 2)
-        assert abs(z) ** 2 == pytest.approx(complete_graph_transfer_prob(n, t), abs=1e-12)
+        # the spectrum {n - 1, -1} gives |z|^2 = (2/n^2)(1 - cos(n t))
+        assert abs(z) ** 2 == pytest.approx((2.0 / n**2) * (1.0 - math.cos(n * t)), abs=1e-12)
 
     def test_closed_form_guards(self):
         with pytest.raises(ValueError):
-            complete_graph_transfer_prob(1, 1.0)
+            complete_graph_peak_fidelity(1)
 
     def test_peak_probability_scaling(self):
         # best transfer probability on the complete graph is (2/n)^2,
         # first reached at t = pi/n
         for n in (2, 4, 10):
-            assert complete_graph_transfer_prob(n, math.pi / n) == pytest.approx(
-                (2.0 / n) ** 2, abs=1e-14
-            )
+            z = transfer_amplitude(single_excitation_hamiltonian(n), math.pi / n, 1, 2)
+            assert abs(z) ** 2 == pytest.approx((2.0 / n) ** 2, abs=1e-12)
 
     def test_probability_periodic(self):
         n = 5
         t = 0.8
-        assert complete_graph_transfer_prob(n, t) == pytest.approx(
-            complete_graph_transfer_prob(n, t + 2 * math.pi / n), abs=1e-12
+        h = single_excitation_hamiltonian(n)
+        assert abs(transfer_amplitude(h, t, 1, 2)) ** 2 == pytest.approx(
+            abs(transfer_amplitude(h, t + 2 * math.pi / n, 1, 2)) ** 2, abs=1e-12
         )
 
 
