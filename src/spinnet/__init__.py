@@ -1,13 +1,14 @@
 """Qubit state transfer through fully connected spin networks with edge noise.
 
 The package follows one experiment end to end: place the noise on the
-complete graph (`network`), evolve unitarily (`propagator`) or under
-the noise-averaged master equation (`lindblad`: `LumpedLiouvillian(n,
-m, eta)` for one rate, `DenseLiouvillian(n, noise)` for any
-`NoiseSpec`), cross-check against stochastic trajectories
-(`stochastic`), compare with closed forms and limits (`analytics`,
-`perturbation`), and drive everything reproducibly from the command
-line (`cli`).
+complete graph (`network`), evolve under the noise-averaged master
+equation (`lindblad`: `LumpedLiouvillian(n, m, eta)` for one rate,
+`DenseLiouvillian(n, noise)` for any `NoiseSpec`), cross-check against
+stochastic trajectories (`stochastic`), read the channel's average
+fidelity (`propagator`), compare with closed forms and limits
+(`analytics`, `perturbation`, whose `beta(n, t)` is the free transfer
+amplitude), and drive everything reproducibly from the command line
+(`cli`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .analytics import (
     consistency_report,
     four_node_closed_form,
     network_reduction_check,
-    zeno_effective_hamiltonian,
     zeno_limit_channel,
 )
 from .lindblad import (
@@ -53,8 +53,6 @@ from .propagator import (
     bloch_sphere_average,
     complete_graph_peak_fidelity,
     optimal_avg_fidelity,
-    propagator_matrix,
-    transfer_amplitude,
 )
 from .stochastic import (
     EnsembleResult,
@@ -96,11 +94,8 @@ __all__ = [
     "optimal_avg_fidelity",
     "printed_weak_noise_channel",
     "probe_vector",
-    "propagator_matrix",
     "single_excitation_hamiltonian",
     "standard_noise_spec",
-    "transfer_amplitude",
-    "zeno_effective_hamiltonian",
     "zeno_limit_channel",
 ]
 

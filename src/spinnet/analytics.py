@@ -21,19 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lindblad, perturbation, stochastic
-from .network import (
-    INPUT_VERTEX,
-    OUTPUT_VERTEX,
-    NoiseSpec,
-    single_excitation_hamiltonian,
-    standard_noise_spec,
-)
+from .network import INPUT_VERTEX, OUTPUT_VERTEX, standard_noise_spec
 from .propagator import (
     ChannelParams,
     bloch_sphere_average,
     complete_graph_peak_fidelity,
     optimal_avg_fidelity,
-    transfer_amplitude,
 )
 
 __all__ = [
@@ -42,7 +35,6 @@ __all__ = [
     "ConsistencyReport",
     "ReportConfig",
     "four_node_closed_form",
-    "zeno_effective_hamiltonian",
     "zeno_limit_channel",
     "network_reduction_check",
     "consistency_report",
@@ -99,25 +91,6 @@ def four_node_closed_form(eta: float, t: float) -> FourNodeClosedForm:
     return FourNodeClosedForm(z_sq=float(z_sq.real), lambda_z=lam_z, p=p, q=q)
 
 
-def zeno_effective_hamiltonian(n: int, spec: NoiseSpec) -> np.ndarray:
-    """Strong-noise effective Hamiltonian: the complete graph with noisy vertices cut out.
-
-    Strong noise freezes every coherence into or out of the noisy set,
-    so the surviving dynamics is the complete graph on the remaining
-    vertices. Rows and columns of noisy vertices are zeroed in place
-    in the full (n+1)-dimensional basis; dropping them leaves exactly
-    single_excitation_hamiltonian(n - m).
-    """
-    for v in spec.noisy_vertices:
-        if not 1 <= v <= n:
-            raise ValueError(f"noisy vertex {v} outside 1..{n}")
-    h = single_excitation_hamiltonian(n)
-    for v in spec.noisy_vertices:
-        h[v, :] = 0.0
-        h[:, v] = 0.0
-    return h
-
-
 def zeno_limit_channel(n: int, m: int, t: float) -> ChannelParams:
     """Channel predicted in the extreme strong-noise case m = n - 2.
 
@@ -125,9 +98,10 @@ def zeno_limit_channel(n: int, m: int, t: float) -> ChannelParams:
     bond, and the state oscillates as cos(t)|in> + i sin(t)|out>: the
     channel is z = i sin t, lambda = 1, reaching perfect transfer at
     t = pi/2 regardless of n. Only the modulus of z is observable in
-    the average fidelity; the propagator route realizes the complex
-    conjugate phase. Any other m is unsupported here; build
-    zeno_effective_hamiltonian and use the propagator instead.
+    the average fidelity; free evolution on the surviving pair gives
+    the complex conjugate phase, beta(2, t) = -i sin t. Any other m is
+    unsupported here; the surviving network is then the complete graph
+    on n - m vertices, whose amplitude is perturbation.beta(n - m, t).
     """
     if m != n - 2:
         raise ValueError(f"unsupported: m = {m} is not the extreme case n - 2 = {n - 2}")
@@ -207,13 +181,25 @@ class ConsistencyReport:
         return "\n".join(lines)
 
 
+# network, noisy-set size, noise strength and time of the trajectory check
+_TRAJECTORY_CASE = (4, 2, 1.0, 1.0)
+
+
 @dataclass(frozen=True)
 class ReportConfig:
-    """Knobs for the consistency suite; defaults finish well inside five minutes."""
+    """Knobs for the consistency suite; defaults finish well inside five minutes.
+
+    ``dt`` must pass ``stochastic.check_step`` on the network of the
+    trajectory check, which is checked when the config is made.
+    """
 
     n_traj: int = 2000
     dt: float = 1e-3
     seed: int = 20240817
+
+    def __post_init__(self) -> None:
+        n, m, eta, _ = _TRAJECTORY_CASE
+        stochastic.check_step(standard_noise_spec(n, m, eta), n, self.dt)
 
 
 def _fmt(value: complex | float) -> str:
@@ -278,13 +264,12 @@ def network_reduction_check(n: int, m: int, eta_large: float) -> ConsistencyChec
 
 def _check_eta0_unitary_limit() -> ConsistencyCheck:
     n, t = 4, 1.3
-    h = single_excitation_hamiltonian(n)
-    z_unit = transfer_amplitude(h, t, INPUT_VERTEX, OUTPUT_VERTEX)
+    z_unit = perturbation.beta(n, t)
     params = _four_node_engine_channel(0.0, t)
     disc = abs(params.amplitude - z_unit) + abs(params.dephasing - 1.0)
     return ConsistencyCheck(
         name="eta0-lindblad-vs-unitary",
-        oracle="propagator matrix element (independent unitary route)",
+        oracle="closed-form free amplitude beta(n, t) (independent unitary route)",
         parameters={"n": n, "t": t},
         reference=_fmt(z_unit),
         engine=_fmt(params.amplitude),
@@ -311,7 +296,7 @@ def _check_bloch_average() -> ConsistencyCheck:
 
 
 def _check_trajectories(config: ReportConfig) -> ConsistencyCheck:
-    n, m, eta, t = 4, 2, 1.0, 1.0
+    n, m, eta, t = _TRAJECTORY_CASE
     spec = standard_noise_spec(n, m, eta)
     psi = lindblad.probe_vector(n, INPUT_VERTEX)
     target = lindblad.DenseLiouvillian(n, spec).evolve(psi, [t]).rho[0]
@@ -427,15 +412,13 @@ def _check_zeno_overlay() -> ConsistencyCheck:
     n, m, eta = 4, 2, 1e3
     times = np.linspace(0.0, 2.0 * math.pi, 161)
     noisy = lindblad.fidelity_curve(lindblad.LumpedLiouvillian(n, m, eta), times).fidelity
-    h_eff = zeno_effective_hamiltonian(n, standard_noise_spec(n, m, eta))
-    unitary = np.empty_like(noisy)
-    for k, t in enumerate(times):
-        z = transfer_amplitude(h_eff, float(t), INPUT_VERTEX, OUTPUT_VERTEX)
-        unitary[k], _ = optimal_avg_fidelity(ChannelParams(z, 1.0))
+    # cutting the noisy vertices out of K_n leaves K_{n-m}
+    reduced = (ChannelParams(perturbation.beta(n - m, float(t)), 1.0) for t in times)
+    unitary = lindblad.FidelityCurve.of(reduced).fidelity
     disc = float(np.abs(noisy - unitary).max())
     return ConsistencyCheck(
         name="zeno-effective-vs-lindblad",
-        oracle="unitary evolution under the reduced-network Hamiltonian",
+        oracle="free evolution on the reduced network K_{n-m}: beta(n - m, t)",
         parameters={"n": n, "m": m, "eta": eta, "t_max": float(times[-1])},
         reference=_fmt(float(unitary.max())),
         engine=_fmt(float(noisy.max())),
@@ -447,8 +430,7 @@ def _check_zeno_overlay() -> ConsistencyCheck:
 
 def _check_zeno_limit() -> list[ConsistencyCheck]:
     n, m, t_probe = 4, 2, 0.7
-    h_eff = zeno_effective_hamiltonian(n, standard_noise_spec(n, m, 1.0))
-    z_eff = transfer_amplitude(h_eff, t_probe, INPUT_VERTEX, OUTPUT_VERTEX)
+    z_eff = perturbation.beta(n - m, t_probe)
     predicted = zeno_limit_channel(n, m, t_probe).amplitude
     pst = zeno_limit_channel(n, m, math.pi / 2.0)
     fidelity_pst, _ = optimal_avg_fidelity(pst)
@@ -465,7 +447,7 @@ def _check_zeno_limit() -> list[ConsistencyCheck]:
         ),
         ConsistencyCheck(
             name="zeno-amplitude-modulus",
-            oracle="effective-Hamiltonian propagator (time convention tau = t)",
+            oracle="free amplitude beta(n - m, t) of the reduced network (time convention tau = t)",
             parameters={"n": n, "m": m, "t": t_probe},
             reference=_fmt(abs(z_eff)),
             engine=_fmt(abs(predicted)),
@@ -475,7 +457,7 @@ def _check_zeno_limit() -> list[ConsistencyCheck]:
         ),
         ConsistencyCheck(
             name="zeno-amplitude-phase",
-            oracle="effective-Hamiltonian propagator; phases are complex conjugates",
+            oracle="free amplitude beta(n - m, t) of the reduced network; phases are complex conjugates",
             parameters={"n": n, "m": m, "t": t_probe},
             reference=_fmt(z_eff),
             engine=_fmt(predicted),
@@ -515,12 +497,13 @@ def _check_weak_noise(config: ReportConfig) -> list[ConsistencyCheck]:
     ]
     t = 1.0
     zeroth = perturbation.printed_weak_noise_channel(n, m, 0.0, t)
-    h = single_excitation_hamiltonian(n)
-    z_engine = transfer_amplitude(h, t, INPUT_VERTEX, OUTPUT_VERTEX)
+    grid = np.linspace(0.1, 3.0, 7)
+    clean = lindblad.fidelity_curve(lindblad.LumpedLiouvillian(n, 0, 0.0), [t, *grid]).channels
+    z_engine = clean[0].amplitude
     checks.append(
         ConsistencyCheck(
             name="weak-noise-zeroth-order-amplitude",
-            oracle="propagator matrix element",
+            oracle="lumped master equation at eta = 0",
             parameters={"n": n, "t": t},
             reference=_fmt(abs(z_engine) ** 2),
             engine=_fmt(zeroth.z_sq),
@@ -529,14 +512,11 @@ def _check_weak_noise(config: ReportConfig) -> list[ConsistencyCheck]:
             engine_grade=False,
         )
     )
-    beta_gap = max(
-        abs(perturbation.beta(n, s) - transfer_amplitude(h, s, INPUT_VERTEX, OUTPUT_VERTEX))
-        for s in np.linspace(0.1, 3.0, 7)
-    )
+    beta_gap = max(abs(perturbation.beta(n, s) - ch.amplitude) for s, ch in zip(grid, clean[1:]))
     checks.append(
         ConsistencyCheck(
             name="weak-noise-beta-vs-engine-amplitude",
-            oracle="propagator matrix element over a time grid",
+            oracle="lumped master equation at eta = 0 over a time grid",
             parameters={"n": n, "t_grid": "0.1..3.0 (7 points)"},
             reference=_fmt(0.0),
             engine=_fmt(beta_gap),
@@ -580,16 +560,14 @@ def _check_peak_fidelity_monotone() -> ConsistencyCheck:
     worst = 0.0
     monotone = True
     for n in range(2, 13):
-        h = single_excitation_hamiltonian(n)
-        peak_t = math.pi / n
-        z = transfer_amplitude(h, peak_t, INPUT_VERTEX, OUTPUT_VERTEX)
-        engine_peak, _ = optimal_avg_fidelity(ChannelParams(z, 1.0))
+        clean = lindblad.LumpedLiouvillian(n, 0, 0.0)
+        engine_peak = float(lindblad.fidelity_curve(clean, [math.pi / n]).fidelity[0])
         worst = max(worst, abs(engine_peak - complete_graph_peak_fidelity(n)))
         if n > 2 and complete_graph_peak_fidelity(n) >= complete_graph_peak_fidelity(n - 1):
             monotone = False
     return ConsistencyCheck(
         name="peak-fidelity-closed-form-monotone",
-        oracle="propagator at the first transfer peak t = pi/n",
+        oracle="lumped master equation at eta = 0 at the first transfer peak t = pi/n",
         parameters={"n_range": "2..12", "strictly_decreasing": monotone},
         reference=_fmt(complete_graph_peak_fidelity(4)),
         engine=_fmt(worst),

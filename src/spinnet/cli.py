@@ -33,9 +33,9 @@ import numpy as np
 
 from . import lindblad, stochastic
 from .analytics import ReportConfig, consistency_report
-from .network import NoiseSpec, single_excitation_hamiltonian
-from .perturbation import first_order_numeric, printed_weak_noise_channel
-from .propagator import ChannelParams, complete_graph_peak_fidelity, transfer_amplitude
+from .network import NoiseSpec
+from .perturbation import beta, first_order_numeric, printed_weak_noise_channel
+from .propagator import ChannelParams, complete_graph_peak_fidelity
 
 __all__ = [
     "ConfigError",
@@ -289,7 +289,8 @@ def run_simulate(config: ExperimentConfig) -> list[ScanRecord]:
     """Evaluate the configured engine at every time-grid point.
 
     Every method checks the noise spec first. unitary then ignores the
-    noise; lindblad and trajectories run the full noisy engines; the
+    noise and reads the closed form beta(n, t), the same for every
+    transfer pair; lindblad and trajectories run the full noisy engines; the
     perturbation methods use the first-order machinery, which by the
     permutation symmetry of the complete graph depends on the noisy set
     only through its size.
@@ -310,24 +311,29 @@ def _engine_curve(config: ExperimentConfig, spec: NoiseSpec, times: np.ndarray) 
         channels = (route(config.n, config.m, eta, float(t)) for t in times)
         return lindblad.FidelityCurve.of(ChannelParams(ch.abs_z, ch.dephasing) for ch in channels)
 
-    pair = (config.input_vertex, config.output_vertex)
-
     if config.method == "unitary":
-        h = single_excitation_hamiltonian(config.n)
-        return lindblad.FidelityCurve.of(
-            ChannelParams(transfer_amplitude(h, float(t), *pair), 1.0) for t in times
-        )
+        return lindblad.FidelityCurve.of(ChannelParams(beta(config.n, float(t)), 1.0) for t in times)
+
+    pair = (config.input_vertex, config.output_vertex)
 
     if config.method == "lindblad":
         # scalar noise is a relabelling of the standard placement; only a
         # per-edge map needs the dense engine
         if isinstance(config.eta, dict):
+            if config.n > lindblad.DENSE_MAX_N:
+                raise ConfigError(
+                    "n", f"a per-edge eta map runs the dense engine, which takes n <= {lindblad.DENSE_MAX_N}"
+                )
             engine = lindblad.DenseLiouvillian(config.n, spec)
         else:
             engine = lindblad.LumpedLiouvillian(config.n, config.m, config.eta)
         return lindblad.fidelity_curve(engine, times, pair)
 
     spec.validate_for(config.n, *pair)
+    try:
+        stochastic.check_step(spec, config.n, config.dt)
+    except ValueError as err:
+        raise ConfigError("dt", str(err)) from None
     plan = stochastic.TrajectoryPlan(
         n_traj=config.n_traj,
         dt=config.dt,
@@ -540,11 +546,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         # report
         options = _with_defaults(raw, _defaults(ReportConfig))
-        report_config = ReportConfig(
-            n_traj=_require_int(options["n_traj"], "n_traj", 1),
-            dt=_require_number(options["dt"], "dt", "positive"),
-            seed=seed if args.seed is not None else _require_seed(options["seed"], "seed"),
-        )
+        n_traj = _require_int(options["n_traj"], "n_traj", 1)
+        dt = _require_number(options["dt"], "dt", "positive")
+        seed = seed if args.seed is not None else _require_seed(options["seed"], "seed")
+        try:
+            report_config = ReportConfig(n_traj=n_traj, dt=dt, seed=seed)
+        except ValueError as err:
+            raise ConfigError("dt", str(err)) from None
         json_text, table_text, engines_disagree = run_report(report_config)
         _write_output(json_text + "\n", args.out)
         if args.out is not None:

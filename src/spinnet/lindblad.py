@@ -37,6 +37,7 @@ from .propagator import BlochInput, ChannelParams, optimal_avg_fidelity
 
 __all__ = [
     "PROBE",
+    "DENSE_MAX_N",
     "DenseLiouvillian",
     "DenseStates",
     "LumpedLiouvillian",
@@ -49,6 +50,11 @@ __all__ = [
 # Input state of every channel readout: the equator of the Bloch sphere,
 # which carries both a vacuum and an excitation amplitude.
 PROBE = BlochInput(math.pi / 2.0, 0.0)
+
+# Largest network the dense engine takes. Its generator holds (n+1)^4
+# complex numbers, and the exponentials of one evolve peak at about
+# 433 MiB at n = 40 under tracemalloc; the peak grows as n^4.
+DENSE_MAX_N = 40
 
 # Tolerances of the state invariants, checked on every returned state.
 HERMITICITY_ATOL = 1e-10
@@ -176,9 +182,9 @@ class DenseLiouvillian:
         D[rho]_ij = delta_ij sum_l R_il rho_ll + (1 - delta_ij) R_ij rho_ji
                     - (d_i + d_j) rho_ij / 2,    d = R 1,
 
-    so one symmetric rate matrix fixes it. n must be at least 2 and the
-    noisy vertices must lie in 1..n. Immutable; reuse one instance across
-    times and start states.
+    so one symmetric rate matrix fixes it. n must lie in 2..DENSE_MAX_N
+    (40), checked before anything is allocated, and the noisy vertices
+    in 1..n. Immutable; reuse one instance across times and start states.
     """
 
     n: int
@@ -188,6 +194,8 @@ class DenseLiouvillian:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
+        if self.n > DENSE_MAX_N:
+            raise ValueError(f"the dense engine takes n <= {DENSE_MAX_N}, got {self.n}")
         for vertex in self.noise.noisy_vertices:
             if not 1 <= vertex <= self.n:
                 raise ValueError(f"noisy vertex {vertex} outside 1..{self.n}")

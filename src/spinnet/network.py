@@ -26,7 +26,6 @@ __all__ = [
     "OUTPUT_VERTEX",
     "standard_noise_spec",
     "single_excitation_hamiltonian",
-    "require_hermitian",
 ]
 
 # Canonical transfer endpoints. On the complete graph every ordered
@@ -124,17 +123,6 @@ def standard_noise_spec(
     if not 0 <= m <= max(n - 2, 0):
         raise ValueError(f"m must lie in 0..n-2 = {n - 2}, got {m}")
     return NoiseSpec(tuple(range(n - m + 1, n + 1)), strength)
-
-
-def require_hermitian(matrix: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """Validate Hermiticity within ``atol`` and return the matrix unchanged."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    defect = np.abs(matrix - matrix.conj().T).max() if matrix.size else 0.0
-    if defect > atol:
-        raise ValueError(f"matrix is not Hermitian: max defect {defect:.3e} > {atol:.1e}")
-    return matrix
 
 
 def single_excitation_hamiltonian(n: int) -> np.ndarray:

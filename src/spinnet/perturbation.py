@@ -36,8 +36,10 @@ def beta(n: int, t: float) -> complex:
     """Free transfer amplitude between two distinct complete-graph vertices.
 
     beta = (e^{it}/n)(e^{-int} - 1); vanishes at t = 0 and peaks in
-    modulus at 2/n. Equals the propagator matrix element exactly in
-    this package's time unit.
+    modulus at 2/n. It is the matrix element <out| exp(-iHt) |in> of
+    H = J - I, whose spectrum is n - 1 once and -1 n - 1 times, and the
+    package's one route to the noiseless amplitude: unitary rows and
+    the report's noiseless references read it.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")

@@ -1,11 +1,11 @@
-"""Unitary dynamics and average-fidelity bookkeeping.
+"""Channel parameters and average-fidelity forms.
 
 The sender prepares an arbitrary qubit state a|0> + b|1> encoded as
 a|vacuum> + b|input vertex>; after evolution the receiver holds a qubit
 whose quality is summarized by two channel numbers: the transfer
-amplitude z (matrix element of the propagator between input and output
-vertices) and a dephasing factor lambda multiplying the coherence.
-Averaging the decoded fidelity over the Bloch sphere gives
+amplitude z carried from the input to the output vertex, and a
+dephasing factor lambda multiplying the coherence. Averaging the
+decoded fidelity over the Bloch sphere gives
 
     F(u) = 1/2 + lambda * Re(z u^2) / 3 + |z|^2 (2|u|^2 - 1) / 6
 
@@ -22,13 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import require_hermitian
-
 __all__ = [
     "ChannelParams",
     "BlochInput",
-    "propagator_matrix",
-    "transfer_amplitude",
     "complete_graph_peak_fidelity",
     "avg_fidelity_given_decode",
     "optimal_avg_fidelity",
@@ -63,45 +59,6 @@ class BlochInput:
         a = math.cos(self.theta / 2.0)
         b = cmath.exp(1j * self.phi) * math.sin(self.theta / 2.0)
         return complex(a), b
-
-
-def propagator_matrix(hamiltonian: np.ndarray, t: float) -> np.ndarray:
-    """Evolution operator exp(-i H t) through the eigendecomposition of H.
-
-    Diagonalizing keeps long times cheap and exactly unitary up to
-    rounding; the result is still checked against U U^dag = 1 and a
-    defect above 1e-10 raises RuntimeError rather than returning a
-    silently non-unitary matrix.
-    """
-    h = require_hermitian(hamiltonian)
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    defect = np.abs(u @ u.conj().T - np.eye(h.shape[0])).max()
-    if defect > 1e-10:
-        raise RuntimeError(f"numeric failure: propagator unitarity defect {defect:.3e}")
-    return u
-
-
-def transfer_amplitude(
-    hamiltonian: np.ndarray,
-    t: float,
-    input_vertex: int,
-    output_vertex: int,
-) -> complex:
-    """Matrix element <output| exp(-i H t) |input> in the single-excitation basis.
-
-    Vertices are 1-based; index 0 is the vacuum and is not a valid
-    endpoint. Identical endpoints are rejected because a return
-    amplitude is not a transfer.
-    """
-    if input_vertex == output_vertex:
-        raise ValueError("input and output vertices must differ")
-    dim = hamiltonian.shape[0]
-    for v in (input_vertex, output_vertex):
-        if not 1 <= v < dim:
-            raise ValueError(f"vertex {v} outside 1..{dim - 1}")
-    u = propagator_matrix(hamiltonian, t)
-    return complex(u[output_vertex, input_vertex])
 
 
 def complete_graph_peak_fidelity(n: int) -> float:

@@ -76,6 +76,7 @@ __all__ = [
     "EnsembleResult",
     "evolve_trajectory",
     "ensemble_average",
+    "check_step",
 ]
 
 # Trajectories per kernel invocation; fixed, so the batch sums, and
@@ -316,7 +317,7 @@ class _Subspace:
         Q^T H Q = s s^T - I = [[J_v - I_v, sqrt(c) 1], [sqrt(c) 1^T, c - 1]],
 
     and ||H|| = n - 1 (the spectrum is n - 1 once and -1 n - 1 times),
-    which serves both the step guard and the norm bound of each step.
+    which enters the norm bound of each step.
     H 1_rest = c 1 - 1_rest lies in W, so H keeps W, and the noise acts
     inside it. The rest of the start state, psi_perp = psi0 - Q Q^T psi0,
     keeps its vacuum entry, and its vertex entries sit on the rest and
@@ -439,27 +440,35 @@ def _sweep(
         yield i, space.rows(stepped, n_full * dt + remainder)
 
 
-def _validated(spec: NoiseSpec, dt: float, psi0: np.ndarray) -> _Subspace:
-    """Check the inputs of a run; return psi0 split over the subspace the noise reaches.
+def check_step(spec: NoiseSpec, n: int, dt: float) -> None:
+    """Reject a step dt too coarse for the noise or for the complete graph on n vertices.
 
-    The network is the complete graph on len(psi0) - 1 vertices. The
-    step bounds eta * dt <= 0.05 and ||H|| * dt <= 0.05 keep the Taylor
-    series of every step short.
+    The bounds eta * dt <= 0.05, eta the largest rate of ``spec``, and
+    ||H|| * dt <= 0.05, with ||H|| = n - 1, keep the Taylor series of
+    every step short.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     eta_max = spec.max_strength()
     if eta_max * dt > 0.05:
         raise ValueError(f"eta * dt = {eta_max * dt:.3g} exceeds 0.05; shrink dt")
+    if (n - 1) * dt > 0.05:
+        raise ValueError(f"||H|| * dt = {(n - 1) * dt:.3g} exceeds 0.05; shrink dt")
+
+
+def _validated(spec: NoiseSpec, dt: float, psi0: np.ndarray) -> _Subspace:
+    """Check the inputs of a run; return psi0 split over the subspace the noise reaches.
+
+    The network is the complete graph on len(psi0) - 1 vertices, and dt
+    must pass ``check_step`` on it.
+    """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 1 or len(psi0) < 2:
         raise ValueError(f"state shape {psi0.shape} is not the vacuum plus n >= 1 vertices")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
-    space = _Subspace.of(spec, psi0)
-    if space.h_norm * dt > 0.05:
-        raise ValueError(f"||H|| * dt = {space.h_norm * dt:.3g} exceeds 0.05; shrink dt")
-    return space
+    check_step(spec, len(psi0) - 1, dt)
+    return _Subspace.of(spec, psi0)
 
 
 def evolve_trajectory(

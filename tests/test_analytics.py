@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from oracle import cut_hamiltonian, eigh_propagator
 
 from spinnet import analytics
 from spinnet.analytics import (
@@ -16,16 +17,12 @@ from spinnet.analytics import (
     consistency_report,
     four_node_closed_form,
     network_reduction_check,
-    zeno_effective_hamiltonian,
     zeno_limit_channel,
 )
 from spinnet.lindblad import DenseLiouvillian, LumpedLiouvillian, fidelity_curve, probe_vector
 from spinnet.network import single_excitation_hamiltonian, standard_noise_spec
-from spinnet.propagator import (
-    complete_graph_peak_fidelity,
-    optimal_avg_fidelity,
-    transfer_amplitude,
-)
+from spinnet.perturbation import beta
+from spinnet.propagator import complete_graph_peak_fidelity, optimal_avg_fidelity
 
 
 class TestPeakFidelity:
@@ -40,8 +37,7 @@ class TestPeakFidelity:
     def test_matches_engine_maximum(self):
         # peak sits at t = pi/n where the transfer amplitude tops out
         for n in (3, 6, 11):
-            h = single_excitation_hamiltonian(n)
-            z = transfer_amplitude(h, math.pi / n, 1, 2)
+            z = eigh_propagator(single_excitation_hamiltonian(n), math.pi / n)[2, 1]
             f, _ = optimal_avg_fidelity_from(z)
             assert f == pytest.approx(complete_graph_peak_fidelity(n), abs=1e-12)
 
@@ -70,7 +66,7 @@ class TestFourNodeClosedForm:
         h = single_excitation_hamiltonian(4)
         for t in (0.5, 1.3, 2.9):
             closed = np.conj(four_node_closed_form(0.0, t).lambda_z)
-            assert closed == pytest.approx(transfer_amplitude(h, t, 1, 2), abs=1e-12)
+            assert closed == pytest.approx(eigh_propagator(h, t)[2, 1], abs=1e-12)
 
     def test_transfer_prob_t0_defect_preserved(self):
         # the transcribed probability expression does not vanish at
@@ -94,9 +90,14 @@ class TestFourNodeClosedForm:
 
 class TestZenoLimit:
     def test_effective_hamiltonian_zeroes_noisy_sector(self):
-        hz = zeno_effective_hamiltonian(5, standard_noise_spec(5, 3, 1.0))
+        # cutting the noisy vertices out of K_n leaves K_{n-m}, whose
+        # amplitude the report's Zeno checks read as beta(n - m, t)
+        n, m = 5, 3
+        hz = cut_hamiltonian(n, standard_noise_spec(n, m, 1.0).noisy_vertices)
         assert np.all(hz[3:, :] == 0) and np.all(hz[:, 3:] == 0)
         assert hz[1, 2] == 1.0
+        for t in (0.4, 0.7, 2.9):
+            assert beta(n - m, t) == pytest.approx(eigh_propagator(hz, t)[2, 1], abs=1e-12)
 
     def test_two_level_limit_reaches_perfect_transfer(self):
         params = zeno_limit_channel(4, 2, math.pi / 2)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spinnet import analytics, cli, lindblad, network
+from spinnet import cli, lindblad, network
 from spinnet.cli import (
     CSV_HEADER,
     ConfigError,
@@ -29,6 +29,7 @@ from spinnet.cli import (
 )
 from spinnet.lindblad import DenseLiouvillian
 from spinnet.network import standard_noise_spec
+from spinnet.perturbation import beta
 
 
 def _cfg(**over):
@@ -412,6 +413,9 @@ _BAD_FIELDS = [
     ("simulate", _SIMULATE, "method", 3),
     ("simulate", _SIMULATE, "dt", 0),
     ("simulate", _SIMULATE, "dt", "x"),
+    # the trajectory engine's step bounds eta * dt <= 0.05 and ||H|| * dt <= 0.05
+    ("simulate", {"n": 4, "m": 2, "eta": 10.0, "method": "trajectories", "n_traj": 8}, "dt", 0.01),
+    ("simulate", {"n": 100, "method": "trajectories"}, "dt", 1e-3),
     ("simulate", _SIMULATE, "n_traj", 0),
     ("simulate", _SIMULATE, "n_traj", 2.5),
     ("simulate", _SIMULATE, "master_seed", -1),
@@ -452,6 +456,7 @@ _BAD_FIELDS = [
     ("report", {}, "n_traj", "x"),
     ("report", {}, "dt", -1),
     ("report", {}, "dt", "x"),
+    ("report", {}, "dt", 10.0),
     ("report", {}, "seed", -1),
     ("report", {}, "seed", 1.5),
 ]
@@ -471,6 +476,18 @@ class TestMemory:
         assert code == 0, err
         assert peak < 5 << 20
 
+    def test_per_edge_map_beyond_dense_bound_exits_1_before_allocating(self, tmp_path, capsys):
+        # the dense generator at n = 100 would be about 1.7 GB of complex128
+        config = {"n": 100, "m": 2, "eta": {"99-100": 1.0}}
+        tracemalloc.start()
+        try:
+            code, err = _main(["simulate"], config, tmp_path, capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert err.startswith("configuration error: field 'n': "), err
+        assert peak < 10 << 20
 
     @pytest.mark.parametrize(
         "command, config",
@@ -512,11 +529,31 @@ class TestMemory:
 
             return guarded
 
-        for module in (network, lindblad, analytics, cli):
+        for module in (network, lindblad):
             built = module.single_excitation_hamiltonian
             monkeypatch.setattr(module, "single_excitation_hamiltonian", guard(built))
         code, err = _main([command], config, tmp_path, capsys)
         assert code == 0, err
+
+
+class TestUnitaryRoute:
+    def test_unitary_calls_no_eigensolver(self, tmp_path, capsys, monkeypatch):
+        def broken_eigh(matrix):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", broken_eigh)
+        code, err = _main(["simulate"], {"n": 4, "method": "unitary", "t_steps": 8}, tmp_path, capsys)
+        assert code == 0, err
+
+    def test_unitary_rows_read_beta_at_large_n(self, tmp_path, capsys):
+        # a dense H alone would be 0.8 GB at this size
+        config = {"n": 10002, "method": "unitary", "t_max": 0.01, "t_steps": 16}
+        out = tmp_path / "unitary.csv"
+        code, err = _main(["simulate", "--out", str(out)], config, tmp_path, capsys)
+        assert code == 0, err
+        rows = out.read_text().splitlines()[1:]
+        times = ExperimentConfig.from_dict(config).times()
+        assert [row.split(",")[5] for row in rows] == [f"{abs(beta(10002, float(t))):.12e}" for t in times]
 
 
 class TestFieldContract:

@@ -23,6 +23,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from oracle import eigh_propagator
 
 from spinnet import lindblad
 from spinnet.lindblad import (
@@ -34,7 +35,7 @@ from spinnet.lindblad import (
     probe_vector,
 )
 from spinnet.network import NoiseSpec, single_excitation_hamiltonian, standard_noise_spec
-from spinnet.propagator import BlochInput, transfer_amplitude
+from spinnet.propagator import BlochInput
 
 PROBE = BlochInput(math.pi / 2, 0.0)
 PER_EDGE = NoiseSpec((3, 4, 5), {(3, 4): 0.5, (3, 5): 1.0, (4, 5): 2.0})
@@ -223,6 +224,7 @@ class TestEdgeRates:
             (1, NoiseSpec(()), "need n >= 2, got 1"),
             (4, NoiseSpec((3, 5), 1.0), "noisy vertex 5 outside 1..4"),
             (5, NoiseSpec((0, 3), 1.0), "noisy vertex 0 outside 1..5"),
+            (41, NoiseSpec((40, 41), 1.0), "the dense engine takes n <= 40, got 41"),
         ],
     )
     def test_rejects_bad_network(self, n, spec, message):
@@ -268,7 +270,7 @@ class TestEvolution:
     def test_noiseless_evolution_is_unitary(self):
         [params] = _channels(_dense(4, 2, 0.0).evolve(probe_vector(4, 1), [1.3]))
         h = single_excitation_hamiltonian(4)
-        z = transfer_amplitude(h, 1.3, 1, 2)
+        z = eigh_propagator(h, 1.3)[2, 1]
         assert params.amplitude == pytest.approx(z, abs=1e-10)
         assert params.dephasing == pytest.approx(1.0, abs=1e-9)
 
