@@ -324,7 +324,8 @@ def _check_trajectories(config: ReportConfig) -> ConsistencyCheck:
 
 
 def _four_node_engine_channel(eta: float, t: float) -> ChannelParams:
-    return lindblad.fidelity_curve(lindblad.LumpedLiouvillian(4, 2, eta), [t]).channels[0]
+    curve = lindblad.fidelity_curve(lindblad.LumpedLiouvillian(4, 2, eta), [t])
+    return ChannelParams(complex(curve.amplitude[0]), float(curve.dephasing[0]))
 
 
 def _check_four_node_z_sq_t0() -> ConsistencyCheck:
@@ -413,8 +414,8 @@ def _check_zeno_overlay() -> ConsistencyCheck:
     times = np.linspace(0.0, 2.0 * math.pi, 161)
     noisy = lindblad.fidelity_curve(lindblad.LumpedLiouvillian(n, m, eta), times).fidelity
     # cutting the noisy vertices out of K_n leaves K_{n-m}
-    reduced = (ChannelParams(perturbation.beta(n - m, float(t)), 1.0) for t in times)
-    unitary = lindblad.FidelityCurve.of(reduced).fidelity
+    reduced = [perturbation.beta(n - m, float(t)) for t in times]
+    unitary = lindblad.FidelityCurve.of(reduced, np.ones(times.size)).fidelity
     disc = float(np.abs(noisy - unitary).max())
     return ConsistencyCheck(
         name="zeno-effective-vs-lindblad",
@@ -498,8 +499,8 @@ def _check_weak_noise(config: ReportConfig) -> list[ConsistencyCheck]:
     t = 1.0
     zeroth = perturbation.printed_weak_noise_channel(n, m, 0.0, t)
     grid = np.linspace(0.1, 3.0, 7)
-    clean = lindblad.fidelity_curve(lindblad.LumpedLiouvillian(n, 0, 0.0), [t, *grid]).channels
-    z_engine = clean[0].amplitude
+    clean = lindblad.fidelity_curve(lindblad.LumpedLiouvillian(n, 0, 0.0), [t, *grid]).amplitude.tolist()
+    z_engine = clean[0]
     checks.append(
         ConsistencyCheck(
             name="weak-noise-zeroth-order-amplitude",
@@ -512,7 +513,7 @@ def _check_weak_noise(config: ReportConfig) -> list[ConsistencyCheck]:
             engine_grade=False,
         )
     )
-    beta_gap = max(abs(perturbation.beta(n, s) - ch.amplitude) for s, ch in zip(grid, clean[1:]))
+    beta_gap = max(abs(perturbation.beta(n, s) - z) for s, z in zip(grid, clean[1:]))
     checks.append(
         ConsistencyCheck(
             name="weak-noise-beta-vs-engine-amplitude",

@@ -35,7 +35,7 @@ from . import lindblad, stochastic
 from .analytics import ReportConfig, consistency_report
 from .network import NoiseSpec
 from .perturbation import beta, first_order_numeric, printed_weak_noise_channel
-from .propagator import ChannelParams, complete_graph_peak_fidelity
+from .propagator import complete_graph_peak_fidelity
 
 __all__ = [
     "ConfigError",
@@ -308,11 +308,11 @@ def _engine_curve(config: ExperimentConfig, spec: NoiseSpec, times: np.ndarray) 
         eta = config.uniform_eta()
         numeric = config.method == "perturbation-numeric"
         route = first_order_numeric if numeric else printed_weak_noise_channel
-        channels = (route(config.n, config.m, eta, float(t)) for t in times)
-        return lindblad.FidelityCurve.of(ChannelParams(ch.abs_z, ch.dephasing) for ch in channels)
+        channels = [route(config.n, config.m, eta, float(t)) for t in times]
+        return lindblad.FidelityCurve.of([ch.abs_z for ch in channels], [ch.dephasing for ch in channels])
 
     if config.method == "unitary":
-        return lindblad.FidelityCurve.of(ChannelParams(beta(config.n, float(t)), 1.0) for t in times)
+        return lindblad.FidelityCurve.of([beta(config.n, float(t)) for t in times], np.ones(times.size))
 
     pair = (config.input_vertex, config.output_vertex)
 
@@ -342,9 +342,9 @@ def _engine_curve(config: ExperimentConfig, spec: NoiseSpec, times: np.ndarray) 
         noise=spec,
     )
     psi = lindblad.probe_vector(config.n, config.input_vertex)
-    rho = stochastic.ensemble_average(plan, psi, times=times).rho_mean.rho
+    states = stochastic.ensemble_average(plan, psi, times=times).rho_mean
     out = config.output_vertex
-    return lindblad.FidelityCurve.read(rho[:, out, out].real, rho[:, out, 0])
+    return lindblad.FidelityCurve.read(states.times, states.rho[:, out, out].real, states.rho[:, out, 0])
 
 
 def _curve_records(
@@ -363,15 +363,17 @@ def _curve_records(
             n=n,
             m=m,
             eta=eta,
-            t=float(t),
-            fidelity=float(fidelity),
-            abs_z=abs(params.amplitude),
-            dephasing=params.dephasing,
-            delta=None if baseline is None else max(float(fidelity) - baseline, 0.0),
+            t=t,
+            fidelity=fidelity,
+            abs_z=abs_z,
+            dephasing=dephasing,
+            delta=None if baseline is None else max(fidelity - baseline, 0.0),
             method=method,
             seed=seed,
         )
-        for t, fidelity, params in zip(times, curve.fidelity, curve.channels)
+        for t, fidelity, abs_z, dephasing in zip(
+            times.tolist(), curve.fidelity.tolist(), np.abs(curve.amplitude).tolist(), curve.dephasing.tolist()
+        )
     ]
 
 

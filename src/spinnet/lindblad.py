@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .network import INPUT_VERTEX, OUTPUT_VERTEX, NoiseSpec, single_excitation_hamiltonian
-from .propagator import BlochInput, ChannelParams, optimal_avg_fidelity
+from .propagator import BlochInput
 
 __all__ = [
     "PROBE",
@@ -61,30 +61,56 @@ HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-8
 
+# Shift of the Cholesky certificate, half the floor's margin: a factor of
+# rho + CERTIFICATE_SHIFT I, with its O(d eps) rounding, proves every
+# eigenvalue of rho above EIGENVALUE_FLOOR.
+CERTIFICATE_SHIFT = -EIGENVALUE_FLOOR / 2.0
+
 # Rounding level of the output population of a unit-trace state, a few
 # dozen ulps of 1. A population below it reads |z| under about 1e-7,
 # which rounding alone can produce, so lambda * z is not split there.
 POPULATION_FLOOR = 1e-14
 
 
+def _factors(rho: np.ndarray) -> bool:
+    """Whether rho + CERTIFICATE_SHIFT I has a Cholesky factor, for one matrix or all of a stack.
+
+    Like eigvalsh, the factorization reads only the lower triangle.
+    Success certifies the state; failure decides nothing.
+    """
+    shifted = rho.copy()
+    diagonal = np.arange(rho.shape[-1])
+    shifted[..., diagonal, diagonal] += CERTIFICATE_SHIFT
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _check_states(
     times: np.ndarray,
     herm: np.ndarray,
     trace_err: np.ndarray,
+    certified: Callable[[np.ndarray], np.ndarray],
     lowest: Callable[[np.ndarray], Sequence[float]],
 ) -> None:
     """Raise RuntimeError naming the first t whose state breaks an invariant.
 
     ``herm`` and ``trace_err`` hold each state's Hermiticity and trace
-    defects, and ``lowest`` maps the indices of some states to their
-    smallest eigenvalues. It is asked only about the states that pass
-    the other two checks, so a non-finite state is named by its defect
-    before an eigensolver sees it.
+    defects. ``certified`` and ``lowest`` map the indices of some states
+    to whether ``_factors`` certifies them and to their smallest
+    eigenvalues. Only states that pass the other two checks are
+    certified, and only those left uncertified reach ``lowest``, so a
+    non-finite state is named by its defect before either sees it.
     """
     # negated tests, so that a non-finite entry fails too
     sound = (herm <= HERMITICITY_ATOL) & (trace_err <= TRACE_ATOL)
     low = np.zeros(times.size)
-    low[sound] = lowest(np.flatnonzero(sound))
+    rows = np.flatnonzero(sound)
+    rows = rows[~certified(rows)]
+    if rows.size:
+        low[rows] = lowest(rows)
     bad = np.flatnonzero(~(sound & (low >= EIGENVALUE_FLOOR)))
     if bad.size == 0:
         return
@@ -105,9 +131,11 @@ class DenseStates:
     ``rho`` stacks one matrix in the vacuum + single-excitation basis per
     entry of ``times``. Each must be Hermitian and of unit trace to 1e-10
     and have no eigenvalue below -1e-8 (rounding may leave the smallest
-    slightly negative); RuntimeError names the first t that fails. The
-    matrices are checked one at a time, so that the check holds no
-    second copy of the stack.
+    slightly negative); RuntimeError names the first t that fails. A
+    Cholesky factor of rho + 5e-9 I certifies the eigenvalue floor, and
+    only a state it does not certify goes to eigvalsh. The matrices are
+    checked one at a time, so that the check holds no second copy of the
+    stack.
     """
 
     times: np.ndarray
@@ -122,7 +150,13 @@ class DenseStates:
         object.__setattr__(self, "rho", rho)
         herm = np.array([np.abs(r - r.conj().T).max() for r in rho])
         trace_err = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
-        _check_states(times, herm, trace_err, lambda rows: [np.linalg.eigvalsh(rho[j]).min() for j in rows])
+        _check_states(
+            times,
+            herm,
+            trace_err,
+            lambda rows: np.array([_factors(rho[j]) for j in rows], dtype=bool),
+            lambda rows: [np.linalg.eigvalsh(rho[j]).min() for j in rows],
+        )
 
 
 def probe_vector(n: int, input_vertex: int, state: BlochInput = PROBE) -> np.ndarray:
@@ -237,30 +271,6 @@ class DenseLiouvillian:
         rho = flat.reshape(-1, dim, dim).transpose(0, 2, 1)
         # the exponential keeps Hermiticity only to rounding
         return DenseStates(times, 0.5 * (rho + rho.conj().transpose(0, 2, 1)))
-
-
-def _channel(rho_oo: float, rho_o0: complex, a: complex, b: complex) -> ChannelParams:
-    """The channel (z, lambda) of the probe a|0> + b|input> from one rho_oo and rho_o0.
-
-    The evolved state stores |z|^2 in the output population
-    rho_oo / |b|^2 and the product lambda*z in the coherence
-    rho_o0 / (b a*). Splitting the product needs the population above
-    its rounding level, POPULATION_FLOOR; at or below it the channel
-    carries no amplitude information and the convention z = 0,
-    lambda = 1 applies.
-    """
-    prob = rho_oo / abs(b) ** 2
-    if prob < -1e-10:
-        raise RuntimeError(f"numeric failure: output population {prob:.3e} below zero")
-    prob = max(prob, 0.0)
-    lam_z = rho_o0 / (b * a.conjugate())
-    if rho_oo > POPULATION_FLOOR:
-        mod = math.sqrt(prob)
-        lam = abs(lam_z) / mod
-        z = lam_z / lam if lam > 0.0 else complex(mod)
-    else:
-        z, lam = 0j, 1.0
-    return ChannelParams(complex(z), float(lam))
 
 
 # Kinds of single-excitation vertex: the input i, the output o, a clean
@@ -386,26 +396,31 @@ class LumpedStates:
                     out[:, a + 1, b + 1] = self._entry(p, p, True)
         return out
 
+    def _repeated(self) -> tuple[np.ndarray, list[int]]:
+        # d_C - o_C and d_N - o_N, one column per kind present twice or more, and their multiplicities
+        kinds = [(kind, mult) for kind, mult in (("C", self.k), ("N", self.m)) if mult >= 2]
+        values = np.array([self._entry(kind, kind, True) - self._entry(kind, kind) for kind, _ in kinds]).real
+        return values.reshape(len(kinds), self.times.size).T, [mult - 1 for _, mult in kinds]
+
     def spectrum(self, rows: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues of rho at every time, or at ``rows`` of the times, and their multiplicities.
 
         The sector matrix gives one eigenvalue per column; d_C - o_C
         repeats k - 1 times and d_N - o_N repeats m - 1 times.
         """
-        values = [np.linalg.eigvalsh(self.sector_matrices()[rows])]
-        counts = [1] * values[0].shape[1]
-        for kind, mult in (("C", self.k), ("N", self.m)):
-            if mult >= 2:
-                values.append((self._entry(kind, kind, True) - self._entry(kind, kind)).real[rows, None])
-                counts.append(mult - 1)
-        return np.hstack(values), np.array(counts)
+        sector = np.linalg.eigvalsh(self.sector_matrices()[rows])
+        repeated, counts = self._repeated()
+        return np.hstack([sector, repeated[rows]]), np.array([1] * sector.shape[1] + counts)
 
     def validate(self) -> None:
         """Check the dense invariants on the whole state; RuntimeError names the first bad t.
 
         Hermiticity is the largest |rho_pq - conj(rho_qp)| over the
         entries of rho, the trace is rho_00 + d_in + d_out + k d_C + m d_N,
-        and the smallest eigenvalue comes from ``spectrum``.
+        and the smallest eigenvalue comes from ``spectrum``, asked only
+        about states the Cholesky certificate (see ``DenseStates``) leaves
+        open. It factors the sector matrices as one stack, so if one
+        fails, every state goes to ``spectrum``.
         """
         mult = _multiplicities(self.k, self.m)
         present = [
@@ -415,7 +430,14 @@ class LumpedStates:
         x = self.population[:, present]
         herm = np.abs(x - self.population[:, _PARTNER[present]].conj()).max(axis=1)
         trace = self.vacuum + sum(mult[p] * self._entry(p, p, True) for p in _KINDS)
-        _check_states(self.times, herm, np.abs(trace - 1.0), lambda rows: self.spectrum(rows)[0].min(axis=1))
+        above = np.all(self._repeated()[0] >= EIGENVALUE_FLOOR, axis=1)
+        _check_states(
+            self.times,
+            herm,
+            np.abs(trace - 1.0),
+            lambda rows: above[rows] & _factors(self.sector_matrices()[rows]),
+            lambda rows: self.spectrum(rows)[0].min(axis=1),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,24 +532,49 @@ class LumpedLiouvillian:
 
 @dataclass(frozen=True, eq=False)
 class FidelityCurve:
-    """Channel and best Bloch-averaged fidelity at each time of a grid."""
+    """Channel (z, lambda) and best Bloch-averaged fidelity at each time of a grid, as arrays."""
 
-    channels: tuple[ChannelParams, ...]
+    amplitude: np.ndarray
+    dephasing: np.ndarray
     fidelity: np.ndarray
 
     @classmethod
-    def of(cls, channels: Iterable[ChannelParams]) -> FidelityCurve:
-        channels = tuple(channels)
-        return cls(channels, np.array([optimal_avg_fidelity(c)[0] for c in channels]))
+    def of(cls, amplitude: Sequence[complex], dephasing: Sequence[float]) -> FidelityCurve:
+        """The channels (z, lambda) with F = 1/2 + lambda |z|/3 + |z|^2/6, ``optimal_avg_fidelity``'s form."""
+        z = np.asarray(amplitude, dtype=complex)
+        lam = np.asarray(dephasing, dtype=float)
+        mod = np.abs(z)
+        return cls(z, lam, 0.5 + lam * mod / 3.0 + mod * mod / 6.0)
 
     @classmethod
-    def read(cls, rho_oo: Iterable[float], rho_o0: Iterable[complex]) -> FidelityCurve:
-        """The channel of ``PROBE`` at each time, from the output population and coherence."""
+    def read(
+        cls, times: Sequence[float], rho_oo: Sequence[float], rho_o0: Sequence[complex]
+    ) -> FidelityCurve:
+        """The channel of ``PROBE`` = a|0> + b|input> at each time, from rho_oo and rho_o0.
+
+        The evolved state stores |z|^2 in the output population
+        rho_oo / |b|^2 and the product lambda*z in the coherence
+        rho_o0 / (b a*). Splitting the product needs the population above
+        its rounding level, POPULATION_FLOOR; at or below it the channel
+        carries no amplitude information and the convention z = 0,
+        lambda = 1 applies. At lambda = 0, z = |z|. A population below
+        -1e-10 raises RuntimeError naming its t.
+        """
         a, b = PROBE.amplitudes()
-        # Each route's scalars reach _channel as the route made them:
-        # CPython and numpy round complex division differently, so
-        # converting them would move outputs in their last digit.
-        return cls.of(_channel(oo, o0, a, b) for oo, o0 in zip(rho_oo, rho_o0))
+        rho_oo = np.asarray(rho_oo, dtype=float)
+        prob = rho_oo / abs(b) ** 2
+        negative = np.flatnonzero(prob < -1e-10)
+        if negative.size:
+            j = negative[0]
+            raise RuntimeError(f"numeric failure at t={times[j]}: output population {prob[j]:.3e} below zero")
+        mod = np.sqrt(np.maximum(prob, 0.0))
+        lam_z = np.asarray(rho_o0, dtype=complex) / (b * a.conjugate())
+        split = rho_oo > POPULATION_FLOOR
+        # the unsplit entries divide by zero and are then replaced
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = np.where(split, np.abs(lam_z) / mod, 1.0)
+            z = np.where(split, np.where(lam > 0.0, lam_z / lam, mod), 0.0)
+        return cls.of(z, lam)
 
 
 def fidelity_curve(
@@ -551,7 +598,7 @@ def fidelity_curve(
             raise ValueError(f"vertex {vertex} outside 1..{n}")
     if isinstance(engine, LumpedLiouvillian):
         states = engine.evolve(times)
-        return FidelityCurve.read(states.rho_oo, states.rho_o0)
+        return FidelityCurve.read(states.times, states.rho_oo, states.rho_o0)
     engine.noise.validate_for(n, source, target)
-    rho = engine.evolve(probe_vector(n, source), times).rho
-    return FidelityCurve.read(rho[:, target, target].real, rho[:, target, 0])
+    states = engine.evolve(probe_vector(n, source), times)
+    return FidelityCurve.read(states.times, states.rho[:, target, target].real, states.rho[:, target, 0])

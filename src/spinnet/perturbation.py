@@ -245,14 +245,11 @@ def first_order_numeric(n: int, m: int, eta: float, t: float) -> WeakNoiseChanne
         coherence=np.array([coherence, coherence + eta * d_coherence]),
         population=np.array([population, population + eta * d_population]),
     )
-    # read as Python scalars: numpy's complex division would move these
-    # channels in their last digit (see FidelityCurve.read)
-    zeroth, params = lindblad.FidelityCurve.read(states.rho_oo.tolist(), states.rho_o0.tolist()).channels
-    z_sq_0 = abs(zeroth.amplitude) ** 2
+    curve = lindblad.FidelityCurve.read(states.times, states.rho_oo, states.rho_o0)
+    z_sq_0, z_sq = (np.abs(curve.amplitude) ** 2).tolist()
     if eta == 0.0 or m < 2 or t == 0.0:
         return WeakNoiseChannel(z_sq_0=z_sq_0, xi1=0.0, xi2=0j, eta=0.0)
-    z_sq = abs(params.amplitude) ** 2
-    lam_z_mod = params.dephasing * z_sq
+    lam_z_mod = float(curve.dephasing[1]) * z_sq
     return WeakNoiseChannel(
         z_sq_0=z_sq_0,
         xi1=(z_sq - z_sq_0) / eta,

@@ -1,16 +1,21 @@
-"""The tests' unitary oracle: exp(-i H t) through an eigendecomposition of H.
+"""The tests' oracles: exp(-i H t) through an eigendecomposition of H, and a scalar readout.
 
 The package reads the noiseless transfer amplitude from its closed form,
 ``perturbation.beta``; this route diagonalizes H with numpy's ``eigh``
 instead, as ``bench/reference.py`` solves the master equation without
-the package's engines.
+the package's engines. The package reads channels from whole arrays of
+rho_oo and rho_o0; ``scalar_channel`` reads one cell at a time.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from spinnet.lindblad import POPULATION_FLOOR, PROBE
 from spinnet.network import single_excitation_hamiltonian
+from spinnet.propagator import ChannelParams, optimal_avg_fidelity
 
 
 def eigh_propagator(h: np.ndarray, t: float) -> np.ndarray:
@@ -35,3 +40,28 @@ def cut_hamiltonian(n: int, removed: tuple[int, ...]) -> np.ndarray:
     h[list(removed), :] = 0.0
     h[:, list(removed)] = 0.0
     return h
+
+
+def scalar_channel(rho_oo: float, rho_o0: complex) -> tuple[ChannelParams, float]:
+    """The channel of ``lindblad.PROBE`` from one rho_oo and rho_o0, and its best fidelity.
+
+    The rules of ``lindblad.FidelityCurve.read`` applied to one cell in
+    Python scalars: |z|^2 = rho_oo / |b|^2 and lambda z = rho_o0 / (b a*),
+    split only above ``POPULATION_FLOOR`` (else z = 0, lambda = 1), with
+    z = |z| at lambda = 0. F comes from the decoding rotation of
+    ``propagator.optimal_avg_fidelity``, not from its closed form.
+    """
+    a, b = PROBE.amplitudes()
+    prob = rho_oo / abs(b) ** 2
+    if prob < -1e-10:
+        raise RuntimeError(f"numeric failure: output population {prob:.3e} below zero")
+    prob = max(prob, 0.0)
+    lam_z = rho_o0 / (b * a.conjugate())
+    if rho_oo > POPULATION_FLOOR:
+        mod = math.sqrt(prob)
+        lam = abs(lam_z) / mod
+        z = lam_z / lam if lam > 0.0 else complex(mod)
+    else:
+        z, lam = 0j, 1.0
+    params = ChannelParams(complex(z), float(lam))
+    return params, optimal_avg_fidelity(params)[0]

@@ -108,7 +108,7 @@ class TestCriterion2OracleTriple:
         worst_unitary = 0.0
         clean = _dense(4, 2, 0.0)
         for t in (0.5, 1.0, 1.5 * math.pi):
-            z_master = sn.fidelity_curve(clean, [t]).channels[0].amplitude
+            z_master = sn.fidelity_curve(clean, [t]).amplitude[0]
             z_unitary = eigh_propagator(h, t)[2, 1]
             worst_unitary = max(worst_unitary, abs(z_master - z_unitary))
 

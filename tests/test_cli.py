@@ -332,12 +332,22 @@ class TestFailureExits:
         assert re.fullmatch(f"configuration error: field 'eta': {message}\n", err)
 
     @staticmethod
-    def _broken_eigvalsh_exit(eta, tmp_path, capsys, monkeypatch):
-        # both engines validate states through eigvalsh: the lumped one
-        # for a scalar eta, the dense one for a per-edge map
+    def _certify_nothing(monkeypatch):
+        # every Cholesky certificate fails, as for a state at the floor,
+        # so each state goes on to eigvalsh
+        def not_positive_definite(matrix):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+
+    @classmethod
+    def _broken_eigvalsh_exit(cls, eta, tmp_path, capsys, monkeypatch):
+        # both engines decide uncertified states through eigvalsh: the
+        # lumped one for a scalar eta, the dense one for a per-edge map
         def broken_eigvalsh(matrix):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+        cls._certify_nothing(monkeypatch)
         monkeypatch.setattr(np.linalg, "eigvalsh", broken_eigvalsh)
         config = {"n": 4, "m": 2, "eta": eta, "t_steps": 2, "method": "lindblad"}
         return _main(["simulate"], config, tmp_path, capsys)
@@ -365,6 +375,7 @@ class TestFailureExits:
         # every eigenvalue read one low: the first state of each route, at
         # t = 0, fails its check as a numeric failure, not a config error
         eigvalsh = np.linalg.eigvalsh
+        self._certify_nothing(monkeypatch)
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda matrix: eigvalsh(matrix) - 1.0)
         code, err = _main(["simulate"], {"n": 4, "m": 2, "t_steps": 2, **config}, tmp_path, capsys)
         assert code == 2

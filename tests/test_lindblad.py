@@ -19,11 +19,12 @@ rate 2 eta.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
-from oracle import eigh_propagator
+from oracle import eigh_propagator, scalar_channel
 
 from spinnet import lindblad
 from spinnet.lindblad import (
@@ -31,11 +32,12 @@ from spinnet.lindblad import (
     DenseStates,
     FidelityCurve,
     LumpedLiouvillian,
+    LumpedStates,
     fidelity_curve,
     probe_vector,
 )
 from spinnet.network import NoiseSpec, single_excitation_hamiltonian, standard_noise_spec
-from spinnet.propagator import BlochInput
+from spinnet.propagator import BlochInput, ChannelParams
 
 PROBE = BlochInput(math.pi / 2, 0.0)
 PER_EDGE = NoiseSpec((3, 4, 5), {(3, 4): 0.5, (3, 5): 1.0, (4, 5): 2.0})
@@ -77,8 +79,8 @@ def _edge_rates(n: int, spec: NoiseSpec) -> dict[tuple[int, int], float]:
     return {(k, l): feed[k, l].real for k in range(n + 1) for l in range(k + 1, n + 1) if feed[k, l] != 0}
 
 
-def _channels(states: DenseStates, output: int = 2):
-    return FidelityCurve.read(states.rho[:, output, output].real, states.rho[:, output, 0]).channels
+def _curve(states: DenseStates, output: int = 2) -> FidelityCurve:
+    return FidelityCurve.read(states.times, states.rho[:, output, output].real, states.rho[:, output, 0])
 
 
 # a state, and one state breaking each invariant, on three rows
@@ -88,6 +90,37 @@ _BAD = {
     "trace defect": np.eye(3, dtype=complex),
     "negative eigenvalue": np.diag([1.2, -0.2, 0.0]).astype(complex),
 }
+
+
+def _edge(low: float) -> np.ndarray:
+    # a unit-trace state whose output population, and smallest eigenvalue, is low
+    return np.diag([0.5, 0.5 - low, low]).astype(complex)
+
+
+def _lumped_edge(low: float) -> LumpedStates:
+    """The lumped probe state of K_4 with two noisy vertices at t = 0, then again at
+    t = 0.5 with output population ``low``, taken from the input vertex."""
+    c0, x0 = lindblad._probe_sectors()
+    x1 = x0.copy()
+    x1[lindblad._ORBIT["o", "o", True]] = low
+    x1[lindblad._ORBIT["i", "i", True]] -= low
+    return LumpedStates(
+        k=0, m=2, times=np.array([0.0, 0.5]), vacuum=0.5, coherence=np.array([c0, c0]), population=np.array([x0, x1])
+    )
+
+
+def _record(monkeypatch, *names: str) -> dict[str, list[bool]]:
+    """Patch numpy.linalg functions to record, per call, whether their input was finite."""
+    seen = {}
+    for name in names:
+        original, calls = getattr(np.linalg, name), seen.setdefault(name, [])
+
+        def recording(matrix, original=original, calls=calls):
+            calls.append(bool(np.isfinite(matrix).all()))
+            return original(matrix)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return seen
 
 
 class TestDenseStates:
@@ -111,17 +144,12 @@ class TestDenseStates:
             DenseStates([0.0, 0.5, 1.0, 1.5, 2.0], rho)
 
     def test_non_finite_state_reaches_no_eigensolver(self, monkeypatch):
-        seen = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def recording(matrix):
-            seen.append(np.isfinite(matrix).all())
-            return eigvalsh(matrix)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        # the certificate passes _GOOD, so only _EDGE reaches eigvalsh;
+        # the non-finite state reaches neither
+        seen = _record(monkeypatch, "cholesky", "eigvalsh")
         with pytest.raises(RuntimeError, match="^numeric failure at t=1.0: Hermiticity defect nan$"):
-            DenseStates([0.0, 1.0, 2.0], [_GOOD, np.full((3, 3), np.nan), _GOOD])
-        assert seen == [True, True]
+            DenseStates([0.0, 1.0, 2.0], [_GOOD, np.full((3, 3), np.nan), _edge(-0.5e-8)])
+        assert seen == {"cholesky": [True, True], "eigvalsh": [True]}
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="one square matrix per time"):
@@ -268,11 +296,11 @@ class TestEvolution:
             assert out[0, 0].real == pytest.approx(vac0, abs=1e-12)
 
     def test_noiseless_evolution_is_unitary(self):
-        [params] = _channels(_dense(4, 2, 0.0).evolve(probe_vector(4, 1), [1.3]))
+        curve = _curve(_dense(4, 2, 0.0).evolve(probe_vector(4, 1), [1.3]))
         h = single_excitation_hamiltonian(4)
         z = eigh_propagator(h, 1.3)[2, 1]
-        assert params.amplitude == pytest.approx(z, abs=1e-10)
-        assert params.dephasing == pytest.approx(1.0, abs=1e-9)
+        assert curve.amplitude[0] == pytest.approx(z, abs=1e-10)
+        assert curve.dephasing[0] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize(
         "psi0, times, message",
@@ -309,33 +337,126 @@ class TestReadout:
         with pytest.raises(ValueError, match=r"^noisy vertices \[\d(, \d)?\] overlap the transfer pair$"):
             fidelity_curve(_dense(5, 2, 1.0), [1.0], pair)
         # the same pair away from the noise reads a channel
-        assert len(fidelity_curve(DenseLiouvillian(5, NoiseSpec((2, 3), 1.0)), [1.0], (4, 5)).channels) == 1
+        assert fidelity_curve(DenseLiouvillian(5, NoiseSpec((2, 3), 1.0)), [1.0], (4, 5)).fidelity.shape == (1,)
 
     def test_dephasing_bounded(self):
-        for params in fidelity_curve(_dense(4, 2, 3.0), [0.3, 1.0, 4.0]).channels:
-            assert 0.0 <= params.dephasing <= 1.0 + 1e-9
-            assert abs(params.amplitude) <= 1.0 + 1e-9
+        curve = fidelity_curve(_dense(4, 2, 3.0), [0.3, 1.0, 4.0])
+        assert np.all((0.0 <= curve.dephasing) & (curve.dephasing <= 1.0 + 1e-9))
+        assert np.all(np.abs(curve.amplitude) <= 1.0 + 1e-9)
 
     def test_zero_time_channel_is_empty(self):
-        [params] = fidelity_curve(_dense(4, 2, 1.0), [0.0]).channels
-        assert params.amplitude == 0.0
-        assert params.dephasing == 1.0
+        curve = fidelity_curve(_dense(4, 2, 1.0), [0.0])
+        assert curve.amplitude[0] == 0.0
+        assert curve.dephasing[0] == 1.0
 
     def test_rounding_population_reads_as_empty_channel(self):
         # the clean K_4 transfer amplitude vanishes at t = k pi / 2; on the
         # default fig1 grid, t = k pi / 32, the engine leaves rho_oo at
         # rounding there (|z| up to 1.4e-8 at t = pi, 3 pi / 2 and 2 pi)
         times = np.arange(1, 65) * (2.0 * math.pi / 64)
-        channels = lindblad.fidelity_curve(LumpedLiouvillian(4, 2, 0.0), times).channels
+        curve = lindblad.fidelity_curve(LumpedLiouvillian(4, 2, 0.0), times)
         for k in (16, 32, 48, 64):
-            assert channels[k - 1].amplitude == 0.0
-            assert channels[k - 1].dephasing == 1.0
+            assert curve.amplitude[k - 1] == 0.0
+            assert curve.dephasing[k - 1] == 1.0
         # a population just above the floor is split as before
         a, b = PROBE.amplitudes()
         z = math.sqrt(10 * lindblad.POPULATION_FLOOR) / abs(b)
-        [params] = FidelityCurve.read([abs(b) ** 2 * z**2], [0.5 * z * b * a.conjugate()]).channels
-        assert params.dephasing == pytest.approx(0.5)
-        assert params.amplitude == pytest.approx(z)
+        curve = FidelityCurve.read([1.0], [abs(b) ** 2 * z**2], [0.5 * z * b * a.conjugate()])
+        assert curve.dephasing[0] == pytest.approx(0.5)
+        assert curve.amplitude[0] == pytest.approx(z)
+
+    @pytest.mark.parametrize("lumped", [False, True], ids=["dense", "lumped"])
+    def test_negative_population_raises_naming_t(self, lumped):
+        # rho_oo = -5e-9 passes the eigenvalue floor, and reads -1e-8 once divided by |b|^2 = 1/2
+        if lumped:
+            states = _lumped_edge(-5e-9)
+            states.validate()
+            rho_oo, rho_o0 = states.rho_oo, states.rho_o0
+        else:
+            states = DenseStates([0.0, 0.5], [_GOOD, _edge(-5e-9)])
+            rho_oo, rho_o0 = states.rho[:, 2, 2].real, states.rho[:, 2, 0]
+        with pytest.raises(RuntimeError, match=r"^numeric failure at t=0.5: output population -1.000e-08 below zero$"):
+            FidelityCurve.read(states.times, rho_oo, rho_o0)
+
+    @staticmethod
+    def _assert_matches_oracle(rho_oo, rho_o0, atol):
+        curve = FidelityCurve.read(np.arange(len(rho_oo)), rho_oo, rho_o0)
+        for j, (oo, o0) in enumerate(zip(rho_oo, rho_o0)):
+            params, fidelity = scalar_channel(float(oo), complex(o0))
+            assert abs(curve.fidelity[j] - fidelity) <= atol
+            assert abs(abs(curve.amplitude[j]) - abs(params.amplitude)) <= atol
+            assert abs(curve.dephasing[j] - params.dephasing) <= atol
+            assert abs(curve.amplitude[j] - params.amplitude) <= 4 * atol
+
+    def test_random_channels_match_scalar_oracle(self):
+        # physical cells: |rho_o0|^2 <= rho_oo rho_00 with rho_00 = 1/2
+        rng = np.random.default_rng(11)
+        rho_oo = 0.5 * rng.random(2000)
+        rho_o0 = np.sqrt(0.5 * rho_oo) * rng.random(2000) * np.exp(2j * math.pi * rng.random(2000))
+        self._assert_matches_oracle(rho_oo, rho_o0, 1e-15)
+
+    def test_floor_zero_coherence_and_zero_time_match_scalar_oracle(self):
+        floor = lindblad.POPULATION_FLOOR
+        near = [floor, np.nextafter(floor, 0.0), np.nextafter(floor, 1.0), 2 * floor, 0.5 * floor, 0.0, -1e-11]
+        rho_oo = np.array([*near, *near, 0.3])
+        rho_o0 = np.array([0.0] * len(near) + [np.sqrt(0.5 * x) if x > 0 else 0.0 for x in near] + [0.0])
+        self._assert_matches_oracle(rho_oo, rho_o0, 1e-15)
+        curve = FidelityCurve.read(np.arange(rho_oo.size), rho_oo, rho_o0)
+        # at or below the floor the convention z = 0, lambda = 1; above it with
+        # no coherence lambda = 0 and z = |z|
+        assert curve.amplitude[[0, 1, 4, 5, 6]].tolist() == [0.0] * 5
+        assert curve.dephasing[[0, 1, 4, 5, 6]].tolist() == [1.0] * 5
+        assert curve.dephasing[[2, 3, -1]].tolist() == [0.0] * 3
+        assert np.all(curve.amplitude[[2, 3, -1]].imag == 0.0) and np.all(curve.amplitude[[2, 3, -1]].real > 0.0)
+        # t = 0 on both engines
+        for engine in (_dense(4, 2, 1.0), LumpedLiouvillian(4, 2, 1.0)):
+            curve = fidelity_curve(engine, [0.0])
+            params, fidelity = scalar_channel(0.0, 0.5 + 0j)
+            assert (curve.amplitude[0], curve.dephasing[0], curve.fidelity[0]) == (0.0, 1.0, fidelity)
+            assert params == ChannelParams(0j, 1.0)
+
+
+class TestCertificate:
+    """A Cholesky factor of rho + 5e-9 I passes a state; any other goes to eigvalsh."""
+
+    @pytest.mark.parametrize("lumped", [False, True], ids=["dense", "lumped"])
+    def test_state_just_above_floor_fails_certificate_and_passes(self, lumped, monkeypatch):
+        # lambda_min = -0.5e-8 leaves a zero pivot in rho + 5e-9 I
+        seen = _record(monkeypatch, "eigvalsh")
+        if lumped:
+            _lumped_edge(-0.5e-8).validate()
+        else:
+            DenseStates([0.0, 0.5], [_GOOD, _edge(-0.5e-8)])
+        assert seen["eigvalsh"] == [True]
+        if not lumped:
+            assert lindblad._factors(_GOOD) and not lindblad._factors(_edge(-0.5e-8))
+
+    @pytest.mark.parametrize("lumped", [False, True], ids=["dense", "lumped"])
+    def test_state_below_floor_raises_naming_t(self, lumped):
+        with pytest.raises(RuntimeError, match=r"^numeric failure at t=0.5: negative eigenvalue -2.000e-08$"):
+            if lumped:
+                _lumped_edge(-2e-8).validate()
+            else:
+                DenseStates([0.0, 0.5], [_GOOD, _edge(-2e-8)])
+
+    def test_large_rank_one_state_needs_no_eigensolver(self, monkeypatch):
+        # four trajectory-sized means at n = 1,002, checked one at a time
+        # within three matrices of memory beyond the stack
+        def refuse(matrix):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        rng = np.random.default_rng(5)
+        psi = rng.standard_normal(1003) + 1j * rng.standard_normal(1003)
+        psi /= np.linalg.norm(psi)
+        rho = np.repeat(np.outer(psi, psi.conj())[None], 4, axis=0)
+        tracemalloc.start()
+        try:
+            DenseStates([0.25, 0.5, 0.75, 1.0], rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 1003**2 * 16
 
 
 def _dense_entries(n: int, m: int, eta: float, times) -> tuple[np.ndarray, np.ndarray]:

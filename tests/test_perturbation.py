@@ -95,12 +95,12 @@ def per_node_first_order(n, m, eta, t, step=1e-3):
     acc *= h_step / 3.0
     # positive only to first order in eta, so read unchecked
     rho = u_final @ (rho0 + eta * acc) @ u_final.conj().T
-    [params] = FidelityCurve.read([rho[2, 2].real], [rho[2, 0]]).channels
-    z_sq = abs(params.amplitude) ** 2
+    curve = FidelityCurve.read([t], [rho[2, 2].real], [rho[2, 0]])
+    z_sq = abs(curve.amplitude[0]) ** 2
     return WeakNoiseChannel(
         z_sq_0=z_sq_0,
         xi1=(z_sq - z_sq_0) / eta,
-        xi2=complex((params.dephasing * z_sq - z_sq_0) / eta),
+        xi2=complex((curve.dephasing[0] * z_sq - z_sq_0) / eta),
         eta=eta,
     )
 
