@@ -266,12 +266,16 @@ class ScanRecord:
 
     def __post_init__(self) -> None:
         # first-order expansions are states only to first order and may
-        # leave the physical range; engine rows must not
+        # leave the physical range; engine rows must not, and no row may
+        # print a non-finite number
         if not self.method.startswith("perturbation-"):
             if not 0.5 - 1e-9 <= self.fidelity <= 1.0 + 1e-9:
                 raise RuntimeError(
                     f"numeric failure: fidelity {self.fidelity} outside [1/2, 1] at t={self.t}"
                 )
+        for name, value in (("fidelity", self.fidelity), ("abs_z", self.abs_z), ("lambda", self.dephasing)):
+            if not math.isfinite(value):
+                raise RuntimeError(f"numeric failure: {name} {value} not finite at t={self.t}")
 
     def to_csv_row(self) -> str:
         delta = "" if self.delta is None else f"{self.delta:.12e}"

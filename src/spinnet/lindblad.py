@@ -7,10 +7,10 @@ at generator rate r = 2 eta_kl.
 
 ``LumpedLiouvillian`` serves every scalar-eta run (``fig1``-``fig3``,
 ``simulate --method lindblad`` with one rate, the curve helpers of
-``analytics`` and ``perturbation``) and supplies the generators that
+``analytics`` and ``perturbation``) and supplies the generator that
 ``perturbation.first_order_numeric`` differentiates in eta: by the
-symmetry of the complete graph it evolves a 4-dimensional coherence
-sector and an 18-dimensional population sector at any n.
+symmetry of the complete graph it evolves a 5 x 5 density matrix and
+one repeated eigenvalue at any n.
 ``DenseLiouvillian(n, noise)`` holds the generator on the column-stacked
 vec(rho), a fixed (n+1)^2 x (n+1)^2 matrix written entrywise from the
 symmetric matrix of edge rates, and evolves any pure start; it serves
@@ -203,6 +203,19 @@ def _propagate(generator: np.ndarray, start: np.ndarray, times: np.ndarray) -> n
     return out
 
 
+def _vec_commutator(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """-i[h, rho] on the column-stacked vec(rho), and row[i, j], the row of rho_ij in vec(rho)."""
+    dim = len(h)
+    eye = np.eye(dim)
+    return -1j * (np.kron(eye, h) - np.kron(h.T, eye)), np.arange(dim)[:, None] + dim * np.arange(dim)
+
+
+def _matrices(flat: np.ndarray, dim: int) -> np.ndarray:
+    """The dim x dim matrices rho whose vec(rho) starts each row of ``flat``."""
+    # vec(rho) stacks the columns of rho, so each row reshapes to rho^T
+    return flat[:, : dim * dim].reshape(-1, dim, dim).transpose(0, 2, 1)
+
+
 @dataclass(frozen=True, eq=False)
 class DenseLiouvillian:
     """Master equation of the complete graph on the column-stacked vec(rho).
@@ -237,11 +250,7 @@ class DenseLiouvillian:
         rates = np.zeros((dim, dim))
         for (k, l), eta in self.noise.edge_strengths().items():
             rates[k, l] = rates[l, k] = 2.0 * eta
-        h = single_excitation_hamiltonian(self.n)
-        eye = np.eye(dim)
-        generator = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-        # row[i, j] is the row of rho_ij in vec(rho)
-        row = np.arange(dim)[:, None] + dim * np.arange(dim)
+        generator, row = _vec_commutator(single_excitation_hamiltonian(self.n))
         populations = row.diagonal()
         generator[np.ix_(populations, populations)] += rates
         # rho_ji feeds rho_ij; R_ii = 0, so the diagonal gets nothing here
@@ -266,226 +275,107 @@ class DenseLiouvillian:
         times = np.asarray(times, dtype=float).reshape(-1)
         if not np.all(times >= 0):
             raise ValueError("times must be nonnegative")
-        # vec(rho) stacks the columns of rho, so each row reshapes to rho^T
         flat = _propagate(self.generator, np.outer(psi0, psi0.conj()).reshape(-1, order="F"), times)
-        rho = flat.reshape(-1, dim, dim).transpose(0, 2, 1)
+        rho = _matrices(flat, dim)
         # the exponential keeps Hermiticity only to rounding
         return DenseStates(times, 0.5 * (rho + rho.conj().transpose(0, 2, 1)))
 
 
-# Kinds of single-excitation vertex: the input i, the output o, a clean
-# vertex C and a noisy vertex N. An orbit of entries X_pq under the
-# relabellings S_k x S_m is (row kind, column kind, same vertex).
-_KINDS = "ioCN"
-_ORBITS = (
-    ("i", "i", True), ("i", "o", False), ("o", "i", False), ("o", "o", True),
-    ("i", "C", False), ("C", "i", False), ("o", "C", False), ("C", "o", False),
-    ("i", "N", False), ("N", "i", False), ("o", "N", False), ("N", "o", False),
-    ("C", "C", True), ("C", "C", False), ("N", "N", True), ("N", "N", False),
-    ("C", "N", False), ("N", "C", False),
-)
-_ORBIT = {orbit: j for j, orbit in enumerate(_ORBITS)}
-_PARTNER = np.array([_ORBIT[q, p, same] for p, q, same in _ORBITS])
-_OUT = _KINDS.index("o")
-_IN_IN = _ORBIT["i", "i", True]
-_OUT_OUT = _ORBIT["o", "o", True]
+def _lumped_start() -> np.ndarray:
+    """(vec rho, q) of PROBE = a|0> + b|in> on the lumped basis (vacuum, in, out, u_C, u_N)."""
+    psi = np.zeros(5, dtype=complex)
+    psi[:2] = PROBE.amplitudes()
+    return np.append(np.outer(psi, psi.conj()).reshape(-1, order="F"), 0.0)
 
 
-def _multiplicities(k: int, m: int) -> dict[str, int]:
-    return {"i": 1, "o": 1, "C": k, "N": m}
-
-
-def _rate(m: int, eta: float) -> float:
-    # generator rate of each noisy edge, as in DenseLiouvillian; fewer
-    # than two noisy vertices span no edge and leave no dissipator
-    return 2.0 * eta if m >= 2 else 0.0
-
-
-def _coherence_generator(k: int, m: int, eta: float) -> np.ndarray:
-    """Generator of (c_i, c_o, c_C, c_N); see LumpedLiouvillian."""
-    mult = np.array(list(_multiplicities(k, m).values()), dtype=float)
-    a = np.ones((4, 1)) * mult - np.eye(4)
-    return -1j * a - np.diag([0.0, 0.0, 0.0, _rate(m, eta) * (m - 1) / 2.0])
-
-
-def _line_sum(kind: str, mult: dict[str, int], column: bool) -> np.ndarray:
-    """Orbit coefficients of a column sum (or row sum) of X at a vertex of one kind."""
-    out = np.zeros(len(_ORBITS))
-    for other in _KINDS:
-        if other == kind:
-            out[_ORBIT[kind, kind, True]] += 1.0
-            if kind in "CN":
-                out[_ORBIT[kind, kind, False]] += mult[kind] - 1
-        else:
-            out[_ORBIT[(other, kind, False) if column else (kind, other, False)]] += mult[other]
-    return out
-
-
-def _population_generator(k: int, m: int, eta: float) -> np.ndarray:
-    """Generator of the 18 orbit entries of X; see LumpedLiouvillian."""
-    mult = _multiplicities(k, m)
-    rate = _rate(m, eta)
-    g = np.zeros((len(_ORBITS), len(_ORBITS)), dtype=complex)
-    for j, (p, q, same) in enumerate(_ORBITS):
-        g[j] = -1j * (_line_sum(q, mult, True) - _line_sum(p, mult, False))
-        noisy = (p == "N") + (q == "N")
-        g[j, j] -= rate * (m - 1) / 2.0 * noisy
-        if noisy == 2:
-            g[j, j] += rate * ((m - 1) if same else 1)
-    return g
-
-
-def _probe_sectors() -> tuple[np.ndarray, np.ndarray]:
-    """Coherence and population vectors of PROBE = a|0> + b|input> at t = 0."""
-    a, b = PROBE.amplitudes()
-    c0 = np.zeros(4, dtype=complex)
-    c0[0] = b * a.conjugate()
-    x0 = np.zeros(len(_ORBITS), dtype=complex)
-    x0[_IN_IN] = abs(b) ** 2
-    return c0, x0
+def _lumped_channel(times: Sequence[float], flat: np.ndarray) -> FidelityCurve:
+    """The channel read off rows of (vec rho, q) without checking them, which need not be states."""
+    rho = _matrices(flat, 5)
+    return FidelityCurve.read(times, rho[:, 2, 2].real, rho[:, 2, 0])
 
 
 @dataclass(frozen=True, eq=False)
 class LumpedStates:
-    """Lumped density matrices at a list of times.
+    """Lumped density matrices at a list of times, checked when made.
 
-    ``vacuum`` is rho_00, ``coherence`` holds the rows (c_i, c_o, c_C,
-    c_N) of c_j = rho_j0, and ``population`` the 18 orbit entries of the
-    single-excitation block X in the order of ``_ORBITS``.
+    ``rho`` stacks one 5 x 5 matrix per time on the orthonormal basis
+    (vacuum, in, out, u_C, u_N), and ``rest`` holds q, the eigenvalue
+    rho takes m - 1 times over on the noisy vectors orthogonal to u_N
+    (see ``LumpedLiouvillian``). The invariants are those of
+    ``DenseStates``, on the whole state: Hermiticity is that of rho, the
+    trace is tr rho + (m - 1) q, and the eigenvalue floor holds for q
+    and for rho. The Cholesky certificate factors rho as one stack, so
+    if one state fails it, every state goes to eigvalsh.
     """
 
-    k: int
     m: int
     times: np.ndarray
-    vacuum: float
-    coherence: np.ndarray
-    population: np.ndarray
+    rho: np.ndarray
+    rest: np.ndarray
 
-    @property
-    def rho_oo(self) -> np.ndarray:
-        return self.population[:, _OUT_OUT].real
-
-    @property
-    def rho_o0(self) -> np.ndarray:
-        return self.coherence[:, _OUT]
-
-    def _entry(self, p: str, q: str, same: bool = False) -> np.ndarray:
-        return self.population[:, _ORBIT[p, q, same]]
-
-    def sector_matrices(self) -> np.ndarray:
-        """rho on (vacuum, in, out, uniform clean, uniform noisy), one matrix per time.
-
-        The uniform clean or noisy vector is left out when k or m is
-        zero. The other eigenvectors of rho are clean or noisy vectors
-        orthogonal to the uniform one (see ``spectrum``).
-        """
-        mult = _multiplicities(self.k, self.m)
-        kinds = [p for p in _KINDS if mult[p]]
-        root = np.sqrt([mult[p] for p in kinds])
-        out = np.empty((self.times.size, len(kinds) + 1, len(kinds) + 1), dtype=complex)
-        out[:, 0, 0] = self.vacuum
-        out[:, 1:, 0] = root * self.coherence[:, [_KINDS.index(p) for p in kinds]]
-        out[:, 0, 1:] = out[:, 1:, 0].conj()
-        for a, p in enumerate(kinds):
-            for b, q in enumerate(kinds):
-                if p != q:
-                    out[:, a + 1, b + 1] = root[a] * root[b] * self._entry(p, q)
-                elif p in "CN":
-                    out[:, a + 1, b + 1] = self._entry(p, p, True) + (mult[p] - 1) * self._entry(p, p)
-                else:
-                    out[:, a + 1, b + 1] = self._entry(p, p, True)
-        return out
-
-    def _repeated(self) -> tuple[np.ndarray, list[int]]:
-        # d_C - o_C and d_N - o_N, one column per kind present twice or more, and their multiplicities
-        kinds = [(kind, mult) for kind, mult in (("C", self.k), ("N", self.m)) if mult >= 2]
-        values = np.array([self._entry(kind, kind, True) - self._entry(kind, kind) for kind, _ in kinds]).real
-        return values.reshape(len(kinds), self.times.size).T, [mult - 1 for _, mult in kinds]
-
-    def spectrum(self, rows: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues of rho at every time, or at ``rows`` of the times, and their multiplicities.
-
-        The sector matrix gives one eigenvalue per column; d_C - o_C
-        repeats k - 1 times and d_N - o_N repeats m - 1 times.
-        """
-        sector = np.linalg.eigvalsh(self.sector_matrices()[rows])
-        repeated, counts = self._repeated()
-        return np.hstack([sector, repeated[rows]]), np.array([1] * sector.shape[1] + counts)
-
-    def validate(self) -> None:
-        """Check the dense invariants on the whole state; RuntimeError names the first bad t.
-
-        Hermiticity is the largest |rho_pq - conj(rho_qp)| over the
-        entries of rho, the trace is rho_00 + d_in + d_out + k d_C + m d_N,
-        and the smallest eigenvalue comes from ``spectrum``, asked only
-        about states the Cholesky certificate (see ``DenseStates``) leaves
-        open. It factors the sector matrices as one stack, so if one
-        fails, every state goes to ``spectrum``.
-        """
-        mult = _multiplicities(self.k, self.m)
-        present = [
-            j for j, (p, q, same) in enumerate(_ORBITS)
-            if mult[p] and mult[q] and (same or p != q or mult[p] >= 2)
-        ]
-        x = self.population[:, present]
-        herm = np.abs(x - self.population[:, _PARTNER[present]].conj()).max(axis=1)
-        trace = self.vacuum + sum(mult[p] * self._entry(p, p, True) for p in _KINDS)
-        above = np.all(self._repeated()[0] >= EIGENVALUE_FLOOR, axis=1)
+    def __post_init__(self) -> None:
+        rho, rest = self.rho, self.rest
+        herm = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        trace = np.trace(rho, axis1=1, axis2=2) + (self.m - 1) * rest
         _check_states(
             self.times,
             herm,
             np.abs(trace - 1.0),
-            lambda rows: above[rows] & _factors(self.sector_matrices()[rows]),
-            lambda rows: self.spectrum(rows)[0].min(axis=1),
+            lambda rows: (rest[rows] >= EIGENVALUE_FLOOR) & _factors(rho[rows]),
+            lambda rows: np.minimum(np.linalg.eigvalsh(rho[rows]).min(axis=1), rest[rows]),
         )
+
+    @property
+    def rho_oo(self) -> np.ndarray:
+        return self.rho[:, 2, 2].real
+
+    @property
+    def rho_o0(self) -> np.ndarray:
+        return self.rho[:, 2, 0]
 
 
 @dataclass(frozen=True, eq=False)
 class LumpedLiouvillian:
     """Master equation of the complete graph with scalar noise, lumped by symmetry.
 
-    With the transfer pair (i, o), k = n - 2 - m clean vertices C and m
-    noisy vertices N, relabelling clean vertices among themselves, or
-    noisy ones, maps the generator and the start a|0> + b|i> to
-    themselves, so every entry of rho stays equal across its orbit.
+    With the transfer pair (in, out), k = n - 2 - m clean vertices and m
+    noisy ones, relabelling clean vertices among themselves, or noisy
+    ones, maps the generator and the start a|0> + b|in> to themselves,
+    so rho commutes with every such relabelling (Buca and Prosen, New J.
+    Phys. 14, 073007, 2012). On the clean vertices rho is then a
+    multiple of the identity plus one of J, and the same on the noisy
+    ones, and rho maps every vector with zero sum over the clean (or
+    noisy) vertices to a multiple of itself. So the state is rho on the
+    orthonormal basis (vacuum, in, out, u_C, u_N), u_C and u_N the
+    uniform vectors over the clean and the noisy vertices, plus the
+    scalar q that rho takes on the m - 1 noisy vectors orthogonal to
+    u_N. Its clean counterpart is 0 from the probe start on, since H
+    maps the zero-sum clean vectors to themselves and no jump reaches
+    them. ``generator`` is the 26 x 26 matrix on (vec rho, q), with vec
+    column-stacked as in ``DenseLiouvillian``.
 
-    Coherence sector. Every L is a hopping operator with L|0> = 0 and
-    the vacuum row of H is zero, so rho_00 = |a|^2 stays constant and
-    c_j = rho_j0 obeys c' = (-i H - (r/2)(m-1) P_N) c, with r = 2 eta the
-    generator rate and sum L^2 = (m-1) P_N. For H = J - I,
-    (H c)_p = sum_q mult_q c_q - c_p, so on (c_i, c_o, c_C, c_N)
+    Hamiltonian. H = J - I with J = |1><1| and 1 = |in> + |out> +
+    sqrt(k) u_C + sqrt(m) u_N, so on the basis H = pad(s s^T - I),
+    s = (1, 1, sqrt(k), sqrt(m)), with a zero vacuum row; H is -1 on
+    the noisy vectors orthogonal to u_N and leaves q alone.
 
-        c' = (-i A - eta (m-1) diag(0, 0, 0, 1)) c,
-        A = [[0, 1, k, m], [1, 0, k, m], [1, 1, k-1, m], [1, 1, k, m-1]].
-
-    Population sector. The single-excitation block X has 18 orbit
-    entries: the 2 x 2 block of (i, o); X_iC, X_Ci, X_oC, X_Co and the
-    same four with N; the clean diagonal d_C and off-diagonal o_C; d_N
-    and o_N; X_CN and X_NC. Since [I, X] = 0,
-
-        -i [H, X]_pq = -i (sum_u X_uq - sum_v X_pv),
-
-    a column sum minus a row sum. The column sum at a vertex of kind t
-    is X_it + X_ot + k X_Ct + m X_Nt, except that the term of its own
-    kind is X_tt for t in {i, o}, d_C + (k-1) o_C for t = C and
-    d_N + (m-1) o_N for t = N; row sums are the transpose. The
-    dissipator is r (sum L X L - (m-1)/2 {P_N, X}). The sum over noisy
-    pairs of L X L is tr_N X - X_vv = (m-1) d_N on the noisy diagonal
-    and X_uv = o_N on the noisy off-diagonal, and zero elsewhere. So an
-    entry with one noisy index decays at r (m-1)/2, o_N at r (m-2), and
-    d_N has no dissipator: r (m-1) d_N - r (m-1) d_N = 0.
-
-    Every coefficient is thus a polynomial in k and m, times 1 or r.
-    Absent kinds (k or m zero, o_C at k = 1, o_N at m = 1) evolve
-    without feeding back, since every term they enter carries their
-    multiplicity, and the rate is zero below two noisy vertices.
+    Dissipator. Each noisy pair {k, l} has L = |k><l| + |l><k| at rate
+    r = 2 eta, and sum L^2 = (m - 1) P_N, so every entry rho_ij decays
+    at (d_i + d_j) / 2 with d = r (m - 1) on u_N and 0 elsewhere, and q
+    at r (m - 1). The sum of L rho L over noisy pairs lives on the noisy
+    block, where rho = y |u_N><u_N| + q P_perp, y = rho[u_N, u_N]: it is
+    (m - 1) d_N on the noisy diagonal and o_N = (y - q) / m off it, with
+    d_N = (y + (m - 1) q) / m. Its eigenvalues are (m - 1)(d_N + o_N)
+    on u_N and (m - 1) d_N - o_N on P_perp, so each x in {y, q} is fed
+    r ((m - 2) d_N + x). Fewer than two noisy vertices span no edge and
+    leave no dissipator. The generator keeps the trace
+    tr rho + (m - 1) q exactly.
     """
 
     n: int
     m: int
     eta: float
-    coherence_generator: np.ndarray = field(init=False, repr=False)
-    population_generator: np.ndarray = field(init=False, repr=False)
+    generator: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -494,40 +384,42 @@ class LumpedLiouvillian:
             raise ValueError(f"m must lie in 0..n-2 = {self.n - 2}, got {self.m}")
         if not math.isfinite(self.eta) or self.eta < 0:
             raise ValueError(f"noise strength must be finite and nonnegative, got {self.eta}")
-        k = self.n - 2 - self.m
-        object.__setattr__(self, "coherence_generator", _coherence_generator(k, self.m, self.eta))
-        object.__setattr__(self, "population_generator", _population_generator(k, self.m, self.eta))
+        m = self.m
+        s = np.sqrt([1.0, 1.0, self.n - 2 - m, m])
+        h = np.zeros((5, 5))
+        h[1:, 1:] = np.outer(s, s) - np.eye(4)
+        commutator, row = _vec_commutator(h)
+        generator = np.zeros((26, 26), dtype=complex)
+        generator[:25, :25] = commutator
+        if m >= 2:
+            rate = 2.0 * self.eta
+            decay = np.array([0.0, 0.0, 0.0, 0.0, rate * (m - 1)])
+            generator[row, row] -= 0.5 * (decay[:, None] + decay)
+            generator[25, 25] -= rate * (m - 1)
+            # the feed r ((m - 2) d_N + x) of x in (y, q), d_N = (y + (m - 1) q) / m
+            noisy = [row[4, 4], 25]
+            generator[np.ix_(noisy, noisy)] += rate * ((m - 2) * np.array([1.0, m - 1.0]) / m + np.eye(2))
+        object.__setattr__(self, "generator", generator)
 
     def evolve(self, times: Sequence[float]) -> LumpedStates:
-        """Validated lumped states from PROBE = a|0> + b|input> at each time (any order)."""
+        """Checked lumped states from PROBE = a|0> + b|input> at each time (any order)."""
         times = np.asarray(times, dtype=float).reshape(-1)
         if times.size == 0 or not np.all(times >= 0):
             raise ValueError("times must be a nonempty list of nonnegative numbers")
-        k = self.n - 2 - self.m
-        c0, x0 = _probe_sectors()
-        # The population sector is stepped as y = T x, T the identity with
-        # its d_in row replaced by w, the multiplicities (1, 1, k, m) on the
-        # diagonal orbits, so y carries the trace of X as its d_in entry.
-        # w^T G = 0, so that row of T G T^-1 is set to exactly 0 and no
-        # exponential changes the trace; expm(G dt) itself keeps w^T only
+        # The state is stepped as y = T v, T the identity with its rho_in,in
+        # row replaced by w = (vec I, m - 1), so y carries the trace in that
+        # entry. w^T G = 0, so that row of T G T^-1 is set to exactly 0 and
+        # no exponential changes the trace; expm(G dt) itself keeps w^T only
         # to about 1e-9 once ||G dt|| is near 1e4.
-        mult = _multiplicities(k, self.m)
-        w = np.array([mult[p] if p == q and same else 0 for p, q, same in _ORBITS], dtype=float)
-        to_y, to_x = np.eye(len(w)), np.eye(len(w))
-        to_y[_IN_IN], to_x[_IN_IN] = w, -w
-        to_x[_IN_IN, _IN_IN] = 1.0
-        generator = to_y @ self.population_generator @ to_x
-        generator[_IN_IN] = 0.0
-        states = LumpedStates(
-            k=k,
-            m=self.m,
-            times=times,
-            vacuum=abs(PROBE.amplitudes()[0]) ** 2,
-            coherence=_propagate(self.coherence_generator, c0, times),
-            population=_propagate(generator, to_y @ x0, times) @ to_x.T,
-        )
-        states.validate()
-        return states
+        w = np.append(np.eye(5).reshape(-1), self.m - 1.0)
+        trace_row = 6  # rho_in,in, entry 1 + 5 * 1 of vec(rho)
+        to_y, to_v = np.eye(26), np.eye(26)
+        to_y[trace_row], to_v[trace_row] = w, -w
+        to_v[trace_row, trace_row] = 1.0
+        generator = to_y @ self.generator @ to_v
+        generator[trace_row] = 0.0
+        flat = _propagate(generator, to_y @ _lumped_start(), times) @ to_v.T
+        return LumpedStates(self.m, times, _matrices(flat, 5), flat[:, -1].real)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,8 +5,8 @@ assembles the published-style expressions built from the free
 amplitudes beta (transfer) and beta' (return) and the eight time
 integrals b1..b8; it is evaluated literally, defects included, and is
 treated as a claim under test. The numeric route differentiates the
-lumped master equation in eta exactly, by one block exponential per
-symmetry sector, which cannot suffer from convention or transcription
+lumped master equation in eta exactly, by one block exponential of its
+generator, which cannot suffer from convention or transcription
 slips, and serves as the ground truth the closed forms are compared
 against; its cost and memory depend on neither n nor t.
 """
@@ -71,13 +71,19 @@ class WeakNoiseIntegrals:
     b8: complex
 
 
+# Quadrature nodes summed at a time by b_coefficients: any t up to 65 at
+# the largest step is one block.
+_BLOCK = 2**16
+
+
 def b_coefficients(n: int, t: float, step: float = 1e-3) -> WeakNoiseIntegrals:
     """Evaluate the b1..b8 integrals by composite Simpson quadrature.
 
     The integrands are products of beta and beta' over [0, t], all
     carrying the common prefactor (n-3)^2, so n = 3 short-circuits to
     zeros. The step is capped at 1e-3; halving it moves the values by
-    less than one part in 1e8, which the test suite asserts.
+    less than one part in 1e8, which the test suite asserts. The nodes
+    are summed _BLOCK at a time, so memory does not grow with t.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -91,30 +97,34 @@ def b_coefficients(n: int, t: float, step: float = 1e-3) -> WeakNoiseIntegrals:
     num = max(int(math.ceil(t / step)), 2)
     if num % 2:
         num += 1
-    tau = np.linspace(0.0, t, num + 1)
-    b = np.exp(1j * tau) / n * (np.exp(-1j * n * tau) - 1.0)
-    bp = np.exp(1j * tau) / n * (np.exp(-1j * n * tau) + n - 1.0)
-    ab2 = np.abs(b) ** 2
-    abp2 = np.abs(bp) ** 2
-    # composite Simpson weights 1, 4, 2, ..., 4, 1 times h/3, prefactor folded in
-    weights = np.full(num + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[[0, -1]] = 1.0
-    weights *= (n - 3) ** 2 * t / (3.0 * num)
-
-    def integral(values: np.ndarray) -> complex:
-        return complex(weights @ values)
-
-    return WeakNoiseIntegrals(
-        b1=integral(b * bp.conj()),
-        b2=integral(ab2),
-        b3=integral(b * bp.conj() * abp2),
-        b4=integral(b**2 * bp.conj() ** 2 + abp2 * ab2),
-        b5=integral(ab2 * abp2),
-        b6=integral(2.0 * (b * bp.conj()).real * ab2),
-        b7=integral(b * ab2 * bp.conj()),
-        b8=integral(ab2**2),
-    )
+    # the nodes of np.linspace(0, t, num + 1) and the composite Simpson
+    # weights 1, 4, 2, ..., 4, 1 times h/3, prefactor folded in
+    factor = (n - 3) ** 2 * t / (3.0 * num)
+    totals = np.zeros(8, dtype=complex)
+    for first in range(0, num + 1, _BLOCK):
+        j = np.arange(first, min(first + _BLOCK, num + 1))
+        tau = j * (t / num)
+        tau[j == num] = t
+        b = np.exp(1j * tau) / n * (np.exp(-1j * n * tau) - 1.0)
+        bp = np.exp(1j * tau) / n * (np.exp(-1j * n * tau) + n - 1.0)
+        ab2 = np.abs(b) ** 2
+        abp2 = np.abs(bp) ** 2
+        weights = np.where(j % 2, 4.0, 2.0)
+        weights[(j == 0) | (j == num)] = 1.0
+        weights *= factor
+        bbp = b * bp.conj()
+        # one integrand at a time, each freed once summed
+        totals += [
+            weights @ bbp,
+            weights @ ab2,
+            weights @ (bbp * abp2),
+            weights @ (b**2 * bp.conj() ** 2 + abp2 * ab2),
+            weights @ (ab2 * abp2),
+            weights @ (2.0 * bbp.real * ab2),
+            weights @ (b * ab2 * bp.conj()),
+            weights @ ab2**2,
+        ]
+    return WeakNoiseIntegrals(*totals.tolist())
 
 
 @dataclass(frozen=True)
@@ -198,54 +208,40 @@ def printed_weak_noise_channel(n: int, m: int, eta: float, t: float) -> WeakNois
 def first_order_numeric(n: int, m: int, eta: float, t: float) -> WeakNoiseChannel:
     """First-order channel from the exact eta-derivative of the lumped state.
 
-    Every coefficient of the lumped generators is a polynomial in k and
-    m times 1 or the rate 2 eta (see lindblad.LumpedLiouvillian), so each
-    sector's generator is affine in eta: G = G0 + eta G1, with G0 the
-    noiseless generator and G1 = G(1) - G(0) the unit dissipator. By Van
-    Loan's identity (IEEE TAC 23, 395, 1978) the block exponential
+    Every coefficient of the lumped generator on (vec rho, q) is a
+    function of k and m times 1 or the rate 2 eta (see
+    lindblad.LumpedLiouvillian), so the generator is affine in eta:
+    G = G0 + eta G1, with G0 the noiseless generator and G1 = G(1) - G(0)
+    the unit dissipator. By Van Loan's identity (IEEE TAC 23, 395, 1978)
+    the block exponential
 
         exp([[G0, G1], [0, G0]] t) = [[e^{G0 t}, D], [0, e^{G0 t}]],
         D = int_0^t e^{G0 (t-s)} G1 e^{G0 s} ds,
 
     holds in its top-right block D the exact derivative in eta of
-    e^{G t} at eta = 0. One exponential per sector, applied to the start
-    (0, s0), thus gives the first-order correction and the zeroth-order
-    state together, at a cost and memory independent of n and t. The
-    channel is read off rho_oo and rho_o0 of rho0 + eta D s0 by
-    FidelityCurve.read, as every engine's is; the correction is exactly
+    e^{G t} at eta = 0. One exponential of the 52 x 52 block, applied to
+    the start (0, s0), thus gives the first-order correction and the
+    zeroth-order state together, at a cost and memory independent of n
+    and t. The channel is read off rho_oo and rho_o0 of rho0 + eta D s0
+    by FidelityCurve.read, as every engine's is; the correction is exactly
     linear in eta by construction. Shares no closed-form input with
     printed_weak_noise_channel, so agreement between the two is
     evidence, not tautology.
     """
     _require_noise_geometry(n, m)
     _require_eta_and_t(eta, t)
-    clean = lindblad.LumpedLiouvillian(n, m, 0.0)
-    unit = lindblad.LumpedLiouvillian(n, m, 1.0)
-    sectors = []
-    for g0, g_unit, start in zip(
-        (clean.coherence_generator, clean.population_generator),
-        (unit.coherence_generator, unit.population_generator),
-        lindblad._probe_sectors(),
-    ):
-        g1 = g_unit - g0
-        # D is linear in G1: scaled to unit entries, G1 keeps the block's
-        # norm near G0's and the exponential's error near that of e^{G0 t}
-        scale = max(1.0, float(np.abs(g1).max()))
-        block = np.block([[g0, g1 / scale], [np.zeros_like(g0), g0]])
-        dim = start.size
-        evolved = lindblad._propagate(block, np.concatenate([np.zeros(dim), start]), np.array([t]))[0]
-        sectors.append((evolved[dim:], scale * evolved[:dim]))
-    (coherence, d_coherence), (population, d_population) = sectors
-    # rho0 and rho0 + eta D s0, unchecked: the second is a state only to first order
-    states = lindblad.LumpedStates(
-        k=n - 2 - m,
-        m=m,
-        times=np.array([t, t]),
-        vacuum=abs(lindblad.PROBE.amplitudes()[0]) ** 2,
-        coherence=np.array([coherence, coherence + eta * d_coherence]),
-        population=np.array([population, population + eta * d_population]),
-    )
-    curve = lindblad.FidelityCurve.read(states.times, states.rho_oo, states.rho_o0)
+    g0 = lindblad.LumpedLiouvillian(n, m, 0.0).generator
+    g1 = lindblad.LumpedLiouvillian(n, m, 1.0).generator - g0
+    # D is linear in G1: scaled to unit entries, G1 keeps the block's
+    # norm near G0's and the exponential's error near that of e^{G0 t}
+    scale = max(1.0, float(np.abs(g1).max()))
+    block = np.block([[g0, g1 / scale], [np.zeros_like(g0), g0]])
+    start = lindblad._lumped_start()
+    dim = start.size
+    evolved = lindblad._propagate(block, np.concatenate([np.zeros(dim), start]), np.array([t]))[0]
+    state, derivative = evolved[dim:], scale * evolved[:dim]
+    # rho0 and rho0 + eta D s0: the second is a state only to first order
+    curve = lindblad._lumped_channel([t, t], np.array([state, state + eta * derivative]))
     z_sq_0, z_sq = (np.abs(curve.amplitude) ** 2).tolist()
     if eta == 0.0 or m < 2 or t == 0.0:
         return WeakNoiseChannel(z_sq_0=z_sq_0, xi1=0.0, xi2=0j, eta=0.0)

@@ -1,10 +1,12 @@
-"""The tests' oracles: exp(-i H t) through an eigendecomposition of H, and a scalar readout.
+"""The tests' oracles: exp(-i H t) through an eigendecomposition of H, a 2 x 2 block, and a scalar readout.
 
 The package reads the noiseless transfer amplitude from its closed form,
 ``perturbation.beta``; this route diagonalizes H with numpy's ``eigh``
 instead, as ``bench/reference.py`` solves the master equation without
-the package's engines. The package reads channels from whole arrays of
-rho_oo and rho_o0; ``scalar_channel`` reads one cell at a time.
+the package's engines. ``coherence_block`` gives the product lambda z
+of the lumped engine at any n from a 2 x 2 matrix exponential. The
+package reads channels from whole arrays of rho_oo and rho_o0;
+``scalar_channel`` reads one cell at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from spinnet.lindblad import POPULATION_FLOOR, PROBE
 from spinnet.network import single_excitation_hamiltonian
@@ -40,6 +43,24 @@ def cut_hamiltonian(n: int, removed: tuple[int, ...]) -> np.ndarray:
     h[list(removed), :] = 0.0
     h[:, list(removed)] = 0.0
     return h
+
+
+def coherence_block(n: int, m: int, eta: float, times) -> np.ndarray:
+    """lambda z at each time, for m >= 2 noisy vertices of K_n at scalar strength eta.
+
+    The coherence c_j = rho_j0 obeys c' = (-i H - eta (m - 1) P_N) c from
+    c = |in> b a*. Over the N = n - m vertices outside the noisy set,
+    |in> is u_S / sqrt(N), u_S their uniform vector, plus a rest with
+    zero sum that H sends to -rest and the noise never reaches. u_S
+    meets only the noisy uniform vector u_N, at strength sqrt(N m), so
+
+        lambda z = ([e^{M t}]_SS - e^{i t}) / N,
+        M = -i [[N - 1, sqrt(N m)], [sqrt(N m), m - 1]] - diag(0, eta (m - 1)).
+    """
+    size = n - m
+    root = math.sqrt(size * m)
+    block = -1j * np.array([[size - 1.0, root], [root, m - 1.0]]) - np.diag([0.0, eta * (m - 1)])
+    return np.array([(scipy.linalg.expm(block * t)[0, 0] - np.exp(1j * t)) / size for t in times])
 
 
 def scalar_channel(rho_oo: float, rho_o0: complex) -> tuple[ChannelParams, float]:

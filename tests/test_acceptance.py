@@ -339,10 +339,15 @@ class TestCriterion8Determinism:
 
     def test_bytes_independent_of_blas_threads(self, criterion_log, tmp_path):
         # large n, where a dense engine's BLAS reductions round
-        # differently per thread count, and the four-node surface
+        # differently per thread count, the four-node surface, and the
+        # 52 x 52 Van Loan block of the first-order route
         cases = {
             "fig2 n=16..20": ("fig2", '{"n_min": 16, "n_max": 20, "t_steps": 100}'),
             "fig1 n=4": ("fig1", '{"eta_values": [0, 4, 8], "t_steps": 64}'),
+            "simulate perturbation-numeric n=12 m=10": (
+                "simulate",
+                '{"n": 12, "m": 10, "eta": 0.05, "method": "perturbation-numeric"}',
+            ),
         }
         verdicts = {}
         for label, (command, config) in cases.items():

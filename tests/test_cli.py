@@ -163,6 +163,13 @@ class TestCsvShape:
         assert len(rows) == 64
         assert max(float(row.split(",")[4]) for row in rows) > 1.0
 
+    def test_non_finite_first_order_row_exits_2_naming_t(self, tmp_path, capsys):
+        # eta times a finite slope overflows after t = 0
+        config = {"n": 4, "m": 2, "eta": 1e300, "method": "perturbation-numeric", "t_steps": 4}
+        code, err = _main(["simulate"], config, tmp_path, capsys)
+        assert code == 2
+        assert err == "numeric failure: fidelity inf not finite at t=2.0943951023931953\n"
+
     def test_engine_row_outside_physical_range_raises(self):
         with pytest.raises(RuntimeError, match=r"fidelity 1.1 outside \[1/2, 1\] at t=1.0"):
             ScanRecord(4, 2, 1.0, 1.0, 1.1, 1.0, 1.0, None, "lindblad", 0)
@@ -475,7 +482,7 @@ _BAD_FIELDS = [
 
 class TestMemory:
     def test_lumped_simulate_builds_nothing_of_size_n_squared(self, tmp_path, capsys):
-        # the scalar-eta route reads only its lumped sectors; an
+        # the scalar-eta route reads only its lumped state; an
         # (n+1) x (n+1) Hamiltonian alone would be 8 MB at n = 1,002
         config = {"n": 1002, "m": 500, "eta": 200, "t_steps": 64}
         tracemalloc.start()

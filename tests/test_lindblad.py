@@ -24,7 +24,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from oracle import eigh_propagator, scalar_channel
+from oracle import coherence_block, eigh_propagator, scalar_channel
 
 from spinnet import lindblad
 from spinnet.lindblad import (
@@ -100,13 +100,12 @@ def _edge(low: float) -> np.ndarray:
 def _lumped_edge(low: float) -> LumpedStates:
     """The lumped probe state of K_4 with two noisy vertices at t = 0, then again at
     t = 0.5 with output population ``low``, taken from the input vertex."""
-    c0, x0 = lindblad._probe_sectors()
-    x1 = x0.copy()
-    x1[lindblad._ORBIT["o", "o", True]] = low
-    x1[lindblad._ORBIT["i", "i", True]] -= low
-    return LumpedStates(
-        k=0, m=2, times=np.array([0.0, 0.5]), vacuum=0.5, coherence=np.array([c0, c0]), population=np.array([x0, x1])
-    )
+    psi = np.array([*PROBE.amplitudes(), 0.0, 0.0, 0.0])
+    rho0 = np.outer(psi, psi.conj())
+    rho1 = rho0.copy()
+    rho1[2, 2] = low
+    rho1[1, 1] -= low
+    return LumpedStates(m=2, times=np.array([0.0, 0.5]), rho=np.array([rho0, rho1]), rest=np.zeros(2))
 
 
 def _record(monkeypatch, *names: str) -> dict[str, list[bool]]:
@@ -370,7 +369,6 @@ class TestReadout:
         # rho_oo = -5e-9 passes the eigenvalue floor, and reads -1e-8 once divided by |b|^2 = 1/2
         if lumped:
             states = _lumped_edge(-5e-9)
-            states.validate()
             rho_oo, rho_o0 = states.rho_oo, states.rho_o0
         else:
             states = DenseStates([0.0, 0.5], [_GOOD, _edge(-5e-9)])
@@ -424,7 +422,7 @@ class TestCertificate:
         # lambda_min = -0.5e-8 leaves a zero pivot in rho + 5e-9 I
         seen = _record(monkeypatch, "eigvalsh")
         if lumped:
-            _lumped_edge(-0.5e-8).validate()
+            _lumped_edge(-0.5e-8)
         else:
             DenseStates([0.0, 0.5], [_GOOD, _edge(-0.5e-8)])
         assert seen["eigvalsh"] == [True]
@@ -435,7 +433,7 @@ class TestCertificate:
     def test_state_below_floor_raises_naming_t(self, lumped):
         with pytest.raises(RuntimeError, match=r"^numeric failure at t=0.5: negative eigenvalue -2.000e-08$"):
             if lumped:
-                _lumped_edge(-2e-8).validate()
+                _lumped_edge(-2e-8)
             else:
                 DenseStates([0.0, 0.5], [_GOOD, _edge(-2e-8)])
 
@@ -495,38 +493,46 @@ class TestLumpedEngine:
 
     @pytest.mark.parametrize("n, m, eta", [(4, 2, 4.0), (5, 1, 0.7), (6, 0, 1.0), (7, 3, 2.0), (8, 5, 9.0)])
     def test_quotient_spectrum_is_dense_spectrum(self, n, m, eta):
+        # eigvalsh of rho on the basis vectors present, rest m - 1 times, and
+        # 0 on the k - 1 clean vectors orthogonal to u_C
         times = self.GRIDS[1]
-        values, counts = LumpedLiouvillian(n, m, eta).evolve(times).spectrum()
-        assert counts.sum() == n + 1
+        k = n - 2 - m
+        present = [0, 1, 2] + [3] * (k > 0) + [4] * (m > 0)
+        states = LumpedLiouvillian(n, m, eta).evolve(times)
         dense = _dense(n, m, eta).evolve(probe_vector(n, 1), times)
-        for row, rho in zip(values, dense.rho):
-            expanded = np.sort(np.repeat(row, counts))
-            assert np.max(np.abs(expanded - np.linalg.eigvalsh(rho))) < 1e-12
+        for rho, rest, full in zip(states.rho, states.rest, dense.rho):
+            parts = [np.linalg.eigvalsh(rho[np.ix_(present, present)]), [rest] * (m - 1), [0.0] * (k - 1)]
+            expanded = np.sort(np.concatenate(parts))
+            assert expanded.size == n + 1
+            assert np.max(np.abs(expanded - np.linalg.eigvalsh(full))) < 1e-12
 
     @pytest.mark.parametrize(
-        "builder, row, col, change",
+        "entry, change",
         [
-            # a population leak breaks the trace
-            ("_population_generator", "oo", "oo", -0.1),
-            # a growing output coherence breaks positivity
-            ("_coherence_generator", 1, 1, 0.5),
+            # a drained output population; the exact trace row hands what
+            # drains to rho_in,in, so positivity breaks, not the trace
+            ((2, 2), -0.1),
+            # a growing output coherence, in rho_o0 and rho_0o alike
+            ((2, 0), 0.5),
         ],
     )
-    def test_corrupted_coefficient_raises(self, monkeypatch, builder, row, col, change):
-        original = getattr(lindblad, builder)
+    def test_corrupted_coefficient_raises(self, entry, change):
+        engine = LumpedLiouvillian(6, 3, 1.0)
+        for i, j in {entry, entry[::-1]}:
+            engine.generator[i + 5 * j, i + 5 * j] += change  # the row of rho_ij in vec(rho)
+        with pytest.raises(RuntimeError, match="^numeric failure at t=0.5: negative eigenvalue "):
+            fidelity_curve(engine, np.linspace(0.0, 3.0, 7))
 
-        def corrupted(k, m, eta):
-            g = original(k, m, eta)
-            if isinstance(row, str):
-                j = lindblad._ORBIT["o", "o", True]
-                g[j, j] += change
-            else:
-                g[row, col] += change
-            return g
-
-        monkeypatch.setattr(lindblad, builder, corrupted)
-        with pytest.raises(RuntimeError, match="numeric failure at t="):
-            fidelity_curve(LumpedLiouvillian(6, 3, 1.0), np.linspace(0.0, 3.0, 7))
+    @pytest.mark.parametrize(
+        "n, m, eta",
+        [(4, 2, 4.0), (12, 10, 50.0), (102, 50, 200.0), (1002, 500, 800.0), (1002, 2, 1.0), (10002, 5000, 200.0)],
+    )
+    def test_coherence_matches_two_by_two_block(self, n, m, eta):
+        # beyond the dense engine's n <= 40: rho_o0 / (b a*) against the block
+        a, b = PROBE.amplitudes()
+        times = np.linspace(0.0, 2 * math.pi, 41)
+        lam_z = LumpedLiouvillian(n, m, eta).evolve(times).rho_o0 / (b * a.conjugate())
+        assert np.max(np.abs(lam_z - coherence_block(n, m, eta, times))) < 1e-12
 
     def test_rejects_bad_geometry_and_rates(self):
         for n, m, eta in [(1, 0, 1.0), (4, 3, 1.0), (4, 2, -1.0), (4, 2, math.nan)]:

@@ -52,7 +52,7 @@ def per_node_first_order(n, m, eta, t, step=1e-3):
     picture and applied to the frozen zeroth-order state, one Simpson
     node at a time on the full (n+1) x (n+1) density matrix: each node
     builds its own propagator and applies every edge dissipator to
-    U rho0 U^dag. It shares neither the lumped sectors nor the block
+    U rho0 U^dag. It shares neither the lumped state nor the block
     exponential with the production route, and its error falls as
     step^4 towards that route's exact derivative.
     """
@@ -299,7 +299,7 @@ class TestFirstOrderNumeric:
         assert large <= 1.25 * small, f"peak {large} B at n = 80 against {small} B at n = 40"
 
     def test_memory_flat_up_to_n_10000(self):
-        # the lumped sectors have the same size at any n
+        # the lumped state has the same size at any n
         def peak(n):
             first_order_numeric(n, 2, 0.01, 0.1)
             tracemalloc.start()
@@ -406,29 +406,56 @@ class TestScipyEquivalence:
         want = max(float(values[best]), float(-refined.fun))
         assert abs(_windowed_maximum(func, grid) - want) <= 1e-12
 
+    @staticmethod
+    def _one_piece(n, t, step):
+        """The nodes of one Simpson rule over [0, t], and its eight integrands, made one at a time."""
+        num = max(math.ceil(t / step), 2)
+        num += num % 2
+        tau = np.linspace(0.0, t, num + 1)
+
+        def integrands():
+            b = np.exp(1j * tau) / n * (np.exp(-1j * n * tau) - 1.0)
+            bp = np.exp(1j * tau) / n * (np.exp(-1j * n * tau) + n - 1.0)
+            ab2, abp2 = np.abs(b) ** 2, np.abs(bp) ** 2
+            yield b * bp.conj()
+            yield ab2
+            yield b * bp.conj() * abp2
+            yield b**2 * bp.conj() ** 2 + abp2 * ab2
+            yield ab2 * abp2
+            yield 2.0 * (b * bp.conj()).real * ab2
+            yield b * ab2 * bp.conj()
+            yield ab2**2
+
+        return tau, integrands()
+
     @pytest.mark.parametrize(
         "n, t, step",
         [(2, 0.3, 1e-3), (4, 1.0, 1e-3), (5, 2.7, 7e-4), (7, 0.0015, 1e-3), (10, 6.3, 3e-4), (40, 1.9, 1e-3)],
     )
     def test_b_coefficients_match_scipy_simpson(self, n, t, step):
-        num = max(math.ceil(t / step), 2)
-        num += num % 2
-        tau = np.linspace(0.0, t, num + 1)
-        b = np.exp(1j * tau) / n * (np.exp(-1j * n * tau) - 1.0)
-        bp = np.exp(1j * tau) / n * (np.exp(-1j * n * tau) + n - 1.0)
-        ab2, abp2 = np.abs(b) ** 2, np.abs(bp) ** 2
-        integrands = [
-            b * bp.conj(),
-            ab2,
-            b * bp.conj() * abp2,
-            b**2 * bp.conj() ** 2 + abp2 * ab2,
-            ab2 * abp2,
-            2.0 * (b * bp.conj()).real * ab2,
-            b * ab2 * bp.conj(),
-            ab2**2,
-        ]
+        tau, integrands = self._one_piece(n, t, step)
         want = [complex((n - 3) ** 2 * scipy.integrate.simpson(y, x=tau)) for y in integrands]
         co = b_coefficients(n, t, step)
         got = [co.b1, co.b2, co.b3, co.b4, co.b5, co.b6, co.b7, co.b8]
         scale = max(abs(w) for w in want)
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14 * scale
+
+    def test_b_coefficients_memory_bounded_in_horizon(self):
+        # a million nodes, summed in blocks, against the same rule summed in one piece
+        n, t = 10, 1000.0
+        tracemalloc.start()
+        try:
+            co = b_coefficients(n, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        tau, integrands = self._one_piece(n, t, 1e-3)
+        weights = np.full(tau.size, 2.0)
+        weights[1::2] = 4.0
+        weights[[0, -1]] = 1.0
+        weights *= (n - 3) ** 2 * t / (3.0 * (tau.size - 1))
+        got = [co.b1, co.b2, co.b3, co.b4, co.b5, co.b6, co.b7, co.b8]
+        for g, y in zip(got, integrands):
+            want = complex(weights @ y)
+            assert abs(g - want) <= 1e-12 * abs(want)
