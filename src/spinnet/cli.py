@@ -14,16 +14,24 @@ All output is a deterministic function of the resolved configuration:
 CSV rows are emitted in grid order, floats in %.12e, UNIX newlines,
 UTF-8, and nothing time- or host-dependent is ever written. Exit codes
 are 0 (success), 1 (configuration error, usage errors such as an
-unknown flag included), 2 (numeric failure, or a consistency report in
-which two engines disagree).
+unknown flag and an unwritable --out included), 2 (numeric failure, or
+a consistency report in which two engines disagree), 141 (the reader
+closed stdout before the output was written, as after SIGPIPE).
+
+Importing this module registers gc.freeze to run at exit, so a command
+skips the interpreter's final teardown of the heap; nothing changes
+before exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import numbers
+import os
 import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields, replace
@@ -52,6 +60,14 @@ __all__ = [
 CSV_HEADER = "n,m,eta,t,F,abs_z,lambda,delta,method,seed"
 
 _METHODS = ("unitary", "lindblad", "trajectories", "perturbation-numeric", "perturbation-printed")
+
+# At exit, move every live object into the permanent generation, so the final
+# collections do not free the numpy and scipy graph one object at a time. Outputs
+# cannot change: files close in their `with` blocks, the interpreter still flushes
+# stdout and stderr, and no spinnet object needs a finalizer. Rejected: os._exit skips
+# those flushes and other handlers and cannot end an in-process main; the final
+# collections ignore gc.disable(); a freeze at import would change GC for importers.
+atexit.register(gc.freeze)
 
 
 class ConfigError(ValueError):
@@ -477,21 +493,28 @@ def _load_config_file(path: str | None) -> dict:
     return raw
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise ConfigError("out", f"cannot write {path}: {err}") from None
+
+
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
+        # flushed here, so that a reader closing the pipe is seen in main
         sys.stdout.write(text)
+        sys.stdout.flush()
         return
-    with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    _write_file(out_path, text)
 
 
 def _write_metadata(out_path: str | None, payload: dict) -> None:
     # sidecar lives next to the data file; stdout runs skip it
     if out_path is None:
         return
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    with open(out_path + ".meta.json", "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    _write_file(out_path + ".meta.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -562,12 +585,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         json_text, table_text, engines_disagree = run_report(report_config)
         _write_output(json_text + "\n", args.out)
         if args.out is not None:
-            sys.stdout.write(table_text + "\n")
+            _write_output(table_text + "\n", None)
         if engines_disagree:
             print("consistency report: engine-grade mismatch", file=sys.stderr)
             return 2
         return 0
 
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: point the descriptor at
+        # /dev/null so that the interpreter's final flush cannot fail again,
+        # and exit with the code a shell reports for a process killed by SIGPIPE
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except np.linalg.LinAlgError as err:
         # a ValueError subclass, but a failure of the numerics, not the input
         print(f"numeric failure: {err}", file=sys.stderr)

@@ -83,7 +83,12 @@ class NoiseSpec:
         """Expand to a per-pair strength map over all pairs of noisy vertices."""
         pairs = list(combinations(self.noisy_vertices, 2))
         if isinstance(self.strength, Mapping):
-            expanded = {_normalize_edge(p): float(s) for p, s in self.strength.items()}
+            expanded: dict[tuple[int, int], float] = {}
+            for p, s in self.strength.items():
+                edge = _normalize_edge(p)
+                if edge in expanded:
+                    raise ValueError(f"per-edge strengths name pair {edge} twice")
+                expanded[edge] = float(s)
             missing = [p for p in pairs if p not in expanded]
             if missing:
                 raise ValueError(f"per-edge strengths missing pairs {missing}")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -38,13 +40,17 @@ def _cfg(**over):
     return ExperimentConfig.from_dict(base)
 
 
-def _cli(args, config=None, tmp_path=None):
+def _cli_command(args, config=None, tmp_path=None):
     cmd = [sys.executable, "-m", "spinnet.cli", *args]
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         cmd += ["--config", str(path)]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return cmd
+
+
+def _cli(args, config=None, tmp_path=None, text=True):
+    return subprocess.run(_cli_command(args, config, tmp_path), capture_output=True, text=text)
 
 
 class TestConfigSchema:
@@ -329,8 +335,12 @@ class TestFailureExits:
             ({"n": 3, "m": 1, "eta": {"3-3": 1.0}}, r"self-loop \(3, 3\) is not allowed"),
             ({"n": 5, "m": 2, "eta": {"1-2": 1.0}}, r"per-edge strengths missing pairs \[\(4, 5\)\]"),
             ({"n": 5, "m": 2, "eta": {"4-5": 1.0, "9-9": 3}}, r"self-loop \(9, 9\) is not allowed"),
+            (
+                {"n": 4, "noisy_vertices": [3, 4], "eta": {"3-4": 1.0, "4-3": 2.0}},
+                r"per-edge strengths name pair \(3, 4\) twice",
+            ),
         ],
-        ids=["self-loop", "edge-on-transfer-pair", "vertex-outside-network"],
+        ids=["self-loop", "edge-on-transfer-pair", "vertex-outside-network", "pair-named-twice"],
     )
     def test_bad_edge_map_exits_1_on_every_method(self, config, message, method, tmp_path, capsys):
         # unitary reads no noise, yet it checks the map as the other routes do
@@ -658,3 +668,83 @@ class TestEndToEnd:
         assert all(entry["verdict"] != "mismatch" for entry in payload)
         # the human table goes to stdout when JSON goes to a file
         assert "verdict" in res.stdout
+
+
+class TestProcessExit:
+    """A CLI process skips the heap teardown at exit; each way out keeps its code."""
+
+    def test_exit_handler_freezes_the_heap(self):
+        # handlers run last-registered first: this one, registered before
+        # the import, runs after spinnet's and sees the frozen heap
+        code = "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); import spinnet.cli"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "True\n"
+
+    def test_in_process_gc_untouched(self, tmp_path, capsys):
+        assert gc.get_freeze_count() == 0
+        code, err = _main(["fig2"], {"n_max": 4, "t_steps": 1}, tmp_path, capsys)
+        assert code == 0, err
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("command, config", [("fig1", {"t_steps": 256}), ("report", {})])
+    def test_stdout_bytes_equal_out_file(self, command, config, tmp_path):
+        out = tmp_path / "out"
+        to_file = _cli([command, "--out", str(out)], config, tmp_path, text=False)
+        to_stdout = _cli([command], config, tmp_path, text=False)
+        assert to_file.returncode == to_stdout.returncode == 0, to_stdout.stderr
+        assert to_stdout.stderr == b""
+        assert to_stdout.stdout == out.read_bytes()
+
+    @pytest.mark.parametrize(
+        "config, code, message",
+        [
+            ({"n": 4, "m": 2, "t_max": float("nan")}, 1, "configuration error: field 't_max': must be finite\n"),
+            (
+                {"n": 4, "m": 2, "eta": 1e300, "method": "perturbation-numeric", "t_steps": 4},
+                2,
+                "numeric failure: fidelity inf not finite at t=2.0943951023931953\n",
+            ),
+        ],
+        ids=["config-error", "numeric-failure"],
+    )
+    def test_failure_exit_codes_kept(self, config, code, message, tmp_path):
+        res = _cli(["simulate"], config, tmp_path)
+        assert res.returncode == code
+        assert res.stderr == message and res.stdout == ""
+
+    def test_closed_stdout_exits_141_without_traceback(self, tmp_path):
+        # stdout buffered, as a pipe's is by default: under PYTHONUNBUFFERED
+        # the text layer drops the rest of a short write without an error
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            _cli_command(["fig1"], {"t_steps": 256}, tmp_path),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+        assert head.startswith(CSV_HEADER.encode()) and len(head) == 100
+        assert err == b""
+
+    @pytest.mark.parametrize(
+        "command, config, blocked",
+        [
+            ("fig2", {"n_max": 4, "t_steps": 1}, "data"),
+            ("fig2", {"n_max": 4, "t_steps": 1}, "sidecar"),
+            ("report", {"n_traj": 50}, "data"),
+        ],
+    )
+    def test_unwritable_out_exits_1_naming_out(self, command, config, blocked, tmp_path, capsys):
+        if blocked == "data":
+            out = path = tmp_path / "missing" / "x.csv"
+            reason = "[Errno 2] No such file or directory"
+        else:
+            # a directory where the sidecar goes
+            out, path = tmp_path / "x.csv", tmp_path / "x.csv.meta.json"
+            path.mkdir()
+            reason = "[Errno 21] Is a directory"
+        code, err = _main([command, "--out", str(out)], config, tmp_path, capsys)
+        assert code == 1
+        assert err == f"configuration error: field 'out': cannot write {path}: {reason}: '{path}'\n"

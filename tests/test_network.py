@@ -73,6 +73,11 @@ class TestNoiseSpec:
         ok = NoiseSpec((3, 4), {(4, 3): 0.7}).edge_strengths()
         assert ok == {(3, 4): 0.7}
 
+    def test_pair_named_twice_rejected(self):
+        # both keys name one unordered pair; neither may silently win
+        with pytest.raises(ValueError, match=r"per-edge strengths name pair \(3, 4\) twice"):
+            NoiseSpec((3, 4), {(3, 4): 1.0, (4, 3): 2.0})
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
             NoiseSpec((3, 4), {(3, 3): 1.0, (3, 4): 1.0})
