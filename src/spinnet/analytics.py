@@ -469,7 +469,7 @@ def _check_zeno_limit() -> list[ConsistencyCheck]:
     ]
 
 
-def _check_weak_noise(config: ReportConfig) -> list[ConsistencyCheck]:
+def _check_weak_noise() -> list[ConsistencyCheck]:
     n, m, eta = 10, 8, 0.01
     worst = 0.0
     worst_pair = (0.0, 0.0)
@@ -598,7 +598,7 @@ def consistency_report(config: ReportConfig | None = None) -> ConsistencyReport:
         _check_zeno_overlay(),
         *_check_zeno_limit(),
         network_reduction_check(6, 2, 1e3),
-        *_check_weak_noise(config),
+        *_check_weak_noise(),
         _check_peak_fidelity_monotone(),
     ]
     checks.sort(key=lambda c: c.name)

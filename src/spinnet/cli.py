@@ -14,7 +14,8 @@ All output is a deterministic function of the resolved configuration:
 CSV rows are emitted in grid order, floats in %.12e, UNIX newlines,
 UTF-8, and nothing time- or host-dependent is ever written. Exit codes
 are 0 (success), 1 (configuration error, usage errors such as an
-unknown flag and an unwritable --out included), 2 (numeric failure, or
+unknown flag and an unwritable --out included; --out is checked before
+any work), 2 (numeric failure, or
 a consistency report in which two engines disagree), 141 (the reader
 closed stdout before the output was written, as after SIGPIPE).
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import errno
 import gc
 import json
 import math
@@ -60,6 +62,9 @@ __all__ = [
 CSV_HEADER = "n,m,eta,t,F,abs_z,lambda,delta,method,seed"
 
 _METHODS = ("unitary", "lindblad", "trajectories", "perturbation-numeric", "perturbation-printed")
+
+# the metadata sidecar of a data file at PATH is PATH + _SIDECAR
+_SIDECAR = ".meta.json"
 
 # At exit, move every live object into the permanent generation, so the final
 # collections do not free the numpy and scipy graph one object at a time. Outputs
@@ -501,11 +506,39 @@ def _write_file(path: str, text: str) -> None:
         raise ConfigError("out", f"cannot write {path}: {err}") from None
 
 
+def _check_writable(path: str) -> None:
+    """Fail as writing ``path`` would, before any work and without creating a file.
+
+    An existing file is opened for writing without truncation; otherwise
+    its directory must exist and take new files.
+    """
+    try:
+        if os.path.exists(path):
+            os.close(os.open(path, os.O_WRONLY))
+            return
+        directory = os.path.dirname(path) or "."
+        os.stat(directory)
+        if not os.path.isdir(directory):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if not os.access(directory, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as err:
+        # named as the failed open of the file would name it
+        raise ConfigError("out", f"cannot write {path}: {OSError(err.errno, err.strerror, path)}") from None
+
+
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
-        # flushed here, so that a reader closing the pipe is seen in main
-        sys.stdout.write(text)
+        # UTF-8 bytes through the binary layer, looping on short writes:
+        # unbuffered (python -u) that layer is the raw file, and the text
+        # layer would drop the rest of a short write, as when the reader
+        # closes the pipe. Flushed here, so that a closed pipe is seen in main.
         sys.stdout.flush()
+        stream = sys.stdout.buffer
+        data = memoryview(text.encode("utf-8"))
+        while data:
+            data = data[stream.write(data) :]
+        stream.flush()
         return
     _write_file(out_path, text)
 
@@ -514,7 +547,7 @@ def _write_metadata(out_path: str | None, payload: dict) -> None:
     # sidecar lives next to the data file; stdout runs skip it
     if out_path is None:
         return
-    _write_file(out_path + ".meta.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_file(out_path + _SIDECAR, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -544,6 +577,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         args = parser.parse_args(argv)
+        if args.out is not None:
+            _check_writable(args.out)
+            if args.command != "report":
+                _check_writable(args.out + _SIDECAR)
         raw = _load_config_file(args.config)
         seed = _require_seed(args.seed, "seed") if args.seed is not None else 0
 

@@ -40,30 +40,38 @@ rows, 1/k and -i together, and one add puts back the start. The
 series is summed by Horner's rule with a term count fixed beforehand
 from a bound on ||H + noise||, so that every entry of the dropped tail
 is below 1e-17; a step whose bound would need more than 80 terms (a
-dense noisy set near the step limits) is taken in equal substeps. The
-block covers exactly the noisy vertices, so it holds about twice one
-step's normals, and where one step's noise alone is over the draw
-budget (n = 40, m = 38 at 2,048 trajectories), a batch stays within
-four steps' worth of normals.
+dense noisy set near the step limits) is taken in equal substeps. As
+in Al-Mohy and Higham's action of the exponential (SIAM J. Sci.
+Comput. 33, 488, 2011), the degree comes from norm bounds before any
+stepping: the couplings, bounds, term and substep counts of a whole
+drawn chunk of steps are made in a few array passes, and its scaled
+operators once, so a step's own work is placing its couplings and its
+Taylor terms. The block covers exactly the noisy vertices, so it holds
+about twice one step's normals, and where one step's noise alone is
+over the draw budget (n = 40, m = 38 at 2,048 trajectories), a batch
+stays within four steps' worth of normals, and one step more while a
+row waits for the tail step of a time between step boundaries.
 
 Time grids: an ensemble read at many times steps each batch once, up
 to the latest time, and takes the moments at every time on the way. Its
 one result carries a leading time axis: the means at every time, checked
 as one lindblad.DenseStates, and their standard errors.
 Each time gets the bytes of an independent single-time ensemble, on
-any grid: a time between step boundaries is reached by a tail step on
-a copy of the states, from the noise row a single-time run would draw
-there. Noise is drawn a bounded number of steps at a time: at most 256,
-and at most 2**17 normals over the batch (one step where that alone is
+any grid: a time between step boundaries is reached by a tail step, a
+run of one step at the tail's own length, on a copy of the states and
+on the noise row a single-time run would draw there, kept aside as
+drawn. Noise is drawn a bounded number of steps at a time: at most 256,
+and at most 2**18 normals over the batch (one step where that alone is
 more), so the noise held per batch grows with neither the horizon nor
-the number of noisy edges.
+the number of noisy edges; it is scaled to couplings where it was drawn.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -91,23 +99,23 @@ _CHUNK = 256
 
 # Standard normals (8 bytes each) a batch holds at once: the chunk is
 # shortened so that chunk x batch x edges stays within this, down to one
-# step, whatever the horizon or the number of noisy edges.
-_NOISE_BUDGET = 2**17
+# step, whatever the horizon or the number of noisy edges. At 2,000
+# trajectories on one edge a draw call fills 131 steps.
+_NOISE_BUDGET = 2**18
 
 # Terms of one Taylor series, at most.
 _MAX_TAYLOR_TERMS = 80
 
 # Largest norm bound rho = ||H + noise|| * tau that one series sums:
-# _term_count(18.0) is 77. A step with a larger bound, as a dense noisy
-# set gives (rho is about 21 at n = 70, m = 68 at the step limits), is
-# split into the fewest equal substeps within it.
+# _term_counts gives 77 at 18.0. A step with a larger bound, as a dense
+# noisy set gives (rho is about 21 at n = 70, m = 68 at the step
+# limits), is split into the fewest equal substeps within it.
 _SUBSTEP_RHO = 18.0
 
-# Floats of scaled term operators made at once. At a few noisy rows a
-# step's operators fit in one go; at n = 40, m = 38 (2r + 2v = 154
-# columns) five are made at a time, so they never cost what the batch
-# buffers cost.
-_OPERATOR_BUDGET = 2**16
+# Sums of squared couplings held at once while the norm bounds of a run
+# of steps are found: a few columns of the batch at a time (one at the
+# least), never a second copy of the run's noise.
+_SQUARES_BUDGET = 2**15
 
 
 @dataclass(frozen=True)
@@ -212,84 +220,138 @@ class _EdgeBlock:
         rates = np.array(list(edges.values()), dtype=float)
         return cls(np.array(vertices, dtype=np.intp), first, second, rates)
 
-    def fill(self, block: np.ndarray, normals: np.ndarray, tau: float) -> float:
-        """Write one step's couplings into ``block``; return a bound on their norm.
+    def couple(self, normals: np.ndarray, tau: float) -> np.ndarray:
+        """Scale a run of steps' normals in place to couplings; return each step's norm bound.
 
-        ``normals`` holds one edge per row, shape (edges, batch), and each
-        coupling is a normal times sqrt(2 eta / tau). The bound holds for
-        every column's noise matrix N: N is symmetric with zero trace, so
-        ||N||^2 <= (1 - 1/v) ||N||_F^2, which is exact for a single edge;
-        ||N||_F^2 is twice the sum of the column's squared couplings.
-        Couplings are made _NOISE_BUDGET floats at a time, so a dense
-        noisy set holds no second copy of a step's normals.
+        ``normals`` holds the run, shape (batch, steps, edges), and each
+        coupling is a normal times sqrt(2 eta / tau). A step's bound holds
+        for every column's noise matrix N: N is symmetric with zero trace,
+        so ||N||^2 <= (1 - 1/v) ||N||_F^2, which is exact for a single
+        edge; ||N||_F^2 is twice the sum of the column's squared
+        couplings. The squares are summed over the edges in draw order,
+        on _SQUARES_BUDGET sums of columns at a time, so they hold no
+        second copy of the run.
         """
-        sigma = np.sqrt(2.0 * self.rates / tau)
-        squares = np.zeros(normals.shape[1])
-        group = max(1, _NOISE_BUDGET // normals.shape[1])
-        for low in range(0, len(sigma), group):
-            edges = slice(low, low + group)
-            couplings = normals[edges] * sigma[edges, np.newaxis]
-            block[self.first[edges], self.second[edges]] = couplings
-            block[self.second[edges], self.first[edges]] = couplings
-            squares += np.einsum("eb,eb->b", couplings, couplings)
+        normals *= np.sqrt(2.0 * self.rates / tau)
+        batch, steps, n_edges = normals.shape
+        largest = np.zeros(steps)
+        columns = max(1, _SQUARES_BUDGET // max(1, steps))
+        for low in range(0, batch, columns):
+            part = normals[low : low + columns]
+            squares = np.zeros(part.shape[:2])
+            for e in range(n_edges):
+                squares += part[:, :, e] * part[:, :, e]
+            np.maximum(largest, squares.max(axis=0), out=largest)
         v = len(self.vertices)
-        return math.sqrt(2.0 * float(squares.max()) * max(v - 1, 0) / max(v, 1))
+        return np.sqrt(2.0 * largest * max(v - 1, 0) / max(v, 1))
+
+    def place(self, block: np.ndarray, couplings: np.ndarray) -> None:
+        """Write one step's couplings, shape (edges, batch), at their two places in ``block``."""
+        block[self.first, self.second] = couplings
+        block[self.second, self.first] = couplings
 
 
-def _term_count(rho: float) -> int:
-    """Least K for which the Taylor tail sum_{k > K} rho^k / k! is below 1e-17."""
-    term = 1.0
-    for k in range(_MAX_TAYLOR_TERMS + 1):
-        term *= rho / (k + 1)
-        # the tail is at most its first term over 1 - rho / (k + 2)
-        if rho < k + 2 and term < 1e-17 * (1.0 - rho / (k + 2)):
-            return k
-    raise RuntimeError("numeric failure: step exponential did not converge")
+def _term_counts(rho: np.ndarray) -> np.ndarray:
+    """Least K, for each entry of a 1-d ``rho``, with the Taylor tail sum_{k > K} rho^k / k! below 1e-17.
 
-
-def _taylor_step(
-    states: np.ndarray, operator: np.ndarray, block: np.ndarray, tau: float, norm: float
-) -> np.ndarray:
-    """Apply exp(-i (H + noise) tau) in place to each batch column by a machine-precision series.
-
-    ``states`` is the batch buffer, shape (2r + 2v, batch): the real and
-    the imaginary plane of the reduced states, r rows each with the v
-    noisy rows first, then 2v spare rows. ``block`` holds each column's
-    noise couplings over the noisy rows, shape (v, v, batch); ``norm``
-    bounds ||H + noise|| over the columns. The step is taken in the
-    fewest equal substeps whose bound rho = norm * tau / s is within
-    _SUBSTEP_RHO, each summed to the K terms that _term_count takes for
-    rho. The columns are unit vectors, so every entry of each dropped
-    tail is below 1e-17, which keeps the step unitary to well under
-    1e-12.
-
-    Horner's rule sums a substep as p <- start - i (tau / k) A p for
-    k = K..1. ``operator`` is [[0, H, 0, E], [-H, 0, -E, 0]] over the
-    buffer's rows, with H the reduced Hamiltonian and E the (r, v)
-    inclusion of the noisy rows: once the block has written N p into
-    the spare rows, (tau / k) times it maps the buffer to -i (tau / k) A p,
-    since -i swaps the planes and negates one, (re, im) -> (im, -re).
-    The scaled operators are made _OPERATOR_BUDGET floats at a time.
+    Column k of the table is the tail's first term rho^(k+1) / (k+1)!,
+    a running product over k, for k up to _MAX_TAYLOR_TERMS.
     """
-    rho = norm * tau
-    substeps = math.ceil(rho / _SUBSTEP_RHO) if _SUBSTEP_RHO < rho < math.inf else 1
-    tau /= substeps
-    k_max = _term_count(rho / substeps)
-    r2, v, batch = len(operator), len(block), states.shape[1]
-    top = states[:r2]
-    noisy = top.reshape(2, r2 // 2, batch)[:, :v]
-    spare = states[r2:].reshape(2, v, batch)
-    group = max(1, _OPERATOR_BUDGET // max(1, operator.size))
-    start, kicked = np.empty_like(top), np.empty_like(top)
-    for _ in range(substeps):
-        np.copyto(start, top)
-        for high in range(k_max, 0, -group):
-            scales = tau / np.arange(high, max(high - group, 0), -1)
-            for term in operator * scales[:, np.newaxis, np.newaxis]:
-                np.einsum("ijb,cjb->cib", block, noisy, out=spare)
-                np.matmul(term, states, out=kicked)
-                np.add(start, kicked, out=top)
-    return states
+    rho = rho[:, np.newaxis]
+    k = np.arange(_MAX_TAYLOR_TERMS + 1)
+    terms = np.multiply.accumulate(rho / (k + 1), axis=1)
+    # the tail is at most its first term over 1 - rho / (k + 2)
+    done = (rho < k + 2) & (terms < 1e-17 * (1.0 - rho / (k + 2)))
+    if not done.any(axis=1).all():
+        raise RuntimeError("numeric failure: step exponential did not converge")
+    return done.argmax(axis=1)
+
+
+@dataclass(eq=False)
+class _Run:
+    """Steps of one length tau prepared at once, the next one first.
+
+    Each step is its couplings, shape (edges, batch), its substep count
+    and its term count. ``stacks`` keeps the scaled operators made for
+    the run, one stack over k per substep count.
+    """
+
+    tau: float
+    steps: list[tuple[np.ndarray, int, int]]
+    stacks: dict[int, np.ndarray] = field(default_factory=dict)
+
+
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    """Applies exp(-i (H + noise) tau) in place to each batch column by a machine-precision series.
+
+    A batch buffer has shape (2r + 2v, batch): the real and the
+    imaginary plane of the reduced states, r rows each with the v noisy
+    rows first, then 2v spare rows. ``operator`` is [[0, H, 0, E],
+    [-H, 0, -E, 0]] over the buffer's rows, with H the reduced
+    Hamiltonian, ||H|| = ``h_norm``, and E the (r, v) inclusion of the
+    noisy rows. ``block`` holds the couplings of the step being taken.
+
+    A run of drawn steps is prepared at once (``prepare``); a step then
+    only places its couplings and sums its series (``advance``). Horner's
+    rule sums a substep as p <- start - i (tau / k) A p for k = K..1:
+    once the block has written N p into the spare rows, (tau / k) times
+    ``operator`` maps the buffer to -i (tau / k) A p, since -i swaps the
+    planes and negates one, (re, im) -> (im, -re).
+    """
+
+    edges: _EdgeBlock
+    operator: np.ndarray
+    h_norm: float
+    block: np.ndarray
+
+    @classmethod
+    def of(cls, edges: _EdgeBlock, operator: np.ndarray, h_norm: float, batch: int) -> _Kernel:
+        v = len(edges.vertices)
+        return cls(edges, operator, h_norm, np.zeros((v, v, batch)))
+
+    def prepare(self, normals: np.ndarray, tau: float) -> _Run:
+        """The run of one step of length tau per noise row of ``normals``, shape (batch, steps, edges).
+
+        The normals are scaled in place to couplings. Each step is taken
+        in the fewest equal substeps whose bound rho = ||H + noise|| tau / s
+        is within _SUBSTEP_RHO, each summed to the K terms that
+        _term_counts takes for rho. The columns are unit vectors, so
+        every entry of each dropped tail is below 1e-17, which keeps the
+        step unitary to well under 1e-12.
+        """
+        rho = (self.h_norm + self.edges.couple(normals, tau)) * tau
+        substeps = np.maximum(np.ceil(rho / _SUBSTEP_RHO), 1.0)
+        counts = _term_counts(rho / substeps)
+        steps = zip(normals.transpose(1, 2, 0), substeps.astype(int).tolist(), counts.tolist())
+        return _Run(tau, list(steps))
+
+    def advance(self, states: np.ndarray, run: _Run, count: int) -> np.ndarray:
+        """Take the next ``count`` steps of ``run`` in place on ``states``, and drop them from it."""
+        steps, run.steps = run.steps[:count], run.steps[count:]
+        r2, v, batch = len(self.operator), len(self.block), states.shape[1]
+        start, kicked = np.empty((2, r2, batch))
+        top = states[:r2]
+        noisy = top.reshape(2, r2 // 2, batch)[:, :v]
+        spare = states[r2:].reshape(2, v, batch)
+        for couplings, s, k_max in steps:
+            self.edges.place(self.block, couplings)
+            terms = self._terms(run, s, k_max)
+            for _ in range(s):
+                np.copyto(start, top)
+                for term in terms:
+                    np.einsum("ijb,cjb->cib", self.block, noisy, out=spare)
+                    np.matmul(term, states, out=kicked)
+                    np.add(start, kicked, out=top)
+        return states
+
+    def _terms(self, run: _Run, substeps: int, k_max: int) -> np.ndarray:
+        """(tau / substeps / k) ``operator`` for k = k_max..1, from the stack kept for ``substeps``."""
+        stack = run.stacks.get(substeps)
+        if stack is None or len(stack) < k_max:
+            scales = (run.tau / substeps) / np.arange(1, k_max + 1)
+            stack = run.stacks[substeps] = self.operator * scales[:, np.newaxis, np.newaxis]
+        return stack[:k_max][::-1]
 
 
 def _term_operator(h: np.ndarray, v: int) -> np.ndarray:
@@ -326,7 +388,7 @@ class _Subspace:
         psi_perp(t) = psi_perp[0] |0> + e^{it} (psi_perp - psi_perp[0] |0>),
 
     the same for every trajectory; ``moving`` is that vertex part.
-    ``operator`` is the (2r, 2r + 2v) term operator of _taylor_step for
+    ``operator`` is the (2r, 2r + 2v) term operator of _Kernel for
     Q^T H Q, so the noise block acts on the first v reduced rows, and
     ``start`` the buffer rows of Q^T psi0. A state is read as
     psi0 + Q (x - x0) + (e^{it} - 1) ``moving``, so a time of zero steps
@@ -360,7 +422,7 @@ class _Subspace:
         return cls(edges, float(n - 1), psi0, basis, operator, start, moving)
 
     def buffer(self, batch: int) -> np.ndarray:
-        """The batch buffer of _taylor_step with every column at psi0."""
+        """The batch buffer of _Kernel with every column at psi0."""
         states = np.zeros((self.operator.shape[1], batch))
         states[: len(self.start)] = self.start
         return states
@@ -384,10 +446,10 @@ def _split_horizon(t: float, dt: float) -> tuple[int, float]:
 def _noise_rows(
     rngs: list[np.random.Generator], n_rows: int, n_edges: int
 ) -> Iterator[np.ndarray]:
-    """Yield the batch's standard normals one step at a time, shape (edges, batch).
+    """Yield the batch's standard normals a chunk of steps at a time, shape (batch, steps, edges).
 
     Each trajectory draws a chunk of steps per call into one reused
-    buffer, so a yielded step is valid only until the next is requested.
+    buffer, so a yielded chunk is valid only until the next is requested.
     The chunk is at most _CHUNK steps and at most _NOISE_BUDGET normals
     over the batch, but never less than one step. Philox normals come in
     sequence, so the steps equal those of a single whole-horizon draw:
@@ -399,7 +461,7 @@ def _noise_rows(
         rows = min(chunk, n_rows - start)
         for rng, block in zip(rngs, buffer):
             rng.standard_normal(out=block[:rows])
-        yield from buffer[:, :rows].transpose(1, 2, 0)
+        yield buffer[:, :rows]
 
 
 def _sweep(
@@ -412,31 +474,49 @@ def _sweep(
 
     The batch has one trajectory per stream of ``rngs`` and is stepped
     in the reduced buffer of ``space``; each yield is the batch as
-    complex rows, shape (batch, dim). A time that is a whole number n of
-    steps yields the states as they stand. Any other time applies a tail
-    step to a copy of the states, driven by noise row n at the variance
-    of the tail's own length; the main path then takes row n at the
-    full-step variance. A trajectory run to that time alone draws the
-    same row as its tail, so every time gets the bytes of an independent
-    single-time run.
+    complex rows, shape (batch, dim). Each drawn chunk of noise is
+    prepared as one run of steps (see _Kernel.prepare). A time that is a
+    whole number n of steps yields the states as they stand. Any other
+    time applies a tail step to a copy of the states: a run of one step
+    on noise row n as drawn, kept aside before its chunk was prepared,
+    at the variance of the tail's own length; the main path takes row n
+    at the full-step variance. A trajectory run to that time alone draws
+    the same row as its tail, so every time gets the bytes of an
+    independent single-time run.
     """
     marks = sorted((*_split_horizon(t, dt), i) for i, t in enumerate(times))
     n_rows = max(n_full + (remainder > 0) for n_full, remainder, _ in marks)
+    # the main path steps rows 0..n_main - 1; tail steps read rows as drawn
+    n_main = marks[-1][0]
+    tail_rows = Counter(n_full for n_full, remainder, _ in marks if remainder)
     noise = _noise_rows(rngs, n_rows, len(space.edges.first))
-    v = len(space.edges.vertices)
-    block = np.zeros((v, v, len(rngs)))
+    kernel = _Kernel.of(space.edges, space.operator, space.h_norm, len(rngs))
     states = space.buffer(len(rngs))
-
-    def advance(states: np.ndarray, normals: np.ndarray, tau: float) -> np.ndarray:
-        norm = space.h_norm + space.edges.fill(block, normals, tau)
-        return _taylor_step(states, space.operator, block, tau, norm)
-
-    step, row = 0, next(noise, None)
+    # `run` holds the prepared steps of the latest chunk not yet taken, from
+    # row `step` on, and `kept` the drawn rows a tail still reads: a copy
+    # where the main path scales the row in place, else the row itself,
+    # which is the last one drawn. The next chunk is drawn as soon as a
+    # run is used up, so once the rows run out the noise buffer is freed
+    # before the states are read.
+    step, run, kept, drawn = 0, None, {}, next(noise, None)
     for n_full, remainder, i in marks:
-        while step < n_full:
-            advance(states, row, dt)
-            step, row = step + 1, next(noise, None)
-        stepped = advance(states.copy(), row, remainder) if remainder else states
+        while step < n_full or (remainder and n_full not in kept):
+            if run is None:
+                for row in range(step, step + drawn.shape[1]):
+                    if row in tail_rows:
+                        normals = drawn[:, row - step : row - step + 1]
+                        kept[row] = normals.copy() if row < n_main else normals
+                run = kernel.prepare(drawn[:, : n_main - step], dt)
+            taken = min(n_full - step, len(run.steps))
+            kernel.advance(states, run, taken)
+            step += taken
+            if not run.steps:
+                run, drawn = None, next(noise, None)
+        stepped = states
+        if remainder:
+            tail_rows[n_full] -= 1
+            normals = kept[n_full].copy() if tail_rows[n_full] else kept.pop(n_full)
+            stepped = kernel.advance(states.copy(), kernel.prepare(normals, remainder), 1)
         yield i, space.rows(stepped, n_full * dt + remainder)
 
 

@@ -713,10 +713,14 @@ class TestProcessExit:
         assert res.returncode == code
         assert res.stderr == message and res.stdout == ""
 
-    def test_closed_stdout_exits_141_without_traceback(self, tmp_path):
-        # stdout buffered, as a pipe's is by default: under PYTHONUNBUFFERED
-        # the text layer drops the rest of a short write without an error
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_141_without_traceback(self, unbuffered, tmp_path):
+        # buffered, as a pipe's stdout is by default, and unbuffered, where
+        # the binary layer is the raw file and a closed pipe first shows
+        # as a short write
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered is not None:
+            env["PYTHONUNBUFFERED"] = unbuffered
         proc = subprocess.Popen(
             _cli_command(["fig1"], {"t_steps": 256}, tmp_path),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
@@ -736,7 +740,12 @@ class TestProcessExit:
             ("report", {"n_traj": 50}, "data"),
         ],
     )
-    def test_unwritable_out_exits_1_naming_out(self, command, config, blocked, tmp_path, capsys):
+    def test_unwritable_out_exits_1_naming_out(self, command, config, blocked, tmp_path, capsys, monkeypatch):
+        # the path is checked before the run, which must not start
+        def runner(*args, **kwargs):
+            raise AssertionError("the run started before --out was checked")
+
+        monkeypatch.setattr(cli, {"fig2": "run_scan_fig2", "report": "run_report"}[command], runner)
         if blocked == "data":
             out = path = tmp_path / "missing" / "x.csv"
             reason = "[Errno 2] No such file or directory"
@@ -745,6 +754,34 @@ class TestProcessExit:
             out, path = tmp_path / "x.csv", tmp_path / "x.csv.meta.json"
             path.mkdir()
             reason = "[Errno 21] Is a directory"
+        before = set(tmp_path.rglob("*"))
         code, err = _main([command, "--out", str(out)], config, tmp_path, capsys)
         assert code == 1
         assert err == f"configuration error: field 'out': cannot write {path}: {reason}: '{path}'\n"
+        # the config file is the one file made
+        assert set(tmp_path.rglob("*")) - before == {tmp_path / "config.json"}
+
+    def test_stdout_write_loops_over_short_writes(self, monkeypatch):
+        # a binary layer that takes at most 7 bytes a call, as a raw file
+        # may: every byte must still arrive, in order
+        class ShortWrites:
+            def __init__(self):
+                self.received = bytearray()
+
+            def write(self, data):
+                self.received += bytes(data[:7])
+                return min(len(data), 7)
+
+            def flush(self):
+                pass
+
+        class FakeStdout:
+            buffer = ShortWrites()
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", FakeStdout())
+        text = records_to_csv(run_scan_fig1({"eta_values": [0.0, 1.0], "t_steps": 3}))
+        cli._write_output(text, None)
+        assert bytes(FakeStdout.buffer.received) == text.encode("utf-8")

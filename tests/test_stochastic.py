@@ -115,10 +115,12 @@ class TestStepSampling:
     def _couplings(self, tau, batch):
         edges = stochastic._EdgeBlock.of(self.SPEC, 6)
         rngs = [stochastic._stream(5, j) for j in range(batch)]
-        normals = next(stochastic._noise_rows(rngs, 1, len(edges.first))).copy()
+        run = next(stochastic._noise_rows(rngs, 1, len(edges.first))).copy()
+        normals = run[:, 0].T.copy()
+        [bound] = edges.couple(run, tau)
         block = np.full((3, 3, batch), np.nan)
         block[[0, 1, 2], [0, 1, 2]] = 0.0
-        bound = edges.fill(block, normals, tau)
+        edges.place(block, run[:, 0].T)
         return edges, normals, block, bound
 
     def test_couplings_land_only_on_their_edge(self):
@@ -145,6 +147,21 @@ class TestStepSampling:
         for (k, l), eta in self.SPEC.edge_strengths().items():
             j, i = [3, 4, 6].index(k), [3, 4, 6].index(l)
             assert np.mean(block[j, i] ** 2) == pytest.approx(2 * eta / tau, rel=0.1)
+
+    @pytest.mark.parametrize("budget", [2**15, 40])
+    def test_run_bounds_equal_per_step_sums(self, budget, monkeypatch):
+        # a run of 9 steps at once, its columns summed in parts or whole,
+        # gives each step the bound of that step's couplings alone, bit
+        # for bit: sum_e c_e^2 in draw order per column
+        monkeypatch.setattr(stochastic, "_SQUARES_BUDGET", budget)
+        edges = stochastic._EdgeBlock.of(self.SPEC, 6)
+        rngs = [stochastic._stream(9, j) for j in range(64)]
+        run = next(stochastic._noise_rows(rngs, 9, len(edges.first))).copy()
+        bounds = edges.couple(run, 1e-3)
+        for step, bound in enumerate(bounds.tolist()):
+            couplings = run[:, step].T.copy()
+            squares = np.einsum("eb,eb->b", couplings, couplings)
+            assert bound == math.sqrt(2.0 * float(squares.max()) * 2 / 3)
 
 
 class TestStreams:
@@ -371,6 +388,17 @@ def _row_kernel(states, h, pairs, couplings, tau):
     raise RuntimeError("numeric failure: step exponential did not converge")
 
 
+def _term_count(rho):
+    """The scalar form of stochastic._term_counts, term by term: the least
+    K whose Taylor tail past K is below 1e-17."""
+    term = 1.0
+    for k in range(stochastic._MAX_TAYLOR_TERMS + 1):
+        term *= rho / (k + 1)
+        if rho < k + 2 and term < 1e-17 * (1.0 - rho / (k + 2)):
+            return k
+    raise RuntimeError("numeric failure: step exponential did not converge")
+
+
 def _full_space(h, spec):
     """The kernel's layout over the whole space: the noisy edges, the row
     order, noisy rows first, and the term operator of H in that order."""
@@ -397,10 +425,8 @@ def _unbuffer(states, order):
 
 def _kernel_step(states, operator, h_norm, edges, normals, tau):
     """One step of the kernel on a buffer, driven by normals of shape (edges, batch)."""
-    v = len(edges.vertices)
-    block = np.zeros((v, v, states.shape[1]))
-    norm = h_norm + edges.fill(block, normals, tau)
-    return stochastic._taylor_step(states, operator, block, tau, norm)
+    kernel = stochastic._Kernel.of(edges, operator, h_norm, states.shape[1])
+    return kernel.advance(states, kernel.prepare(normals.T[:, np.newaxis].copy(), tau), 1)
 
 
 def _norm(h):
@@ -509,14 +535,17 @@ class TestStepKernel:
         assert abs(np.trace(r.rho_mean.rho[0]).real - 1.0) < 1e-12
 
     def test_term_count_bounds_the_tail(self):
-        for rho in np.linspace(0.0, stochastic._SUBSTEP_RHO, 361):
-            k = stochastic._term_count(rho)
+        grid = np.linspace(0.0, stochastic._SUBSTEP_RHO, 361)
+        counts = stochastic._term_counts(grid)
+        assert counts.tolist() == [_term_count(rho) for rho in grid]
+        for rho, k in zip(grid, counts.tolist()):
             tail = sum(rho**j / math.factorial(j) for j in range(k + 1, k + 60))
             assert tail < 1e-17
-        with pytest.raises(RuntimeError, match="did not converge"):
-            stochastic._term_count(40.0)
-        with pytest.raises(RuntimeError, match="did not converge"):
-            stochastic._term_count(math.nan)
+        for bad in (40.0, math.nan):
+            with pytest.raises(RuntimeError, match="did not converge"):
+                _term_count(bad)
+            with pytest.raises(RuntimeError, match="did not converge"):
+                stochastic._term_counts(np.array([1.0, bad, 2.0]))
 
 
 def _full_space_trajectory(spec, psi, t, dt, seed, index):
@@ -647,12 +676,11 @@ def _restart_reference(spec, psi, t, dt, seed, index):
     n_full, remainder = stochastic._split_horizon(t, dt)
     space = stochastic._Subspace.of(spec, psi)
     states = space.buffer(1)
-    step = (states, space.operator, space.h_norm, space.edges)
-    for row in rng.standard_normal((n_full, n_edges)):
-        _kernel_step(*step, row[:, np.newaxis], dt)
+    kernel = stochastic._Kernel.of(space.edges, space.operator, space.h_norm, 1)
+    for row in rng.standard_normal((n_full, 1, 1, n_edges)):
+        kernel.advance(states, kernel.prepare(row, dt), 1)
     if remainder:
-        row = rng.standard_normal((1, n_edges))
-        _kernel_step(*step, row.T, remainder)
+        kernel.advance(states, kernel.prepare(rng.standard_normal((1, 1, n_edges)), remainder), 1)
     return space.rows(states, n_full * dt + remainder)[0]
 
 
@@ -712,6 +740,9 @@ class TestTimeGrid:
         for chunk in (1, 7):
             monkeypatch.setattr(stochastic, "_CHUNK", chunk)
             self._assert_same(self._per_time(ensemble_average(plan, psi, times=self.TIMES)), want)
+        # a budget below one step's normals draws one step at a time
+        monkeypatch.setattr(stochastic, "_NOISE_BUDGET", 1)
+        self._assert_same(self._per_time(ensemble_average(plan, psi, times=self.TIMES)), want)
 
     def test_times_outside_horizon_rejected(self):
         spec, psi = _setup()
