@@ -1,15 +1,22 @@
 """Monte Carlo unraveling of the white-noise couplings.
 
-Each trajectory integrates the Schrodinger equation under the complete
-graph's Hamiltonian plus piecewise-constant random edge couplings, one
-independent Gaussian per noisy pair per step with variance 2 eta / dt.
-That variance makes the integrated coupling over a step match the
-delta-correlation of the continuous noise, and stepping with the exact
-exponential of the full sampled Hamiltonian (the Stratonovich reading;
-an Euler scheme on the state would lose trace in the average) drives
-the ensemble mean to the Lindblad engine's output. The module exists
-as an independent oracle for :mod:`spinnet.lindblad`, so it shares no
-integration code with it.
+Each noisy pair e = (k, l) of the complete graph carries white noise of
+strength eta_e on its hopping operator V_e = |k><l| + |l><k|. Over a step
+dt its coupling integrates to an angle theta_e = xi_e sqrt(2 eta_e dt),
+xi_e an independent standard normal, and a trajectory takes the step as
+the Strang split
+
+    e^{-iH dt/2} . prod_e exp(-i theta_e V_e) . e^{-iH dt/2},
+
+every factor in closed form. A rotation by a Gaussian angle averages to
+E[exp(-i theta ad_V)] = exp(-eta dt ad_V^2), exactly that pair's
+dissipator over dt, and the factors read independent normals, so the
+ensemble-mean map of a step is the product of the factors' means: a
+Strang splitting of the Lindblad semigroup (Strang, SIAM J. Numer.
+Anal. 5, 506, 1968), second order in dt. The tests compute that mean
+exactly, with no sampling, and hold both the master equation and the
+samples to it. The module exists as an independent oracle for
+:mod:`spinnet.lindblad`, so it shares no integration code with it.
 
 Determinism contract: trajectory j draws from its own counter-based
 stream keyed by (master_seed, j), and trajectories are stepped in fixed
@@ -23,55 +30,49 @@ noise couples only the v noisy vertices, so it maps every state into
 the span of their rows and annihilates the rest. W adds to those rows
 the uniform vector over the other vertices; H keeps W and its
 complement, so every trajectory is Q psi_W(t) + psi_perp(t). psi_W is
-stepped in a real orthonormal basis Q of W under Q^T H Q plus the
-noise, v + 1 rows at any n; psi_perp, the part of psi0 outside W, is
-its constant vacuum entry plus an eigenvector of H at energy -1, so it
-moves by a phase, the same in every trajectory, added exactly at each
-readout (see _Subspace).
+stepped in a real orthonormal basis Q of W, v + 1 rows at any n;
+psi_perp, the part of psi0 outside W, is its constant vacuum entry plus
+an eigenvector of H at energy -1, so it moves by a phase, the same in
+every trajectory, added exactly at each readout (see _Subspace).
 
-Kernel: the reduced H is real, so a batch is held as one real buffer
-of columns: the real and the imaginary plane of the reduced states, r
-rows each with the noisy rows first, then 2v spare rows. Each step's
-couplings fill one symmetric block over the noisy vertices, shape
-(v, v, batch), whatever the number of noisy edges. A Taylor term is
-three numpy calls: one contraction writes the block times the noisy
-rows into the spare rows, one real product applies tau H, the noise
-rows, 1/k and -i together, and one add puts back the start. The
-series is summed by Horner's rule with a term count fixed beforehand
-from a bound on ||H + noise||, so that every entry of the dropped tail
-is below 1e-17; a step whose bound would need more than 80 terms (a
-dense noisy set near the step limits) is taken in equal substeps. As
-in Al-Mohy and Higham's action of the exponential (SIAM J. Sci.
-Comput. 33, 488, 2011), the degree comes from norm bounds before any
-stepping: the couplings, bounds, term and substep counts of a whole
-drawn chunk of steps are made in a few array passes, and its scaled
-operators once, so a step's own work is placing its couplings and its
-Taylor terms. The block covers exactly the noisy vertices, so it holds
-about twice one step's normals, and where one step's noise alone is
-over the draw budget (n = 40, m = 38 at 2,048 trajectories), a batch
-stays within four steps' worth of normals, and one step more while a
-row waits for the tail step of a time between step boundaries.
+Step: in the reduced coordinates H = s s^T - I with |s|^2 = n, so
+e^{-iH tau} = e^{i tau} (I + (e^{-i n tau} - 1) s s^T / n) is one fixed
+r x r matrix, applied to a batch as one real product. The half-steps of
+consecutive steps merge into one product with e^{-iH dt}; a readout
+applies the last half-step to the states it reads. A rotation touches
+only its pair's two rows: cos theta on both, and -i sin theta across.
+The pairs are grouped into matchings by the round-robin edge colouring
+of K_v, at most v of them (_matchings); the rotations of one matching
+commute, so each matching is one vectorised update of its rows. A batch
+is one real buffer of columns, the real and then the imaginary plane of
+the reduced states, r rows each.
 
 Time grids: an ensemble read at many times steps each batch once, up
 to the latest time, and takes the moments at every time on the way. Its
 one result carries a leading time axis: the means at every time, checked
 as one lindblad.DenseStates, and their standard errors.
 Each time gets the bytes of an independent single-time ensemble, on
-any grid: a time between step boundaries is reached by a tail step, a
-run of one step at the tail's own length, on a copy of the states and
-on the noise row a single-time run would draw there, kept aside as
-drawn. Noise is drawn a bounded number of steps at a time: at most 256,
-and at most 2**18 normals over the batch (one step where that alone is
-more), so the noise held per batch grows with neither the horizon nor
-the number of noisy edges; it is scaled to couplings where it was drawn.
+any grid: a time n dt + tau between step boundaries is reached by a
+tail step e^{-iH tau/2} R e^{-iH tau/2} on a copy of the states, its
+rotations on noise row n as drawn, at the angle variance of tau, as a
+single-time run to that time takes them. Noise is drawn a bounded
+number of steps at a time: at most 256, and at most 2**18 normals over
+the batch (one step where that alone is more). The drawn normals are
+never written: the cosines and sines of at most 16 steps of them are
+taken into two more buffers, and such a slab of steps ends at each
+time, so a tail step or a readout holds only the chunk and the tail's
+own row. So a batch holds at most three times a drawn chunk of noise,
+which grows with neither the horizon nor the number of noisy edges;
+where one step's noise alone is over the budget (n = 40, m = 38 at
+2,048 trajectories), that is three steps' worth, and a tail step holds
+no more.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -103,19 +104,11 @@ _CHUNK = 256
 # trajectories on one edge a draw call fills 131 steps.
 _NOISE_BUDGET = 2**18
 
-# Terms of one Taylor series, at most.
-_MAX_TAYLOR_TERMS = 80
-
-# Largest norm bound rho = ||H + noise|| * tau that one series sums:
-# _term_counts gives 77 at 18.0. A step with a larger bound, as a dense
-# noisy set gives (rho is about 21 at n = 70, m = 68 at the step
-# limits), is split into the fewest equal substeps within it.
-_SUBSTEP_RHO = 18.0
-
-# Sums of squared couplings held at once while the norm bounds of a run
-# of steps are found: a few columns of the batch at a time (one at the
-# least), never a second copy of the run's noise.
-_SQUARES_BUDGET = 2**15
+# Steps whose rotations' cosines and sines are taken at once, at most,
+# within one drawn chunk. Numpy's per-call cost is then a few per cent
+# of the transcendentals, and the two buffers hold at most twice the
+# chunk's normals.
+_SLAB = 16
 
 
 @dataclass(frozen=True)
@@ -191,24 +184,47 @@ class _PhiloxKey(ISeedSequence):
         return np.array(self.words, dtype=np.uint64)
 
 
-@dataclass(frozen=True, eq=False)
-class _EdgeBlock:
-    """The noisy edges as one symmetric block over the noisy vertices.
+def _matchings(first: np.ndarray, second: np.ndarray, v: int) -> list[np.ndarray]:
+    """The edges {first[e], second[e]} of a graph on vertices 0..v-1, by index, in matchings.
 
-    Row j of the block is the j-th noisy vertex in sorted order, the
-    vertices being those on the spec's edges. A step's couplings fill a
-    real (v, v, batch) block, each edge at its two mirrored places, so
-    the noise of a Taylor term is one contraction over the block
-    whatever the number of edges.
+    The matchings are the colour classes of the round-robin colouring of
+    K_v, restricted to the edges given. With w = v at odd v and v - 1 at
+    even v, edge {i, j} has colour (i + j) mod w, except that at even v an
+    edge {i, w} to the last vertex has colour 2i mod w. At a vertex i below
+    w, the colours (i + j) mod w of its edges differ for each j, and
+    2i mod w is the one colour that j = i would have given; at the vertex
+    w, 2i mod w differs for each i, since w is odd. So no two edges at a
+    vertex share a colour, and there are at most v colours. Classes come
+    in order of colour, each edge in its order in the input.
+    """
+    w = v if v % 2 else v - 1
+    low, high = np.minimum(first, second), np.maximum(first, second)
+    colours = np.where(high == w, 2 * low, low + high) % max(w, 1)
+    return [np.flatnonzero(colours == c) for c in np.unique(colours)]
+
+
+@dataclass(frozen=True, eq=False)
+class _Edges:
+    """The noisy edges, grouped into matchings for their rotations.
+
+    Reduced row j is the j-th noisy vertex in sorted order, the vertices
+    being those on the spec's edges; the r reduced rows are those v, then
+    the uniform rest unless every vertex is noisy. A batch buffer holds
+    the real plane's r rows, then the imaginary plane's (see _Subspace).
+    ``order`` lists the edges' draw indices matching by matching, and
+    ``rates`` their rates in that order. Each entry of ``matchings`` is a
+    slice of ``order`` and the buffer rows of its edges: every first
+    vertex, then every second, in the real plane, then the same in the
+    imaginary plane.
     """
 
     vertices: np.ndarray  # the noisy vertices, sorted
-    first: np.ndarray  # block row of each edge's first vertex, in draw order
-    second: np.ndarray  # and of its second
-    rates: np.ndarray  # each edge's rate, in draw order
+    order: np.ndarray
+    rates: np.ndarray
+    matchings: list[tuple[slice, np.ndarray]]
 
     @classmethod
-    def of(cls, spec: NoiseSpec, n: int) -> _EdgeBlock:
+    def of(cls, spec: NoiseSpec, n: int) -> _Edges:
         edges = spec.edge_strengths()
         vertices = sorted({v for edge in edges for v in edge})
         for vertex in vertices:
@@ -217,152 +233,58 @@ class _EdgeBlock:
         row = {vertex: j for j, vertex in enumerate(vertices)}
         first = np.array([row[k] for k, _ in edges], dtype=np.intp)
         second = np.array([row[l] for _, l in edges], dtype=np.intp)
-        rates = np.array(list(edges.values()), dtype=float)
-        return cls(np.array(vertices, dtype=np.intp), first, second, rates)
+        groups = _matchings(first, second, len(vertices))
+        order = np.concatenate([np.zeros(0, dtype=np.intp), *groups])
+        r = len(vertices) + (len(vertices) < n)
+        matchings, low = [], 0
+        for group in groups:
+            rows = np.concatenate((first[group], second[group]))
+            matchings.append((slice(low, low + len(group)), np.concatenate((rows, rows + r))))
+            low += len(group)
+        rates = np.array(list(edges.values()), dtype=float)[order]
+        return cls(np.array(vertices, dtype=np.intp), order, rates, matchings)
 
-    def couple(self, normals: np.ndarray, tau: float) -> np.ndarray:
-        """Scale a run of steps' normals in place to couplings; return each step's norm bound.
+    def angles(self, normals: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """cos and sin of every rotation angle of a run of steps of length tau.
 
-        ``normals`` holds the run, shape (batch, steps, edges), and each
-        coupling is a normal times sqrt(2 eta / tau). A step's bound holds
-        for every column's noise matrix N: N is symmetric with zero trace,
-        so ||N||^2 <= (1 - 1/v) ||N||_F^2, which is exact for a single
-        edge; ||N||_F^2 is twice the sum of the column's squared
-        couplings. The squares are summed over the edges in draw order,
-        on _SQUARES_BUDGET sums of columns at a time, so they hold no
-        second copy of the run.
+        ``normals`` is drawn noise, shape (batch, steps, edges), edges in
+        draw order; it is read, never written. The angle of edge e is its
+        normal times sqrt(2 eta_e tau), the integral of its coupling over
+        the step. Each edge's angles are written into the sine buffer,
+        edge by edge, in matching order; the cosines take one more
+        buffer, and the sines replace the angles. Both have shape
+        (steps, edges, batch).
         """
-        normals *= np.sqrt(2.0 * self.rates / tau)
-        batch, steps, n_edges = normals.shape
-        largest = np.zeros(steps)
-        columns = max(1, _SQUARES_BUDGET // max(1, steps))
-        for low in range(0, batch, columns):
-            part = normals[low : low + columns]
-            squares = np.zeros(part.shape[:2])
-            for e in range(n_edges):
-                squares += part[:, :, e] * part[:, :, e]
-            np.maximum(largest, squares.max(axis=0), out=largest)
-        v = len(self.vertices)
-        return np.sqrt(2.0 * largest * max(v - 1, 0) / max(v, 1))
+        batch, steps, _ = normals.shape
+        sin = np.empty((steps, len(self.order), batch))
+        scales = np.sqrt(2.0 * self.rates * tau).tolist()
+        for slot, (edge, scale) in enumerate(zip(self.order.tolist(), scales)):
+            np.multiply(normals[:, :, edge].T, scale, out=sin[:, slot])
+        cos = np.cos(sin)
+        np.sin(sin, out=sin)
+        return cos, sin
 
-    def place(self, block: np.ndarray, couplings: np.ndarray) -> None:
-        """Write one step's couplings, shape (edges, batch), at their two places in ``block``."""
-        block[self.first, self.second] = couplings
-        block[self.second, self.first] = couplings
+    def rotate(self, states: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
+        """Apply exp(-i theta_e V_e) for every edge e, matching by matching, in place.
 
-
-def _term_counts(rho: np.ndarray) -> np.ndarray:
-    """Least K, for each entry of a 1-d ``rho``, with the Taylor tail sum_{k > K} rho^k / k! below 1e-17.
-
-    Column k of the table is the tail's first term rho^(k+1) / (k+1)!,
-    a running product over k, for k up to _MAX_TAYLOR_TERMS.
-    """
-    rho = rho[:, np.newaxis]
-    k = np.arange(_MAX_TAYLOR_TERMS + 1)
-    terms = np.multiply.accumulate(rho / (k + 1), axis=1)
-    # the tail is at most its first term over 1 - rho / (k + 2)
-    done = (rho < k + 2) & (terms < 1e-17 * (1.0 - rho / (k + 2)))
-    if not done.any(axis=1).all():
-        raise RuntimeError("numeric failure: step exponential did not converge")
-    return done.argmax(axis=1)
-
-
-@dataclass(eq=False)
-class _Run:
-    """Steps of one length tau prepared at once, the next one first.
-
-    Each step is its couplings, shape (edges, batch), its substep count
-    and its term count. ``stacks`` keeps the scaled operators made for
-    the run, one stack over k per substep count.
-    """
-
-    tau: float
-    steps: list[tuple[np.ndarray, int, int]]
-    stacks: dict[int, np.ndarray] = field(default_factory=dict)
-
-
-@dataclass(frozen=True, eq=False)
-class _Kernel:
-    """Applies exp(-i (H + noise) tau) in place to each batch column by a machine-precision series.
-
-    A batch buffer has shape (2r + 2v, batch): the real and the
-    imaginary plane of the reduced states, r rows each with the v noisy
-    rows first, then 2v spare rows. ``operator`` is [[0, H, 0, E],
-    [-H, 0, -E, 0]] over the buffer's rows, with H the reduced
-    Hamiltonian, ||H|| = ``h_norm``, and E the (r, v) inclusion of the
-    noisy rows. ``block`` holds the couplings of the step being taken.
-
-    A run of drawn steps is prepared at once (``prepare``); a step then
-    only places its couplings and sums its series (``advance``). Horner's
-    rule sums a substep as p <- start - i (tau / k) A p for k = K..1:
-    once the block has written N p into the spare rows, (tau / k) times
-    ``operator`` maps the buffer to -i (tau / k) A p, since -i swaps the
-    planes and negates one, (re, im) -> (im, -re).
-    """
-
-    edges: _EdgeBlock
-    operator: np.ndarray
-    h_norm: float
-    block: np.ndarray
-
-    @classmethod
-    def of(cls, edges: _EdgeBlock, operator: np.ndarray, h_norm: float, batch: int) -> _Kernel:
-        v = len(edges.vertices)
-        return cls(edges, operator, h_norm, np.zeros((v, v, batch)))
-
-    def prepare(self, normals: np.ndarray, tau: float) -> _Run:
-        """The run of one step of length tau per noise row of ``normals``, shape (batch, steps, edges).
-
-        The normals are scaled in place to couplings. Each step is taken
-        in the fewest equal substeps whose bound rho = ||H + noise|| tau / s
-        is within _SUBSTEP_RHO, each summed to the K terms that
-        _term_counts takes for rho. The columns are unit vectors, so
-        every entry of each dropped tail is below 1e-17, which keeps the
-        step unitary to well under 1e-12.
+        ``states`` is a (2r, batch) buffer of _Subspace; ``cos`` and
+        ``sin`` hold one step's (edges, batch) values in matching order.
+        On an edge's rows (a, b), x_a <- cos x_a - i sin x_b and
+        x_b <- cos x_b - i sin x_a; with x = re + i im that is
+        re_a <- cos re_a + sin im_b and im_a <- cos im_a - sin re_b, and
+        the same with a and b swapped. Gathered as (plane, half, edge,
+        batch), a matching's rows reversed in both plane and half are the
+        (im_b, im_a, re_b, re_a) that the sines take.
         """
-        rho = (self.h_norm + self.edges.couple(normals, tau)) * tau
-        substeps = np.maximum(np.ceil(rho / _SUBSTEP_RHO), 1.0)
-        counts = _term_counts(rho / substeps)
-        steps = zip(normals.transpose(1, 2, 0), substeps.astype(int).tolist(), counts.tolist())
-        return _Run(tau, list(steps))
-
-    def advance(self, states: np.ndarray, run: _Run, count: int) -> np.ndarray:
-        """Take the next ``count`` steps of ``run`` in place on ``states``, and drop them from it."""
-        steps, run.steps = run.steps[:count], run.steps[count:]
-        r2, v, batch = len(self.operator), len(self.block), states.shape[1]
-        start, kicked = np.empty((2, r2, batch))
-        top = states[:r2]
-        noisy = top.reshape(2, r2 // 2, batch)[:, :v]
-        spare = states[r2:].reshape(2, v, batch)
-        for couplings, s, k_max in steps:
-            self.edges.place(self.block, couplings)
-            terms = self._terms(run, s, k_max)
-            for _ in range(s):
-                np.copyto(start, top)
-                for term in terms:
-                    np.einsum("ijb,cjb->cib", self.block, noisy, out=spare)
-                    np.matmul(term, states, out=kicked)
-                    np.add(start, kicked, out=top)
-        return states
-
-    def _terms(self, run: _Run, substeps: int, k_max: int) -> np.ndarray:
-        """(tau / substeps / k) ``operator`` for k = k_max..1, from the stack kept for ``substeps``."""
-        stack = run.stacks.get(substeps)
-        if stack is None or len(stack) < k_max:
-            scales = (run.tau / substeps) / np.arange(1, k_max + 1)
-            stack = run.stacks[substeps] = self.operator * scales[:, np.newaxis, np.newaxis]
-        return stack[:k_max][::-1]
-
-
-def _term_operator(h: np.ndarray, v: int) -> np.ndarray:
-    """[[0, H, 0, E], [-H, 0, -E, 0]] for a real symmetric (r, r) H, noisy rows first."""
-    r = len(h)
-    operator = np.zeros((2 * r, 2 * r + 2 * v))
-    operator[:r, r : 2 * r] = h
-    operator[r:, :r] = -h
-    operator[:v, 2 * r + v :] = np.eye(v)
-    operator[r : r + v, 2 * r : 2 * r + v] = -np.eye(v)
-    return operator
+        batch = states.shape[1]
+        for span, rows in self.matchings:
+            gathered = states[rows]
+            planes = gathered.reshape(2, 2, -1, batch)
+            crossed = planes[::-1, ::-1] * sin[span]
+            planes *= cos[span]
+            planes[0] += crossed[0]
+            planes[1] -= crossed[1]
+            states[rows] = gathered
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,10 +298,13 @@ class _Subspace:
     vectors e_j of the noisy vertices, then u = 1_rest / sqrt(c), left
     out when c = 0. With s = Q^T 1 = (1, ..., 1, sqrt(c)) and Q^T Q = I,
 
-        Q^T H Q = s s^T - I = [[J_v - I_v, sqrt(c) 1], [sqrt(c) 1^T, c - 1]],
+        Q^T H Q = s s^T - I = [[J_v - I_v, sqrt(c) 1], [sqrt(c) 1^T, c - 1]].
 
-    and ||H|| = n - 1 (the spectrum is n - 1 once and -1 n - 1 times),
-    which enters the norm bound of each step.
+    |s|^2 = n, so with the projector P = s s^T / n,
+
+        exp(-i Q^T H Q tau) = e^{i tau} (I + (e^{-i n tau} - 1) P),
+
+    which ``propagator`` gives for any tau.
     H 1_rest = c 1 - 1_rest lies in W, so H keeps W, and the noise acts
     inside it. The rest of the start state, psi_perp = psi0 - Q Q^T psi0,
     keeps its vacuum entry, and its vertex entries sit on the rest and
@@ -388,25 +313,25 @@ class _Subspace:
         psi_perp(t) = psi_perp[0] |0> + e^{it} (psi_perp - psi_perp[0] |0>),
 
     the same for every trajectory; ``moving`` is that vertex part.
-    ``operator`` is the (2r, 2r + 2v) term operator of _Kernel for
-    Q^T H Q, so the noise block acts on the first v reduced rows, and
-    ``start`` the buffer rows of Q^T psi0. A state is read as
-    psi0 + Q (x - x0) + (e^{it} - 1) ``moving``, so a time of zero steps
-    returns psi0 as given.
+    A batch is held as a real buffer of columns, shape (2r, batch): the
+    real and then the imaginary plane of the reduced states, the noisy
+    rows first in each. ``start`` is the column of Q^T psi0. A state is
+    read as psi0 + Q (x - x0) + (e^{it} - 1) ``moving``, so a time of zero
+    steps returns psi0 as given.
     """
 
-    edges: _EdgeBlock
-    h_norm: float
+    edges: _Edges
+    n: int
+    projector: np.ndarray
     psi0: np.ndarray
     basis: np.ndarray
-    operator: np.ndarray
     start: np.ndarray
     moving: np.ndarray
 
     @classmethod
     def of(cls, spec: NoiseSpec, psi0: np.ndarray) -> _Subspace:
         n = len(psi0) - 1
-        edges = _EdgeBlock.of(spec, n)
+        edges = _Edges.of(spec, n)
         v = len(edges.vertices)
         rest = np.setdiff1d(np.arange(1, n + 1), edges.vertices)
         # s = Q^T 1: one per noisy vertex, then sqrt(c) for u, left out at c = 0
@@ -414,23 +339,30 @@ class _Subspace:
         basis = np.zeros((n + 1, len(s)))
         basis[edges.vertices, np.arange(v)] = 1.0
         basis[rest, v:] = 1.0 / s[v:]
-        operator = _term_operator(np.outer(s, s) - np.eye(len(s)), v)
         x0 = basis.T @ psi0
         moving = psi0 - basis @ x0
         moving[0] = 0.0
         start = np.concatenate((x0.real, x0.imag))[:, np.newaxis]
-        return cls(edges, float(n - 1), psi0, basis, operator, start, moving)
+        return cls(edges, n, np.outer(s, s) / n, psi0, basis, start, moving)
+
+    def propagator(self, tau: float) -> np.ndarray:
+        """exp(-i Q^T H Q tau) = A + iB as the real (2r, 2r) matrix [[A, -B], [B, A]] on a buffer."""
+        r = len(self.projector)
+        u = np.exp(1j * tau) * (np.eye(r) + np.expm1(-1j * self.n * tau) * self.projector)
+        real = np.empty((2 * r, 2 * r))
+        real[:r, :r] = real[r:, r:] = u.real
+        real[:r, r:] = -u.imag
+        real[r:, :r] = u.imag
+        return real
 
     def buffer(self, batch: int) -> np.ndarray:
-        """The batch buffer of _Kernel with every column at psi0."""
-        states = np.zeros((self.operator.shape[1], batch))
-        states[: len(self.start)] = self.start
-        return states
+        """A batch buffer with every column at psi0."""
+        return np.repeat(self.start, batch, axis=1)
 
     def rows(self, states: np.ndarray, t: float) -> np.ndarray:
-        """The (batch, n + 1) complex states of a buffer stepped to time t."""
+        """The (batch, n + 1) complex states of a buffer at time t."""
         r, batch = self.basis.shape[1], states.shape[1]
-        delta = states[: 2 * r] - self.start
+        delta = states - self.start
         re, im = self.basis @ delta.reshape(2, r, batch)
         return (re + 1j * im).T + (self.psi0 + np.expm1(1j * t) * self.moving)
 
@@ -473,59 +405,71 @@ def _sweep(
     """Step a batch from psi0 once up to the latest time, yielding (index, states) at each time.
 
     The batch has one trajectory per stream of ``rngs`` and is stepped
-    in the reduced buffer of ``space``; each yield is the batch as
-    complex rows, shape (batch, dim). Each drawn chunk of noise is
-    prepared as one run of steps (see _Kernel.prepare). A time that is a
-    whole number n of steps yields the states as they stand. Any other
-    time applies a tail step to a copy of the states: a run of one step
-    on noise row n as drawn, kept aside before its chunk was prepared,
-    at the variance of the tail's own length; the main path takes row n
-    at the full-step variance. A trajectory run to that time alone draws
-    the same row as its tail, so every time gets the bytes of an
-    independent single-time run.
+    in a reduced buffer of ``space``; each yield is the batch as complex
+    rows, shape (batch, dim). Step j is e^{-iH dt/2} R_j e^{-iH dt/2},
+    R_j the rotations on noise row j. The main path merges the half-steps
+    between consecutive steps into one product with e^{-iH dt}, so after
+    n >= 1 steps it holds the states one half-step short, and a readout
+    applies that half-step. A time that is a whole number n of steps
+    yields the states so completed. Any other time, n dt + tau, takes a
+    tail step e^{-iH tau/2} R e^{-iH tau/2} into the spare buffer, its
+    first half merged with the pending one and R on noise row n as
+    drawn, at the angle variance of tau; the main path takes row n at
+    the full step. A trajectory run to that time alone draws the same
+    row for its tail, so every time gets the bytes of an independent
+    single-time run.
     """
     marks = sorted((*_split_horizon(t, dt), i) for i, t in enumerate(times))
     n_rows = max(n_full + (remainder > 0) for n_full, remainder, _ in marks)
-    # the main path steps rows 0..n_main - 1; tail steps read rows as drawn
-    n_main = marks[-1][0]
-    tail_rows = Counter(n_full for n_full, remainder, _ in marks if remainder)
-    noise = _noise_rows(rngs, n_rows, len(space.edges.first))
-    kernel = _Kernel.of(space.edges, space.operator, space.h_norm, len(rngs))
+    edges = space.edges
+    noise = _noise_rows(rngs, n_rows, len(edges.order))
+    full, half = space.propagator(dt), space.propagator(dt / 2)
     states = space.buffer(len(rngs))
-    # `run` holds the prepared steps of the latest chunk not yet taken, from
-    # row `step` on, and `kept` the drawn rows a tail still reads: a copy
-    # where the main path scales the row in place, else the row itself,
-    # which is the last one drawn. The next chunk is drawn as soon as a
-    # run is used up, so once the rows run out the noise buffer is freed
-    # before the states are read.
-    step, run, kept, drawn = 0, None, {}, next(noise, None)
+    spare = np.empty_like(states)
+    # `drawn` is the latest chunk of noise, from row `low` on
+    low, drawn, step = 0, None, 0
+
+    def noise_from(row: int) -> np.ndarray:
+        nonlocal low, drawn
+        while drawn is None or row >= low + drawn.shape[1]:
+            low += 0 if drawn is None else drawn.shape[1]
+            drawn = next(noise)
+        return drawn[:, row - low :]
+
     for n_full, remainder, i in marks:
-        while step < n_full or (remainder and n_full not in kept):
-            if run is None:
-                for row in range(step, step + drawn.shape[1]):
-                    if row in tail_rows:
-                        normals = drawn[:, row - step : row - step + 1]
-                        kept[row] = normals.copy() if row < n_main else normals
-                run = kernel.prepare(drawn[:, : n_main - step], dt)
-            taken = min(n_full - step, len(run.steps))
-            kernel.advance(states, run, taken)
-            step += taken
-            if not run.steps:
-                run, drawn = None, next(noise, None)
-        stepped = states
+        while step < n_full:
+            # a slab of rotations ends at the time, so that its tail and
+            # its readout do not hold it
+            cos, sin = edges.angles(noise_from(step)[:, : min(_SLAB, n_full - step)], dt)
+            for k in range(len(cos)):
+                np.matmul(full if step else half, states, out=spare)
+                states, spare = spare, states
+                edges.rotate(states, cos[k], sin[k])
+                step += 1
+            del cos, sin
+        t = n_full * dt + remainder
+        pending = dt / 2 if n_full else 0.0
         if remainder:
-            tail_rows[n_full] -= 1
-            normals = kept[n_full].copy() if tail_rows[n_full] else kept.pop(n_full)
-            stepped = kernel.advance(states.copy(), kernel.prepare(normals, remainder), 1)
-        yield i, space.rows(stepped, n_full * dt + remainder)
+            tail_cos, tail_sin = edges.angles(noise_from(n_full)[:, :1], remainder)
+            np.matmul(space.propagator(pending + remainder / 2), states, out=spare)
+            edges.rotate(spare, tail_cos[0], tail_sin[0])
+            # dropped before the readout and the steps after it
+            del tail_cos, tail_sin
+            yield i, space.rows(space.propagator(remainder / 2) @ spare, t)
+        else:
+            yield i, space.rows(half @ states if pending else states, t)
 
 
 def check_step(spec: NoiseSpec, n: int, dt: float) -> None:
     """Reject a step dt too coarse for the noise or for the complete graph on n vertices.
 
     The bounds eta * dt <= 0.05, eta the largest rate of ``spec``, and
-    ||H|| * dt <= 0.05, with ||H|| = n - 1, keep the Taylor series of
-    every step short.
+    ||H|| * dt <= 0.05, with ||H|| = n - 1, limit the time-step error of
+    the split step, whose ensemble mean is second order in dt. With both
+    at 0.05, the exact mean of the engine at t = 1 from the probe state
+    differs from the master equation by at most 1.5e-5 at (n, m, eta) =
+    (4, 2, 3), 1.4e-4 at (6, 4, 5) and 7.2e-4 at (11, 9, 10); the error
+    falls fourfold per halving of dt.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -607,6 +551,9 @@ def ensemble_average(
             first[i] += states.T @ states.conj()
             pops = np.abs(states) ** 2
             second[i] += pops.T @ pops
+            # the sweep steps on when the loop asks for the next time, so
+            # the rows of this one are dropped first, not held as it steps
+            del states, pops
     # the sums become the means and the standard errors in place
     first /= plan.n_traj
     second /= plan.n_traj

@@ -1,4 +1,4 @@
-"""The tests' oracles: exp(-i H t) through an eigendecomposition of H, a 2 x 2 block, and a scalar readout.
+"""The tests' oracles: exp(-i H t) through an eigendecomposition of H, a 2 x 2 block, a scalar readout, and the mean trajectory step.
 
 The package reads the noiseless transfer amplitude from its closed form,
 ``perturbation.beta``; this route diagonalizes H with numpy's ``eigh``
@@ -6,12 +6,16 @@ instead, as ``bench/reference.py`` solves the master equation without
 the package's engines. ``coherence_block`` gives the product lambda z
 of the lumped engine at any n from a 2 x 2 matrix exponential. The
 package reads channels from whole arrays of rho_oo and rho_o0;
-``scalar_channel`` reads one cell at a time.
+``scalar_channel`` reads one cell at a time. ``split_step_map`` is
+the exact mean of one step of the trajectory engine, so that the
+engine's time-step error can be measured with no sampling, and its
+samples can be held to their own mean.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import scipy.linalg
@@ -86,3 +90,29 @@ def scalar_channel(rho_oo: float, rho_o0: complex) -> tuple[ChannelParams, float
         z, lam = 0j, 1.0
     params = ChannelParams(complex(z), float(lam))
     return params, optimal_avg_fidelity(params)[0]
+
+
+def split_step_map(n: int, rates: Mapping[tuple[int, int], float], dt: float) -> np.ndarray:
+    """The exact ensemble-mean map of one split trajectory step on K_n, on row-major vec(rho).
+
+    A step conjugates by e^{-iH dt/2}, rotates each noisy pair (k, l) of
+    ``rates`` by exp(-i theta V) with V = |k><l| + |l><k| and theta a
+    normal of variance 2 eta dt, and conjugates by e^{-iH dt/2} again.
+    Averaged over theta, the rotation's conjugation is
+    E[exp(-i theta ad_V)] = exp(-eta dt ad_V^2), that pair's dissipator
+    over dt; the angles are independent, so the mean of the step is the
+    product of these maps, the pairs in the order of ``rates``. The
+    conjugations come from ``eigh_propagator`` and the dissipators from
+    scipy's ``expm``; none of it comes from the package's engines.
+    """
+    dim = n + 1
+    half = eigh_propagator(single_excitation_hamiltonian(n), dt / 2)
+    conjugation = np.kron(half, half.conj())
+    eye = np.eye(dim)
+    step = conjugation
+    for (k, l), eta in rates.items():
+        v = np.zeros((dim, dim))
+        v[k, l] = v[l, k] = 1.0
+        ad = np.kron(v, eye) - np.kron(eye, v)
+        step = scipy.linalg.expm(-eta * dt * (ad @ ad)) @ step
+    return conjugation @ step

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import ast
 import inspect
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from oracle import eigh_propagator
+from oracle import eigh_propagator, split_step_map
 
 from spinnet import stochastic
 from spinnet.lindblad import DenseLiouvillian, LumpedLiouvillian
@@ -102,66 +103,53 @@ class TestTrajectoryPlan:
 
 
 class TestStepSampling:
-    """The engine's own noise draws, as one step's couplings.
+    """The engine's own noise draws, as one step's rotation angles.
 
-    Each edge's normal lands at the edge's two mirrored places in the
-    coupling block, times sqrt(2 eta / tau), so the coupling has
-    variance 2 eta / tau; nothing else in the block is written.
+    Edge e's normal xi_e becomes the angle xi_e sqrt(2 eta_e tau) of its
+    own rotation, so the angle has variance 2 eta_e tau; the drawn
+    normals are read, never scaled in place.
     """
 
     # every pair of {3, 4, 6} at its own rate, vertex 5 noiseless
     SPEC = NoiseSpec((3, 4, 6), {(3, 4): 0.5, (3, 6): 2.0, (4, 6): 1.0})
 
-    def _couplings(self, tau, batch):
-        edges = stochastic._EdgeBlock.of(self.SPEC, 6)
+    def _angles(self, tau, batch):
+        edges = stochastic._Edges.of(self.SPEC, 6)
         rngs = [stochastic._stream(5, j) for j in range(batch)]
-        run = next(stochastic._noise_rows(rngs, 1, len(edges.first))).copy()
-        normals = run[:, 0].T.copy()
-        [bound] = edges.couple(run, tau)
-        block = np.full((3, 3, batch), np.nan)
-        block[[0, 1, 2], [0, 1, 2]] = 0.0
-        edges.place(block, run[:, 0].T)
-        return edges, normals, block, bound
+        drawn = next(stochastic._noise_rows(rngs, 1, len(edges.order)))
+        normals = drawn.copy()
+        cos, sin = edges.angles(drawn, tau)
+        assert np.array_equal(drawn, normals)
+        return edges, normals[:, 0].T, cos[0], sin[0]
 
-    def test_couplings_land_only_on_their_edge(self):
+    def test_angles_land_only_on_their_edge(self):
         tau = 1e-3
-        edges, normals, block, bound = self._couplings(tau, 64)
-        # the block covers exactly the noisy vertices, in sorted order
+        edges, normals, cos, sin = self._angles(tau, 64)
+        # the rows are the noisy vertices, in sorted order
         assert edges.vertices.tolist() == [3, 4, 6]
-        assert np.all(block[[0, 1, 2], [0, 1, 2]] == 0.0)
-        for e, ((k, l), eta) in enumerate(self.SPEC.edge_strengths().items()):
-            j, i = [3, 4, 6].index(k), [3, 4, 6].index(l)
-            assert (edges.first[e], edges.second[e]) == (j, i)
-            want = normals[e] * np.sqrt(2.0 * eta / tau)
-            assert np.array_equal(block[j, i], want)
-            assert np.array_equal(block[i, j], want)
-        # the returned bound holds for every column's coupling matrix
-        largest = np.abs(np.linalg.eigvalsh(block.transpose(2, 0, 1))).max()
-        assert largest <= bound
+        assert sorted(edges.order.tolist()) == [0, 1, 2]
+        for slot, e in enumerate(edges.order.tolist()):
+            (k, l), eta = list(self.SPEC.edge_strengths().items())[e]
+            assert edges.rates[slot] == eta
+            theta = normals[e] * math.sqrt(2.0 * eta * tau)
+            assert np.array_equal(cos[slot], np.cos(theta))
+            assert np.array_equal(sin[slot], np.sin(theta))
+            # the edge's matching holds its two rows, one in each half
+            [(span, rows)] = [
+                (span, rows) for span, rows in edges.matchings if span.start <= slot < span.stop
+            ]
+            quarter = len(rows) // 4
+            at = slot - span.start
+            assert {rows[at], rows[quarter + at]} == {[3, 4, 6].index(k), [3, 4, 6].index(l)}
 
     @pytest.mark.parametrize("tau", [1e-3, 1e-4])
-    def test_coupling_variance_is_two_eta_over_tau(self, tau):
+    def test_angle_variance_is_two_eta_tau(self, tau):
         # 4,000 trajectories: the relative standard error of a sample
         # variance is sqrt(2 / 4000) = 2.2%
-        _, _, block, _ = self._couplings(tau, 4000)
-        for (k, l), eta in self.SPEC.edge_strengths().items():
-            j, i = [3, 4, 6].index(k), [3, 4, 6].index(l)
-            assert np.mean(block[j, i] ** 2) == pytest.approx(2 * eta / tau, rel=0.1)
-
-    @pytest.mark.parametrize("budget", [2**15, 40])
-    def test_run_bounds_equal_per_step_sums(self, budget, monkeypatch):
-        # a run of 9 steps at once, its columns summed in parts or whole,
-        # gives each step the bound of that step's couplings alone, bit
-        # for bit: sum_e c_e^2 in draw order per column
-        monkeypatch.setattr(stochastic, "_SQUARES_BUDGET", budget)
-        edges = stochastic._EdgeBlock.of(self.SPEC, 6)
-        rngs = [stochastic._stream(9, j) for j in range(64)]
-        run = next(stochastic._noise_rows(rngs, 9, len(edges.first))).copy()
-        bounds = edges.couple(run, 1e-3)
-        for step, bound in enumerate(bounds.tolist()):
-            couplings = run[:, step].T.copy()
-            squares = np.einsum("eb,eb->b", couplings, couplings)
-            assert bound == math.sqrt(2.0 * float(squares.max()) * 2 / 3)
+        edges, _, cos, sin = self._angles(tau, 4000)
+        for slot, eta in enumerate(edges.rates.tolist()):
+            theta = np.arctan2(sin[slot], cos[slot])
+            assert np.mean(theta**2) == pytest.approx(2 * eta * tau, rel=0.1)
 
 
 class TestStreams:
@@ -369,64 +357,64 @@ class TestEnsemble:
         assert abs(np.trace(r.rho_mean.rho[0]).real - 1.0) < 1e-9
 
 
-def _row_kernel(states, h, pairs, couplings, tau):
-    """Reference step in row layout: one trajectory per row of ``states``,
-    one edge per column of ``couplings``, -i tau applied to every term,
-    and the series stopped once its largest entry falls below 1e-17."""
-    out = states.copy()
-    term = states
-    for k in range(1, stochastic._MAX_TAYLOR_TERMS + 1):
-        kicked = term @ h
-        for e, (a, b) in enumerate(pairs):
-            g = couplings[:, e]
-            kicked[:, a] += g * term[:, b]
-            kicked[:, b] += g * term[:, a]
-        term = (-1j * tau / k) * kicked
-        out += term
-        if np.abs(term).max() < 1e-17:
-            return out
-    raise RuntimeError("numeric failure: step exponential did not converge")
+def _rotations(rows, pairs, thetas):
+    """Reference rotations in row layout: one trajectory per row of
+    ``rows``, one angle per column of ``thetas``, the pairs in the order
+    given, each rotation written out: x_k <- cos x_k - i sin x_l and
+    x_l <- cos x_l - i sin x_k."""
+    rows = rows.copy()
+    for (k, l), theta in zip(pairs, thetas.T):
+        c, s = np.cos(theta), np.sin(theta)
+        x_k, x_l = rows[:, k].copy(), rows[:, l].copy()
+        rows[:, k] = c * x_k - 1j * s * x_l
+        rows[:, l] = c * x_l - 1j * s * x_k
+    return rows
 
 
-def _term_count(rho):
-    """The scalar form of stochastic._term_counts, term by term: the least
-    K whose Taylor tail past K is below 1e-17."""
-    term = 1.0
-    for k in range(stochastic._MAX_TAYLOR_TERMS + 1):
-        term *= rho / (k + 1)
-        if rho < k + 2 and term < 1e-17 * (1.0 - rho / (k + 2)):
-            return k
-    raise RuntimeError("numeric failure: step exponential did not converge")
+def _row_kernel(rows, h, pairs, thetas, tau):
+    """Reference split step in row layout: e^{-iH tau/2} from scipy's
+    expm, the rotations, then e^{-iH tau/2} again."""
+    from scipy.linalg import expm
+
+    half = expm(-0.5j * tau * h)
+    return _rotations(rows @ half.T, pairs, thetas) @ half.T
 
 
-def _full_space(h, spec):
-    """The kernel's layout over the whole space: the noisy edges, the row
-    order, noisy rows first, and the term operator of H in that order."""
-    edges = stochastic._EdgeBlock.of(spec, len(h) - 1)
-    order = np.r_[edges.vertices, np.delete(np.arange(len(h)), edges.vertices)]
-    operator = stochastic._term_operator(h[np.ix_(order, order)], len(edges.vertices))
-    return edges, order, operator
+def _rotation_order(spec, n):
+    """The spec's pairs and rates in the order the engine rotates them,
+    matching by matching."""
+    items = list(spec.edge_strengths().items())
+    order = stochastic._Edges.of(spec, n).order.tolist()
+    return [items[e][0] for e in order], np.array([items[e][1] for e in order])
 
 
-def _buffer(rows, order, operator):
-    """(batch, dim) complex rows as the kernel's buffer in the row order ``order``."""
-    states = np.zeros((operator.shape[1], rows.shape[0]))
-    states[: len(order)] = rows.real.T[order]
-    states[len(order) : 2 * len(order)] = rows.imag.T[order]
-    return states
+def _reduced(n, spec):
+    """The engine's subspace for ``spec`` on K_n, Q^T H Q from the full
+    H, and the rotated pairs as reduced rows, in rotation order."""
+    space = _space(n, spec, PROBE)
+    q = space.basis
+    row = {vertex: j for j, vertex in enumerate(space.edges.vertices.tolist())}
+    pairs, _ = _rotation_order(spec, n)
+    return space, q.T @ single_excitation_hamiltonian(n) @ q, [(row[k], row[l]) for k, l in pairs]
 
 
-def _unbuffer(states, order):
-    """The (batch, dim) complex rows of a full-space buffer."""
-    rows = np.empty((len(order), states.shape[1]), dtype=complex)
-    rows[order] = states[: len(order)] + 1j * states[len(order) : 2 * len(order)]
-    return rows.T
+def _columns(rows):
+    """Complex (batch, r) rows as a (2r, batch) buffer."""
+    return np.concatenate((rows.real.T, rows.imag.T))
 
 
-def _kernel_step(states, operator, h_norm, edges, normals, tau):
-    """One step of the kernel on a buffer, driven by normals of shape (edges, batch)."""
-    kernel = stochastic._Kernel.of(edges, operator, h_norm, states.shape[1])
-    return kernel.advance(states, kernel.prepare(normals.T[:, np.newaxis].copy(), tau), 1)
+def _complex_rows(states):
+    r = len(states) // 2
+    return (states[:r] + 1j * states[r:]).T
+
+
+def _engine_step(space, states, normals, tau):
+    """One whole step of the engine's pieces on a buffer: the two half
+    steps and the rotations on ``normals``, shape (batch, edges)."""
+    cos, sin = space.edges.angles(normals[:, np.newaxis], tau)
+    states = space.propagator(tau / 2) @ states
+    space.edges.rotate(states, cos[0], sin[0])
+    return space.propagator(tau / 2) @ states
 
 
 def _norm(h):
@@ -455,106 +443,220 @@ SPEC_IDS = ["4-2", "6-4", "8-6", "12-10", "per-edge", "gapped", "spread"]
 
 
 class TestStepKernel:
-    """The column kernel over the whole space, noisy rows first, against
-    the row-layout reference.
+    """The engine's step, e^{-iH tau/2} R e^{-iH tau/2} on reduced buffers,
+    against the row-layout reference, which takes H's factor from
+    scipy's expm and writes each rotation out.
 
-    The two sum the same series in another order, so they agree to
-    rounding, not bit for bit: 1e-14 after 50 steps and a tail step.
+    The two compute the factor differently, so they agree to rounding,
+    not bit for bit: at most 1.3e-14 apart after 50 steps and a tail
+    step, held to 1e-13.
     """
 
     @pytest.mark.parametrize("batch", [1, 7, 2049])
     @pytest.mark.parametrize("n, spec", SPECS, ids=SPEC_IDS)
     def test_matches_row_kernel(self, n, spec, batch):
-        h = single_excitation_hamiltonian(n)
-        edges = spec.edge_strengths()
-        pairs, strengths = list(edges), np.array(list(edges.values()))
+        space, h, pairs = _reduced(n, spec)
         rng = np.random.default_rng(batch + 100 * n)
-        rows = _unit_rows(rng, batch, n + 1)
-        edges, order, operator = _full_space(h, spec)
-        states = _buffer(rows, order, operator)
+        rows = _unit_rows(rng, batch, len(h))
+        states = _columns(rows)
         dt = 1e-3
         for tau in [dt] * 50 + [0.4 * dt]:
             normals = rng.standard_normal((batch, len(pairs)))
-            couplings = normals * np.sqrt(2.0 * strengths / tau)
-            rows = _row_kernel(rows, h.astype(complex), pairs, couplings, tau)
-            states = _kernel_step(states, operator, _norm(h), edges, normals.T, tau)
-        out = _unbuffer(states, order)
-        assert out.shape == (batch, n + 1)
-        assert np.max(np.abs(out - rows)) < 1e-14
+            thetas = normals[:, space.edges.order] * np.sqrt(2.0 * space.edges.rates * tau)
+            rows = _row_kernel(rows, h, pairs, thetas, tau)
+            states = _engine_step(space, states, normals, tau)
+        out = _complex_rows(states)
+        assert out.shape == (batch, len(h))
+        assert np.max(np.abs(out - rows)) < 1e-13
         assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-12
 
-    def test_step_at_precondition_limits(self):
-        # eta dt = 0.05 and ||H|| dt = 0.05, the largest step the engine
-        # accepts: the longest series, still unitary and still exp(-iAt)
+    def test_one_edge_rotation_by_hand(self):
+        # one noisy pair (3, 5) at n = 6: reduced rows 0 and 1. Angles far
+        # past any step's, so cos and sin take every sign.
         from scipy.linalg import expm
 
-        n, dt, batch = 6, 1e-3, 2049
-        h = single_excitation_hamiltonian(n)
-        h *= 0.05 / (dt * _norm(h))
-        spec = standard_noise_spec(n, n - 2, 0.05 / dt)
-        strengths = spec.edge_strengths()
+        space = _space(6, NoiseSpec((3, 5), 1.0), PROBE)
+        rng = np.random.default_rng(3)
+        rows = _unit_rows(rng, 64, 3)
+        theta = np.linspace(-4.0, 4.0, 64)
+        states = _columns(rows)
+        space.edges.rotate(states, np.cos(theta)[np.newaxis], np.sin(theta)[np.newaxis])
+        out = _complex_rows(states)
+        want = rows.copy()
+        want[:, 0] = np.cos(theta) * rows[:, 0] - 1j * np.sin(theta) * rows[:, 1]
+        want[:, 1] = np.cos(theta) * rows[:, 1] - 1j * np.sin(theta) * rows[:, 0]
+        assert np.max(np.abs(out - want)) < 1e-15
+        # and that is exp(-i theta V), V = |0><1| + |1><0|
+        v = np.zeros((3, 3))
+        v[0, 1] = v[1, 0] = 1.0
+        for b in (0, 17, 40, 63):
+            assert np.max(np.abs(out[b] - expm(-1j * theta[b] * v) @ rows[b])) < 1e-15
+
+    @pytest.mark.parametrize("n", [6, 40])
+    def test_step_at_precondition_limits(self, n):
+        # eta dt = 0.05 and ||H|| dt = 0.05, the largest step the engine
+        # accepts, on m = n - 2: 6 pairs in 3 matchings at n = 6, 703
+        # pairs in 37 matchings at n = 40. Still unitary, still the step.
+        dt = 0.05 / (n - 1)
+        space, h, pairs = _reduced(n, standard_noise_spec(n, n - 2, 0.05 / dt))
+        assert _norm(single_excitation_hamiltonian(n)) * dt == pytest.approx(0.05)
         rng = np.random.default_rng(11)
-        rows = _unit_rows(rng, batch, n + 1)
-        normals = rng.standard_normal((len(strengths), batch))
-        edges, order, operator = _full_space(h, spec)
-        states = _buffer(rows, order, operator)
-        out = _unbuffer(_kernel_step(states, operator, _norm(h), edges, normals, dt), order)
+        rows = _unit_rows(rng, 2049, len(h))
+        normals = rng.standard_normal((2049, len(pairs)))
+        out = _complex_rows(_engine_step(space, _columns(rows), normals, dt))
         assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-12
-        sigma = np.sqrt(2.0 * np.array(list(strengths.values())) / dt)
-        for b in range(5):
-            a = h.copy()
-            for (k, l), g in zip(strengths, sigma * normals[:, b]):
-                a[k, l] += g
-                a[l, k] += g
-            assert np.max(np.abs(out[b] - expm(-1j * dt * a) @ rows[b])) < 1e-13
+        thetas = normals[:, space.edges.order] * np.sqrt(2.0 * space.edges.rates * dt)
+        assert np.max(np.abs(out - _row_kernel(rows, h, pairs, thetas, dt))) < 1e-13
 
     def test_dense_noisy_set_at_step_limits(self):
-        # n = 70, m = 68: 2,278 edges, eta dt = 0.049 and ||H|| dt = 0.048.
-        # The norm bound of a step is about 21, past what one series of
-        # _MAX_TAYLOR_TERMS sums, so the step is taken in substeps.
-        from scipy.linalg import expm
-
+        # n = 70, m = 68: 2,278 pairs, eta dt = 0.049 and ||H|| dt = 0.048,
+        # one step of two trajectories against the full-space reference
         n, dt, eta, seed = 70, 7e-4, 70.0, 5
         h = single_excitation_hamiltonian(n)
         spec = standard_noise_spec(n, n - 2, eta)
-        edges = spec.edge_strengths()
+        pairs, rates = _rotation_order(spec, n)
+        order = stochastic._Edges.of(spec, n).order
         psi = np.zeros(n + 1, dtype=complex)
         psi[1] = 1.0
-        sigma = np.sqrt(2.0 * eta / dt)
         for j in range(2):
             out = evolve_trajectory(spec, psi, dt, dt, seed, stream_index=j)
-            rng = np.random.Generator(np.random.Philox(key=[seed, j]))
-            normals = rng.standard_normal(len(edges))
-            a = h.astype(complex)
-            for (k, l), g in zip(edges, sigma * normals):
-                a[k, l] += g
-                a[l, k] += g
+            normals = np.random.Generator(np.random.Philox(key=[seed, j])).standard_normal(len(pairs))
+            thetas = (normals[order] * np.sqrt(2.0 * rates * dt))[np.newaxis]
+            want = _row_kernel(psi[np.newaxis], h, pairs, thetas, dt)[0]
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-            assert np.max(np.abs(out - expm(-1j * dt * a) @ psi)) < 1e-12
+            assert np.max(np.abs(out - want)) < 1e-12
         r = ensemble_average(TrajectoryPlan(8, dt, 2.5 * dt, seed, spec), psi)
         assert abs(np.trace(r.rho_mean.rho[0]).real - 1.0) < 1e-12
 
-    def test_term_count_bounds_the_tail(self):
-        grid = np.linspace(0.0, stochastic._SUBSTEP_RHO, 361)
-        counts = stochastic._term_counts(grid)
-        assert counts.tolist() == [_term_count(rho) for rho in grid]
-        for rho, k in zip(grid, counts.tolist()):
-            tail = sum(rho**j / math.factorial(j) for j in range(k + 1, k + 60))
-            assert tail < 1e-17
-        for bad in (40.0, math.nan):
-            with pytest.raises(RuntimeError, match="did not converge"):
-                _term_count(bad)
-            with pytest.raises(RuntimeError, match="did not converge"):
-                stochastic._term_counts(np.array([1.0, bad, 2.0]))
+
+class TestMatchings:
+    """The round-robin edge colouring that groups the rotations."""
+
+    @staticmethod
+    def _assert_proper(first, second, v):
+        matchings = stochastic._matchings(np.array(first, dtype=np.intp), np.array(second, dtype=np.intp), v)
+        # every edge in exactly one matching, and at most v of them
+        taken = np.concatenate([np.zeros(0, dtype=np.intp), *matchings])
+        assert sorted(taken.tolist()) == list(range(len(first)))
+        assert len(matchings) <= v
+        for matching in matchings:
+            assert len(matching) > 0
+            ends = [first[e] for e in matching] + [second[e] for e in matching]
+            assert len(set(ends)) == len(ends), "two edges of a matching share a vertex"
+
+    def test_complete_graphs(self):
+        # v - 1 matchings at even v (a 1-factorization), v at odd v
+        for v in range(2, 42):
+            pairs = list(itertools.combinations(range(v), 2))
+            first, second = zip(*pairs)
+            self._assert_proper(first, second, v)
+            matchings = stochastic._matchings(np.array(first), np.array(second), v)
+            assert len(matchings) == (v - 1 if v % 2 == 0 else v)
+
+    def test_some_pairs_of_each_size(self):
+        # about a third of the pairs, either end first
+        rng = np.random.default_rng(4)
+        for v in range(2, 42):
+            pairs = [p for p in itertools.combinations(range(v), 2) if rng.random() < 0.35]
+            pairs = [(l, k) if rng.random() < 0.5 else (k, l) for k, l in pairs]
+            if pairs:
+                first, second = zip(*pairs)
+                self._assert_proper(first, second, v)
+        assert stochastic._matchings(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), 0) == []
+
+    @pytest.mark.parametrize("n, spec", SPECS, ids=SPEC_IDS)
+    def test_engine_rows_are_its_matchings(self, n, spec):
+        # each matching's buffer rows are its first vertices then its
+        # second ones, in the real plane, then again r rows on
+        edges = stochastic._Edges.of(spec, n)
+        r = _space(n, spec, PROBE).basis.shape[1]
+        row = {vertex: j for j, vertex in enumerate(edges.vertices.tolist())}
+        pairs = list(spec.edge_strengths())
+        spans = []
+        for span, rows in edges.matchings:
+            real, imag = np.split(rows, 2)
+            assert np.array_equal(imag, real + r)
+            got = list(zip(*np.split(real, 2)))
+            assert got == [(row[pairs[e][0]], row[pairs[e][1]]) for e in edges.order[span].tolist()]
+            spans.append((span.start, span.stop))
+        assert [s for s, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
+        assert spans[-1][1] == len(pairs)
+
+
+class TestExactMean:
+    """The engine's ensemble mean is the exact mean map of its step,
+    Phi_dt = ``oracle.split_step_map``, computed with no sampling.
+
+    Phi_dt^N rho0 against the master equation measures the time-step
+    error alone, and the ensemble against Phi_dt^N the sampling alone.
+    """
+
+    @staticmethod
+    def _exact_mean(n, rates, dt, steps, psi):
+        phi = split_step_map(n, rates, dt)
+        rho = np.outer(psi, psi.conj()).reshape(-1)
+        return (np.linalg.matrix_power(phi, steps) @ rho).reshape(n + 1, n + 1)
+
+    def _error(self, n, spec, psi, dt, steps):
+        want = DenseLiouvillian(n, spec).evolve(psi, [steps * dt]).rho[0]
+        return float(np.abs(self._exact_mean(n, spec.edge_strengths(), dt, steps, psi) - want).max())
+
+    @pytest.mark.parametrize("n, m, eta", [(4, 2, 4.0), (5, 3, 4.0), (6, 4, 2.0)])
+    def test_error_falls_fourfold_per_halving(self, n, m, eta):
+        # max |rho - rho_Lindblad| at t = 1 from the probe, dt = 0.01,
+        # 0.005 and 0.0025: 1.05e-5, 2.63e-6, 6.58e-7 at (4, 2, 4);
+        # 4.42e-5, 1.10e-5, 2.76e-6 at (5, 3, 4); 2.84e-5, 7.09e-6,
+        # 1.77e-6 at (6, 4, 2). Second order: each ratio is 4.00.
+        spec, psi = _setup(n, m, eta)
+        errors = [self._error(n, spec, psi, 0.01 / 2**k, 100 * 2**k) for k in range(3)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+        # the engine rotates the pairs matching by matching, the oracle in
+        # the spec's order; from the probe the order moves nothing
+        rates = spec.edge_strengths()
+        backwards = dict(reversed(list(rates.items())))
+        forwards = self._exact_mean(n, rates, 0.01, 100, psi)
+        assert np.abs(self._exact_mean(n, backwards, 0.01, 100, psi) - forwards).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "n, m, eta, dt, bound",
+        [(4, 2, 3.0, 1 / 60, 2e-5), (6, 4, 5.0, 0.01, 2e-4), (11, 9, 10.0, 0.005, 1e-3)],
+        ids=["4-2", "6-4", "11-9"],
+    )
+    def test_error_at_step_limits(self, n, m, eta, dt, bound):
+        # eta dt = 0.05 and (n - 1) dt = 0.05, the coarsest step
+        # check_step takes; at t = 1 the error is 1.54e-5, 1.39e-4 and
+        # 7.24e-4: it grows with the number of noisy pairs
+        spec, psi = _setup(n, m, eta)
+        stochastic.check_step(spec, n, dt)
+        assert self._error(n, spec, psi, dt, round(1 / dt)) < bound
+
+    @pytest.mark.parametrize(
+        "n, spec",
+        [(5, standard_noise_spec(5, 3, 4.0)), SPECS[4]],
+        ids=["5-3", "per-edge"],
+    )
+    def test_ensemble_within_four_sigma_of_exact_mean(self, n, spec):
+        # entries every trajectory shares exactly (the vacuum row) have no
+        # spread; they must agree to rounding
+        a, b = PROBE.amplitudes()
+        psi = np.zeros(n + 1, dtype=complex)
+        psi[0], psi[1] = a, b
+        dt, times = 0.01, [0.25, 0.5, 1.0]
+        result = ensemble_average(TrajectoryPlan(4000, dt, 1.0, 31, spec), psi, times=times)
+        for t, mean, std_err in zip(times, result.rho_mean.rho, result.std_err):
+            exact = self._exact_mean(n, spec.edge_strengths(), dt, round(t / dt), psi)
+            assert np.all(np.abs(mean - exact) <= 4.0 * std_err + 1e-12)
 
 
 def _full_space_trajectory(spec, psi, t, dt, seed, index):
     """One trajectory stepped by the row kernel over every row of the
     complete graph, on the noise the engine draws: the whole horizon's
     normals, then a tail row."""
-    h = single_excitation_hamiltonian(len(psi) - 1)
-    edges = spec.edge_strengths()
-    pairs, strengths = list(edges), np.array(list(edges.values()))
+    n = len(psi) - 1
+    h = single_excitation_hamiltonian(n)
+    pairs, rates = _rotation_order(spec, n)
+    order = stochastic._Edges.of(spec, n).order
     rng = stochastic._stream(seed, index)
     n_full, remainder = stochastic._split_horizon(t, dt)
     steps = [(row, dt) for row in rng.standard_normal((n_full, len(pairs)))]
@@ -562,8 +664,8 @@ def _full_space_trajectory(spec, psi, t, dt, seed, index):
         steps.append((rng.standard_normal(len(pairs)), remainder))
     rows = psi[np.newaxis, :].astype(complex)
     for normals, tau in steps:
-        couplings = normals[np.newaxis, :] * np.sqrt(2.0 * strengths / tau)
-        rows = _row_kernel(rows, h.astype(complex), pairs, couplings, tau)
+        thetas = (normals[order] * np.sqrt(2.0 * rates * tau))[np.newaxis]
+        rows = _row_kernel(rows, h, pairs, thetas, tau)
     return rows[0]
 
 
@@ -604,10 +706,12 @@ class TestReduction:
         q = space.basis
         r = q.shape[1]
         assert np.max(np.abs(q.T @ q - np.eye(r))) < 1e-15
-        # W is H-invariant, and the closed form is Q^T H Q
+        # W is H-invariant, and the closed form is exp(-i Q^T H Q tau)
         assert np.max(np.abs(h @ q - q @ (q.T @ h @ q))) < 1e-14
-        assert np.max(np.abs(space.operator[:r, r : 2 * r] - q.T @ h @ q)) < 1e-14
-        assert space.h_norm == pytest.approx(_norm(h), abs=1e-12)
+        for tau in (5e-4, 1e-3, 0.7):
+            u = eigh_propagator(q.T @ h @ q, tau)
+            want = np.block([[u.real, -u.imag], [u.imag, u.real]])
+            assert np.max(np.abs(space.propagator(tau) - want)) < 1e-14
         # the rest of the start state is an eigenvector of H at -1
         assert space.moving[0] == 0.0
         assert np.max(np.abs(q.T @ space.moving)) < 1e-15
@@ -617,7 +721,8 @@ class TestReduction:
     def test_complete_graph_steps_v_plus_one_rows(self, n, m):
         space = _space(n, standard_noise_spec(n, m, 1.0), PROBE)
         assert space.basis.shape == (n + 1, m + 1)
-        assert space.operator.shape == (2 * (m + 1), 2 * (m + 1) + 2 * m)
+        assert space.propagator(1e-3).shape == (2 * (m + 1), 2 * (m + 1))
+        assert space.buffer(3).shape == (2 * (m + 1), 3)
         # the rest of the probe: b (e_i - 1_rest / (n - m)) over the rest
         b = PROBE.amplitudes()[1]
         want = np.zeros(n + 1, dtype=complex)
@@ -668,19 +773,27 @@ def _space(n, spec, state):
 
 def _restart_reference(spec, psi, t, dt, seed, index):
     """One trajectory by the restart schedule: from t = 0, the whole
-    horizon's noise in one draw, the full steps, then a tail step on
-    the next normals at the variance of the tail's length, all in the
-    reduced space the engine steps."""
+    horizon's noise in one draw and its angles in one pass, the full
+    steps with their half-steps merged, then a tail step on the next
+    normals at the variance of the tail's length, all in the reduced
+    space the engine steps."""
     rng = stochastic._stream(seed, index)
-    n_edges = len(spec.edge_strengths())
     n_full, remainder = stochastic._split_horizon(t, dt)
     space = stochastic._Subspace.of(spec, psi)
+    normals = rng.standard_normal((1, n_full + (remainder > 0), len(space.edges.order)))
     states = space.buffer(1)
-    kernel = stochastic._Kernel.of(space.edges, space.operator, space.h_norm, 1)
-    for row in rng.standard_normal((n_full, 1, 1, n_edges)):
-        kernel.advance(states, kernel.prepare(row, dt), 1)
+    cos, sin = space.edges.angles(normals[:, :n_full], dt)
+    for step in range(n_full):
+        states = space.propagator(dt if step else dt / 2) @ states
+        space.edges.rotate(states, cos[step], sin[step])
+    pending = dt / 2 if n_full else 0.0
     if remainder:
-        kernel.advance(states, kernel.prepare(rng.standard_normal((1, 1, n_edges)), remainder), 1)
+        cos, sin = space.edges.angles(normals[:, n_full:], remainder)
+        states = space.propagator(pending + remainder / 2) @ states
+        space.edges.rotate(states, cos[0], sin[0])
+        pending = remainder / 2
+    if pending:
+        states = space.propagator(pending) @ states
     return space.rows(states, n_full * dt + remainder)[0]
 
 
@@ -775,7 +888,8 @@ class TestTimeGrid:
     def test_step_memory_bounded_by_noisy_edges(self):
         # n = 40, m = 38: 703 edges, one batch of 2,048 trajectories, two
         # steps. The noise of one step is 2,048 x 703 normals; the run
-        # holds at most four times that, the coupling block included.
+        # holds three times that (the drawn step, its cosines and its
+        # sines) and its states and readout, within four times.
         n, batch = 40, 2048
         spec = standard_noise_spec(n, n - 2, 1.0)
         psi = np.zeros(n + 1, dtype=complex)
@@ -788,6 +902,27 @@ class TestTimeGrid:
         finally:
             tracemalloc.stop()
         assert peak < 4 * batch * len(spec.edge_strengths()) * 8
+
+    def test_tail_holds_no_more_than_the_main_path(self):
+        # n = 40, m = 38: one step of noise is 2,048 x 703 normals, 11 MiB.
+        # A time between step boundaries before the last takes its tail in
+        # the spare buffer once the main path's angles are dropped, and its
+        # rows are dropped before the sweep steps on, so the run peaks no
+        # higher than the run to the last time alone.
+        n = 40
+        spec = standard_noise_spec(n, n - 2, 1.0)
+        psi = np.zeros(n + 1, dtype=complex)
+        psi[1] = 1.0
+        plan = TrajectoryPlan(2048, 1e-3, 4e-3, 7, spec)
+        peaks = []
+        for times in ([4e-3], [2.5e-3, 4e-3]):
+            tracemalloc.start()
+            try:
+                ensemble_average(plan, psi, times=times)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 1024
 
     @pytest.mark.parametrize("n", [20, 40])
     def test_noise_memory_does_not_grow_with_noisy_set(self, n):
