@@ -131,16 +131,43 @@ class TestStepSampling:
         for slot, e in enumerate(edges.order.tolist()):
             (k, l), eta = list(self.SPEC.edge_strengths().items())[e]
             assert edges.rates[slot] == eta
+            # the half-angle form, written out: t = tan(theta / 2)
+            t = np.tan(normals[e] * (math.sqrt(2.0 * eta * tau) / 2))
+            q = 2.0 / (1.0 + t * t)
+            assert np.array_equal(sin[slot], t * q)
+            assert np.array_equal(cos[slot], q - 1.0)
             theta = normals[e] * math.sqrt(2.0 * eta * tau)
-            assert np.array_equal(cos[slot], np.cos(theta))
-            assert np.array_equal(sin[slot], np.sin(theta))
+            assert np.max(np.abs(cos[slot] - np.cos(theta))) <= 4.5e-16
+            assert np.max(np.abs(sin[slot] - np.sin(theta))) <= 4.5e-16
             # the edge's matching holds its two rows, one in each half
             [(span, rows)] = [
                 (span, rows) for span, rows in edges.matchings if span.start <= slot < span.stop
             ]
-            quarter = len(rows) // 4
+            natural = edges.layout[rows]
+            quarter = len(natural) // 4
             at = slot - span.start
-            assert {rows[at], rows[quarter + at]} == {[3, 4, 6].index(k), [3, 4, 6].index(l)}
+            assert {natural[at], natural[quarter + at]} == {[3, 4, 6].index(k), [3, 4, 6].index(l)}
+
+    @pytest.mark.parametrize("rate, xi", [
+        # theta = xi over [-pi, pi]
+        (0.5, np.linspace(-math.pi, math.pi, 2**18 + 1)),
+        # tail normals, |xi| up to 9 at the largest eta dt, 0.05
+        (0.05, np.linspace(-9.0, 9.0, 2**18 + 1)),
+    ], ids=["circle", "tail"])
+    def test_half_angle_form_is_cos_and_sin(self, rate, xi):
+        # at tau = 1 the angle is xi sqrt(2 rate), and the tangent's half
+        # angle is exactly half of it. These grids, and 4,000,001 points,
+        # read at most 3.3e-16 and 2.2e-16 off np.cos and np.sin, and
+        # 6.66e-16 (three ulps of 1) off the circle, where np.cos and
+        # np.sin read 2.2e-16: the rounding of 1 + t^2 enters the norm
+        # with weight q^2, near 4 at small angles
+        edges = stochastic._Edges.of(NoiseSpec((1, 2), rate), 2)
+        cos, sin = edges.angles(xi[:, np.newaxis, np.newaxis], 1.0)
+        cos, sin = cos[0, 0], sin[0, 0]
+        theta = xi * math.sqrt(2.0 * rate)
+        assert np.max(np.abs(cos - np.cos(theta))) <= 4.5e-16
+        assert np.max(np.abs(sin - np.sin(theta))) <= 4.5e-16
+        assert np.max(np.abs(cos**2 + sin**2 - 1.0)) <= 6.7e-16
 
     @pytest.mark.parametrize("tau", [1e-3, 1e-4])
     def test_angle_variance_is_two_eta_tau(self, tau):
@@ -398,14 +425,16 @@ def _reduced(n, spec):
     return space, q.T @ single_excitation_hamiltonian(n) @ q, [(row[k], row[l]) for k, l in pairs]
 
 
-def _columns(rows):
-    """Complex (batch, r) rows as a (2r, batch) buffer."""
-    return np.concatenate((rows.real.T, rows.imag.T))
+def _columns(space, rows):
+    """Complex (batch, r) rows as a (2r, batch) buffer, in its row order."""
+    return np.concatenate((rows.real.T, rows.imag.T))[space.edges.layout]
 
 
-def _complex_rows(states):
+def _complex_rows(space, states):
     r = len(states) // 2
-    return (states[:r] + 1j * states[r:]).T
+    natural = np.empty_like(states)
+    natural[space.edges.layout] = states
+    return (natural[:r] + 1j * natural[r:]).T
 
 
 def _engine_step(space, states, normals, tau):
@@ -458,17 +487,71 @@ class TestStepKernel:
         space, h, pairs = _reduced(n, spec)
         rng = np.random.default_rng(batch + 100 * n)
         rows = _unit_rows(rng, batch, len(h))
-        states = _columns(rows)
+        states = _columns(space, rows)
         dt = 1e-3
         for tau in [dt] * 50 + [0.4 * dt]:
             normals = rng.standard_normal((batch, len(pairs)))
             thetas = normals[:, space.edges.order] * np.sqrt(2.0 * space.edges.rates * tau)
             rows = _row_kernel(rows, h, pairs, thetas, tau)
             states = _engine_step(space, states, normals, tau)
-        out = _complex_rows(states)
+        out = _complex_rows(space, states)
         assert out.shape == (batch, len(h))
         assert np.max(np.abs(out - rows)) < 1e-13
         assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("n, spec", SPECS, ids=SPEC_IDS)
+    def test_buffer_holds_first_matching_first(self, n, spec):
+        space, h, pairs = _reduced(n, spec)
+        edges, r = space.edges, len(h)
+        # the first matching's (plane, half, edge) rows lead the buffer,
+        # so its rotations update a view
+        span, rows = edges.matchings[0]
+        assert rows == slice(0, 4 * (span.stop - span.start))
+        dt, batch, steps = 1e-3, 5, 1000
+        states = space.buffer(batch)
+        assert np.shares_memory(states[rows], states)
+        # 1,000 steps, read back through rows, against the same steps on
+        # complex rows in the natural order: the closed form of
+        # e^{-iH dt/2} and each rotation written out, on the engine's angles
+        ones = space.basis[1:].sum(axis=0)
+        half = np.exp(0.5j * dt) * (np.eye(r) + np.expm1(-0.5j * n * dt) * np.outer(ones, ones) / n)
+        want = np.repeat((space.basis.T @ space.psi0)[np.newaxis], batch, axis=0)
+        step = space.propagator(dt / 2)
+        rng = np.random.default_rng(n)
+        for _ in range(steps):
+            cos, sin = edges.angles(rng.standard_normal((batch, 1, len(pairs))), dt)
+            states = step @ states
+            edges.rotate(states, cos[0], sin[0])
+            states = step @ states
+            want = want @ half.T
+            for (a, b), c, s in zip(pairs, cos[0], sin[0]):
+                x_a, x_b = want[:, a].copy(), want[:, b].copy()
+                want[:, a] = c * x_a - 1j * s * x_b
+                want[:, b] = c * x_b - 1j * s * x_a
+            want = want @ half.T
+        # the part of psi0 outside W keeps its vacuum entry and turns its
+        # vertex entries by e^{it}
+        t = steps * dt
+        phase = np.full(n + 1, np.exp(1j * t))
+        phase[0] = 1.0
+        full = want @ space.basis.T + phase * (space.psi0 - space.basis @ (space.basis.T @ space.psi0))
+        assert np.max(np.abs(space.rows(states, t) - full)) < 1e-13
+
+    @pytest.mark.parametrize(
+        "n, spec", [(4, NoiseSpec((), 0.0)), (5, standard_noise_spec(5, 1, 2.0))], ids=["m0", "m1"]
+    )
+    def test_no_matching_is_the_unitary_route(self, n, spec):
+        # no noisy pair, so no matching: the buffer keeps its natural
+        # order and the run is e^{-iHt}, on and off the dt grid
+        space = _space(n, spec, PROBE)
+        assert space.edges.matchings == []
+        assert space.edges.layout.tolist() == list(range(len(space.start)))
+        h = single_excitation_hamiltonian(n)
+        for t in (1.0, 1.0004):
+            want = eigh_propagator(h, t) @ space.psi0
+            assert np.max(np.abs(evolve_trajectory(spec, space.psi0, t, 1e-3, 3) - want)) < 1e-12
+            rho = ensemble_average(TrajectoryPlan(3, 1e-3, t, 3, spec), space.psi0).rho_mean.rho[0]
+            assert np.max(np.abs(rho - np.outer(want, want.conj()))) < 1e-12
 
     def test_one_edge_rotation_by_hand(self):
         # one noisy pair (3, 5) at n = 6: reduced rows 0 and 1. Angles far
@@ -479,9 +562,9 @@ class TestStepKernel:
         rng = np.random.default_rng(3)
         rows = _unit_rows(rng, 64, 3)
         theta = np.linspace(-4.0, 4.0, 64)
-        states = _columns(rows)
+        states = _columns(space, rows)
         space.edges.rotate(states, np.cos(theta)[np.newaxis], np.sin(theta)[np.newaxis])
-        out = _complex_rows(states)
+        out = _complex_rows(space, states)
         want = rows.copy()
         want[:, 0] = np.cos(theta) * rows[:, 0] - 1j * np.sin(theta) * rows[:, 1]
         want[:, 1] = np.cos(theta) * rows[:, 1] - 1j * np.sin(theta) * rows[:, 0]
@@ -503,7 +586,7 @@ class TestStepKernel:
         rng = np.random.default_rng(11)
         rows = _unit_rows(rng, 2049, len(h))
         normals = rng.standard_normal((2049, len(pairs)))
-        out = _complex_rows(_engine_step(space, _columns(rows), normals, dt))
+        out = _complex_rows(space, _engine_step(space, _columns(space, rows), normals, dt))
         assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-12
         thetas = normals[:, space.edges.order] * np.sqrt(2.0 * space.edges.rates * dt)
         assert np.max(np.abs(out - _row_kernel(rows, h, pairs, thetas, dt))) < 1e-13
@@ -566,15 +649,17 @@ class TestMatchings:
 
     @pytest.mark.parametrize("n, spec", SPECS, ids=SPEC_IDS)
     def test_engine_rows_are_its_matchings(self, n, spec):
-        # each matching's buffer rows are its first vertices then its
-        # second ones, in the real plane, then again r rows on
+        # each matching's rows are its first vertices then its second
+        # ones, in the real plane, then again r rows on, in the natural
+        # order that the buffer's layout maps them to
         edges = stochastic._Edges.of(spec, n)
         r = _space(n, spec, PROBE).basis.shape[1]
         row = {vertex: j for j, vertex in enumerate(edges.vertices.tolist())}
         pairs = list(spec.edge_strengths())
+        assert sorted(edges.layout.tolist()) == list(range(2 * r))
         spans = []
         for span, rows in edges.matchings:
-            real, imag = np.split(rows, 2)
+            real, imag = np.split(edges.layout[rows], 2)
             assert np.array_equal(imag, real + r)
             got = list(zip(*np.split(real, 2)))
             assert got == [(row[pairs[e][0]], row[pairs[e][1]]) for e in edges.order[span].tolist()]
@@ -706,12 +791,15 @@ class TestReduction:
         q = space.basis
         r = q.shape[1]
         assert np.max(np.abs(q.T @ q - np.eye(r))) < 1e-15
+        perm = np.zeros((2 * r, 2 * r))
+        perm[np.arange(2 * r), space.edges.layout] = 1.0
         # W is H-invariant, and the closed form is exp(-i Q^T H Q tau)
         assert np.max(np.abs(h @ q - q @ (q.T @ h @ q))) < 1e-14
         for tau in (5e-4, 1e-3, 0.7):
             u = eigh_propagator(q.T @ h @ q, tau)
             want = np.block([[u.real, -u.imag], [u.imag, u.real]])
-            assert np.max(np.abs(space.propagator(tau) - want)) < 1e-14
+            # in the buffer's row order: P U P^T, P the permutation
+            assert np.max(np.abs(space.propagator(tau) - perm @ want @ perm.T)) < 1e-14
         # the rest of the start state is an eigenvector of H at -1
         assert space.moving[0] == 0.0
         assert np.max(np.abs(q.T @ space.moving)) < 1e-15
