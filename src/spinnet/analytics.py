@@ -189,8 +189,10 @@ _TRAJECTORY_CASE = (4, 2, 1.0, 1.0)
 class ReportConfig:
     """Knobs for the consistency suite; defaults finish well inside five minutes.
 
-    ``dt`` must pass ``stochastic.check_step`` on the network of the
-    trajectory check, which is checked when the config is made.
+    ``n_traj`` must be at least 2, since one trajectory has no standard
+    error to compare the engines against, and ``dt`` must pass
+    ``stochastic.check_step`` on the network of the trajectory check;
+    both are checked when the config is made.
     """
 
     n_traj: int = 2000
@@ -198,6 +200,8 @@ class ReportConfig:
     seed: int = 20240817
 
     def __post_init__(self) -> None:
+        if self.n_traj < 2:
+            raise ValueError(f"n_traj must be at least 2, got {self.n_traj}")
         n, m, eta, _ = _TRAJECTORY_CASE
         stochastic.check_step(standard_noise_spec(n, m, eta), n, self.dt)
 

@@ -12,7 +12,10 @@ Every command takes --config, --out and --seed; the seed must lie in
 0..2^64 - 1.
 All output is a deterministic function of the resolved configuration:
 CSV rows are emitted in grid order, floats in %.12e, UNIX newlines,
-UTF-8, and nothing time- or host-dependent is ever written. Exit codes
+UTF-8, and nothing time- or host-dependent is ever written. Every
+command but report computes its rows as ScanSeries, one per curve: the
+curve's arrays as columns, checked in one array pass when the series is
+made and printed through one %.12e template. Exit codes
 are 0 (success), 1 (configuration error, usage errors such as an
 unknown flag and an unwritable --out included; --out is checked before
 any work), 2 (numeric failure, or
@@ -44,13 +47,13 @@ import numpy as np
 from . import lindblad, stochastic
 from .analytics import ReportConfig, consistency_report
 from .network import NoiseSpec
-from .perturbation import beta, first_order_numeric, printed_weak_noise_channel
+from .perturbation import beta, first_order_numeric, printed_weak_noise_curve
 from .propagator import complete_graph_peak_fidelity
 
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "ScanRecord",
+    "ScanSeries",
     "run_simulate",
     "run_scan_fig1",
     "run_scan_fig2",
@@ -271,47 +274,80 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class ScanRecord:
-    """One CSV row: channel numbers at a single grid cell."""
+class ScanSeries:
+    """The CSV rows of one curve, held as columns.
+
+    n, m, eta, method and seed are the same on every row and are held
+    once; t, F, |z|, lambda and the optional Delta are arrays with one
+    entry per row. Made, a series checks all its rows in one array pass
+    and raises RuntimeError for the first bad row in output order.
+    First-order expansions are states only to first order and may leave
+    the physical range; engine rows must not, and no row may print a
+    non-finite number. Within a row the range check of F comes first,
+    then the finiteness of F, |z| and lambda.
+    """
 
     n: int
     m: int
     eta: float
-    t: float
-    fidelity: float
-    abs_z: float
-    dephasing: float
-    delta: float | None
     method: str
     seed: int
+    t: np.ndarray
+    fidelity: np.ndarray
+    abs_z: np.ndarray
+    dephasing: np.ndarray
+    delta: np.ndarray | None = None
+
+    @classmethod
+    def of(
+        cls,
+        n: int,
+        m: int,
+        eta: float,
+        times: np.ndarray,
+        curve: lindblad.FidelityCurve,
+        seed: int,
+        method: str = "lindblad",
+        baseline: float | None = None,
+    ) -> "ScanSeries":
+        """One row per time of a fidelity curve, with Delta = max(F - baseline, 0) when a baseline is given."""
+        delta = None if baseline is None else np.maximum(curve.fidelity - baseline, 0.0)
+        return cls(n, m, eta, method, seed, times, curve.fidelity, np.abs(curve.amplitude), curve.dephasing, delta)
 
     def __post_init__(self) -> None:
-        # first-order expansions are states only to first order and may
-        # leave the physical range; engine rows must not, and no row may
-        # print a non-finite number
-        if not self.method.startswith("perturbation-"):
-            if not 0.5 - 1e-9 <= self.fidelity <= 1.0 + 1e-9:
-                raise RuntimeError(
-                    f"numeric failure: fidelity {self.fidelity} outside [1/2, 1] at t={self.t}"
-                )
-        for name, value in (("fidelity", self.fidelity), ("abs_z", self.abs_z), ("lambda", self.dephasing)):
-            if not math.isfinite(value):
-                raise RuntimeError(f"numeric failure: {name} {value} not finite at t={self.t}")
+        engine = not self.method.startswith("perturbation-")
+        columns = (("fidelity", self.fidelity), ("abs_z", self.abs_z), ("lambda", self.dephasing))
+        good = np.isfinite(self.fidelity) & np.isfinite(self.abs_z) & np.isfinite(self.dephasing)
+        if engine:
+            good &= (0.5 - 1e-9 <= self.fidelity) & (self.fidelity <= 1.0 + 1e-9)
+        bad = np.flatnonzero(~good)
+        if not bad.size:
+            return
+        j = bad[0]
+        t, fidelity = float(self.t[j]), float(self.fidelity[j])
+        if engine and not 0.5 - 1e-9 <= fidelity <= 1.0 + 1e-9:
+            raise RuntimeError(f"numeric failure: fidelity {fidelity} outside [1/2, 1] at t={t}")
+        name, value = next((name, float(column[j])) for name, column in columns if not np.isfinite(column[j]))
+        raise RuntimeError(f"numeric failure: {name} {value} not finite at t={t}")
 
-    def to_csv_row(self) -> str:
-        delta = "" if self.delta is None else f"{self.delta:.12e}"
-        return (
-            f"{self.n},{self.m},{self.eta:.12e},{self.t:.12e},{self.fidelity:.12e},"
-            f"{self.abs_z:.12e},{self.dephasing:.12e},{delta},{self.method},{self.seed}"
-        )
+    def csv_rows(self) -> str:
+        """The rows, newline-separated: the shared fields formatted once, every float through one %.12e template."""
+        columns = [self.t, self.fidelity, self.abs_z, self.dephasing]
+        # Delta is the empty field when the scan does not compute it
+        floats = "%.12e,%.12e,%.12e,%.12e,"
+        if self.delta is not None:
+            columns.append(self.delta)
+            floats += "%.12e"
+        row = f"{self.n},{self.m},{self.eta:.12e},{floats},{self.method},{self.seed}"
+        return "\n".join([row] * len(self.t)) % tuple(np.column_stack(columns).ravel().tolist())
 
 
-def records_to_csv(records: Sequence[ScanRecord]) -> str:
-    return "\n".join([CSV_HEADER, *(r.to_csv_row() for r in records)]) + "\n"
+def records_to_csv(records: Sequence[ScanSeries]) -> str:
+    return "\n".join([CSV_HEADER, *(series.csv_rows() for series in records)]) + "\n"
 
 
-def run_simulate(config: ExperimentConfig) -> list[ScanRecord]:
-    """Evaluate the configured engine at every time-grid point.
+def run_simulate(config: ExperimentConfig) -> list[ScanSeries]:
+    """Evaluate the configured engine at every time-grid point, as one series.
 
     Every method checks the noise spec first. unitary then ignores the
     noise and reads the closed form beta(n, t), the same for every
@@ -322,18 +358,19 @@ def run_simulate(config: ExperimentConfig) -> list[ScanRecord]:
     """
     times = config.times()
     curve = _engine_curve(config, config.noise_spec(), times)
-    return _curve_records(
-        config.n, config.m, config.eta_column(), times, curve, config.master_seed, config.method
-    )
+    return [
+        ScanSeries.of(config.n, config.m, config.eta_column(), times, curve, config.master_seed, config.method)
+    ]
 
 
 def _engine_curve(config: ExperimentConfig, spec: NoiseSpec, times: np.ndarray) -> lindblad.FidelityCurve:
     if config.method.startswith("perturbation"):
         # uniform strength only
         eta = config.uniform_eta()
-        numeric = config.method == "perturbation-numeric"
-        route = first_order_numeric if numeric else printed_weak_noise_channel
-        channels = [route(config.n, config.m, eta, float(t)) for t in times]
+        if config.method == "perturbation-numeric":
+            channels = [first_order_numeric(config.n, config.m, eta, float(t)) for t in times]
+        else:
+            channels = printed_weak_noise_curve(config.n, config.m, eta, times)
         return lindblad.FidelityCurve.of([ch.abs_z for ch in channels], [ch.dephasing for ch in channels])
 
     if config.method == "unitary":
@@ -372,46 +409,10 @@ def _engine_curve(config: ExperimentConfig, spec: NoiseSpec, times: np.ndarray) 
     return lindblad.FidelityCurve.read(states.times, states.rho[:, out, out].real, states.rho[:, out, 0])
 
 
-def _curve_records(
-    n: int,
-    m: int,
-    eta: float,
-    times: np.ndarray,
-    curve: lindblad.FidelityCurve,
-    seed: int,
-    method: str = "lindblad",
-    baseline: float | None = None,
-) -> list[ScanRecord]:
-    """One row per time of a fidelity curve, with Delta when a baseline is given."""
-    return [
-        ScanRecord(
-            n=n,
-            m=m,
-            eta=eta,
-            t=t,
-            fidelity=fidelity,
-            abs_z=abs_z,
-            dephasing=dephasing,
-            delta=None if baseline is None else max(fidelity - baseline, 0.0),
-            method=method,
-            seed=seed,
-        )
-        for t, fidelity, abs_z, dephasing in zip(
-            times.tolist(), curve.fidelity.tolist(), np.abs(curve.amplitude).tolist(), curve.dephasing.tolist()
-        )
-    ]
-
-
-def _delta_records(
-    n: int,
-    m: int,
-    eta: float,
-    times: np.ndarray,
-    seed: int,
-) -> list[ScanRecord]:
+def _delta_series(n: int, m: int, eta: float, times: np.ndarray, seed: int) -> ScanSeries:
     """Lindblad channel plus Delta against the analytic noiseless baseline."""
     curve = lindblad.fidelity_curve(lindblad.LumpedLiouvillian(n, m, eta), times)
-    return _curve_records(n, m, eta, times, curve, seed, baseline=complete_graph_peak_fidelity(n))
+    return ScanSeries.of(n, m, eta, times, curve, seed, baseline=complete_graph_peak_fidelity(n))
 
 
 def _open_grid(options: Mapping[str, object]) -> np.ndarray:
@@ -421,7 +422,7 @@ def _open_grid(options: Mapping[str, object]) -> np.ndarray:
     return np.arange(1, t_steps + 1) * (t_max / t_steps)
 
 
-def run_scan_fig1(overrides: Mapping[str, object] | None = None, seed: int = 0) -> list[ScanRecord]:
+def run_scan_fig1(overrides: Mapping[str, object] | None = None, seed: int = 0) -> list[ScanSeries]:
     """Fidelity surface for the four-node network with one noisy edge.
 
     Defaults: eta = 0, 1, ..., 64 by the Lindblad engine, against the
@@ -435,14 +436,14 @@ def run_scan_fig1(overrides: Mapping[str, object] | None = None, seed: int = 0) 
     n = _require_int(options["n"], "n", 4)
     times = _open_grid(options)
     etas = _require_list(options["eta_values"], "eta_values", "must be a nonempty list of numbers")
-    records: list[ScanRecord] = []
+    series = []
     for eta in [_require_number(eta, "eta_values", "nonnegative") for eta in etas]:
         curve = lindblad.fidelity_curve(lindblad.LumpedLiouvillian(n, n - 2, eta), times)
-        records.extend(_curve_records(n, n - 2, eta, times, curve, seed))
-    return records
+        series.append(ScanSeries.of(n, n - 2, eta, times, curve, seed))
+    return series
 
 
-def run_scan_fig2(overrides: Mapping[str, object] | None = None, seed: int = 0) -> list[ScanRecord]:
+def run_scan_fig2(overrides: Mapping[str, object] | None = None, seed: int = 0) -> list[ScanSeries]:
     """Noise-benefit map over network size: Delta(t, n) at m = n - 2, eta = 0.01."""
     options = _with_defaults(
         overrides or {},
@@ -452,13 +453,10 @@ def run_scan_fig2(overrides: Mapping[str, object] | None = None, seed: int = 0) 
     n_max = _require_int(options["n_max"], "n_max", n_min)
     eta = _require_number(options["eta"], "eta", "nonnegative")
     times = _open_grid(options)
-    records: list[ScanRecord] = []
-    for n in range(n_min, n_max + 1):
-        records.extend(_delta_records(n, n - 2, eta, times, seed))
-    return records
+    return [_delta_series(n, n - 2, eta, times, seed) for n in range(n_min, n_max + 1)]
 
 
-def run_scan_fig3(overrides: Mapping[str, object] | None = None, seed: int = 0) -> list[ScanRecord]:
+def run_scan_fig3(overrides: Mapping[str, object] | None = None, seed: int = 0) -> list[ScanSeries]:
     """Noise-benefit map over noisy-set size: Delta(t, m) at n = 10, eta = 0.01."""
     options = _with_defaults(
         overrides or {},
@@ -471,10 +469,7 @@ def run_scan_fig3(overrides: Mapping[str, object] | None = None, seed: int = 0) 
     m_values = [_require_int(m, "m_values", 0) for m in m_values]
     if max(m_values) > n - 2:
         raise ConfigError("m_values", f"must not exceed n-2 = {n - 2}")
-    records: list[ScanRecord] = []
-    for m in m_values:
-        records.extend(_delta_records(n, m, eta, times, seed))
-    return records
+    return [_delta_series(n, m, eta, times, seed) for m in m_values]
 
 
 def run_report(config: ReportConfig | None = None) -> tuple[str, str, bool]:
@@ -588,8 +583,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.seed is not None:
                 raw = {**raw, "master_seed": args.seed}
             config = ExperimentConfig.from_dict(raw)
-            records = run_simulate(config)
-            _write_output(records_to_csv(records), args.out)
+            _write_output(records_to_csv(run_simulate(config)), args.out)
             _write_metadata(args.out, {"command": "simulate", "config": config.to_metadata()})
             return 0
 
@@ -597,8 +591,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             runner = {"fig1": run_scan_fig1, "fig2": run_scan_fig2, "fig3": run_scan_fig3}[
                 args.command
             ]
-            records = runner(raw, seed=seed)
-            _write_output(records_to_csv(records), args.out)
+            _write_output(records_to_csv(runner(raw, seed=seed)), args.out)
             _write_metadata(
                 args.out,
                 {
@@ -612,7 +605,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         # report
         options = _with_defaults(raw, _defaults(ReportConfig))
-        n_traj = _require_int(options["n_traj"], "n_traj", 1)
+        # one trajectory has a standard error of 0, against which the
+        # engines could never agree
+        n_traj = _require_int(options["n_traj"], "n_traj", 2)
         dt = _require_number(options["dt"], "dt", "positive")
         seed = seed if args.seed is not None else _require_seed(options["seed"], "seed")
         try:

@@ -4,17 +4,20 @@ Two independent first-order routes live here. The closed-form route
 assembles the published-style expressions built from the free
 amplitudes beta (transfer) and beta' (return) and the eight time
 integrals b1..b8; it is evaluated literally, defects included, and is
-treated as a claim under test. The numeric route differentiates the
-lumped master equation in eta exactly, by one block exponential of its
-generator, which cannot suffer from convention or transcription
-slips, and serves as the ground truth the closed forms are compared
-against; its cost and memory depend on neither n nor t.
+treated as a claim under test. Over a time grid the b integrals are
+carried from one grid time to the next (b_coefficient_grid), so a grid
+costs one quadrature over its horizon, not one per time. The numeric
+route differentiates the lumped master equation in eta exactly, by one
+block exponential of its generator, which cannot suffer from convention
+or transcription slips, and serves as the ground truth the closed forms
+are compared against; its cost and memory depend on neither n nor t.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +30,9 @@ __all__ = [
     "beta",
     "beta_prime",
     "b_coefficients",
+    "b_coefficient_grid",
     "printed_weak_noise_channel",
+    "printed_weak_noise_curve",
     "first_order_numeric",
 ]
 
@@ -71,13 +76,13 @@ class WeakNoiseIntegrals:
     b8: complex
 
 
-# Quadrature nodes summed at a time by b_coefficients: any t up to 65 at
-# the largest step is one block.
+# Quadrature nodes summed at a time by b_coefficient_grid: any gap up to 65
+# at the largest step is one block.
 _BLOCK = 2**16
 
 
 def b_coefficients(n: int, t: float, step: float = 1e-3) -> WeakNoiseIntegrals:
-    """Evaluate the b1..b8 integrals by composite Simpson quadrature.
+    """Evaluate the b1..b8 integrals over [0, t] by composite Simpson quadrature.
 
     The integrands are products of beta and beta' over [0, t], all
     carrying the common prefactor (n-3)^2, so n = 3 short-circuits to
@@ -85,46 +90,77 @@ def b_coefficients(n: int, t: float, step: float = 1e-3) -> WeakNoiseIntegrals:
     less than one part in 1e8, which the test suite asserts. The nodes
     are summed _BLOCK at a time, so memory does not grow with t.
     """
+    [integrals] = b_coefficient_grid(n, [t], step)
+    return integrals
+
+
+def b_coefficient_grid(n: int, times: Sequence[float], step: float = 1e-3) -> list[WeakNoiseIntegrals]:
+    """The b1..b8 integrals at every time of ``times``, in their order, in one pass.
+
+    The sorted times split [0, max(times)] into gaps. Each gap gets the
+    composite Simpson rule of b_coefficients over it (an even number of
+    panels, each at most ``step`` wide), and eight running sums carry
+    the integrals from one time to the next, so the cost is linear in
+    the horizon, not in the sum over the grid. A grid time after the
+    first differs from b_coefficients at that time, one rule over
+    [0, t], only by the two rules' quadrature errors, within the same
+    one part in 1e8.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"t must be finite and >= 0, got {t}")
+    times = [float(t) for t in times]
+    for t in times:
+        if not math.isfinite(t) or t < 0:
+            raise ValueError(f"t must be finite and >= 0, got {t}")
     if not 0 < step <= 1e-3:
         raise ValueError(f"step must lie in (0, 1e-3], got {step}")
-    if t == 0.0 or n == 3:
-        zero = 0j
-        return WeakNoiseIntegrals(zero, zero, zero, zero, zero, zero, zero, zero)
-    num = max(int(math.ceil(t / step)), 2)
+    totals = np.zeros(8, dtype=complex)
+    at = {0.0: totals.tolist()}
+    start = 0.0
+    for end in sorted(set(times) - {0.0}):
+        # the prefactor (n-3)^2 vanishes at n = 3
+        if n != 3:
+            _simpson_add(totals, n, start, end, step)
+        at[end] = totals.tolist()
+        start = end
+    return [WeakNoiseIntegrals(*at[t]) for t in times]
+
+
+def _simpson_add(totals: np.ndarray, n: int, start: float, end: float, step: float) -> None:
+    """Add the composite Simpson rule of the eight integrands over [start, end] to ``totals``."""
+    span = end - start
+    num = max(int(math.ceil(span / step)), 2)
     if num % 2:
         num += 1
-    # the nodes of np.linspace(0, t, num + 1) and the composite Simpson
-    # weights 1, 4, 2, ..., 4, 1 times h/3, prefactor folded in
-    factor = (n - 3) ** 2 * t / (3.0 * num)
-    totals = np.zeros(8, dtype=complex)
+    # the nodes start + j span / num, the last one exactly end, and the
+    # composite Simpson weights 1, 4, 2, ..., 4, 1 times h/3, prefactor folded in
+    factor = (n - 3) ** 2 * span / (3.0 * num)
     for first in range(0, num + 1, _BLOCK):
         j = np.arange(first, min(first + _BLOCK, num + 1))
-        tau = j * (t / num)
-        tau[j == num] = t
-        b = np.exp(1j * tau) / n * (np.exp(-1j * n * tau) - 1.0)
-        bp = np.exp(1j * tau) / n * (np.exp(-1j * n * tau) + n - 1.0)
-        ab2 = np.abs(b) ** 2
-        abp2 = np.abs(bp) ** 2
+        tau = start + j * (span / num)
+        tau[j == num] = end
         weights = np.where(j % 2, 4.0, 2.0)
         weights[(j == 0) | (j == num)] = 1.0
         weights *= factor
-        bbp = b * bp.conj()
         # one integrand at a time, each freed once summed
-        totals += [
-            weights @ bbp,
-            weights @ ab2,
-            weights @ (bbp * abp2),
-            weights @ (b**2 * bp.conj() ** 2 + abp2 * ab2),
-            weights @ (ab2 * abp2),
-            weights @ (2.0 * bbp.real * ab2),
-            weights @ (b * ab2 * bp.conj()),
-            weights @ ab2**2,
-        ]
-    return WeakNoiseIntegrals(*totals.tolist())
+        totals += [weights @ y for y in _integrands(n, tau)]
+
+
+def _integrands(n: int, tau: np.ndarray) -> Iterator[np.ndarray]:
+    """The integrands of b1..b8 at the nodes ``tau``, without the prefactor (n-3)^2."""
+    b = np.exp(1j * tau) / n * (np.exp(-1j * n * tau) - 1.0)
+    bp = np.exp(1j * tau) / n * (np.exp(-1j * n * tau) + n - 1.0)
+    ab2 = np.abs(b) ** 2
+    abp2 = np.abs(bp) ** 2
+    bbp = b * bp.conj()
+    yield bbp
+    yield ab2
+    yield bbp * abp2
+    yield b**2 * bp.conj() ** 2 + abp2 * ab2
+    yield ab2 * abp2
+    yield 2.0 * bbp.real * ab2
+    yield b * ab2 * bp.conj()
+    yield ab2**2
 
 
 @dataclass(frozen=True)
@@ -185,24 +221,39 @@ def printed_weak_noise_channel(n: int, m: int, eta: float, t: float) -> WeakNois
     is the arbiter; see the consistency report. Meaningful only while
     eta * t stays well under 1.
     """
+    [channel] = printed_weak_noise_curve(n, m, eta, [t])
+    return channel
+
+
+def printed_weak_noise_curve(n: int, m: int, eta: float, times: Sequence[float]) -> list[WeakNoiseChannel]:
+    """printed_weak_noise_channel at every time of ``times``, in their order.
+
+    The b integrals come from one pass of b_coefficient_grid, so the
+    cost is linear in the horizon; a single time gives
+    printed_weak_noise_channel's bytes.
+    """
     _require_noise_geometry(n, m)
-    _require_eta_and_t(eta, t)
-    co = b_coefficients(n, t)
-    b = beta(n, t)
-    bp = beta_prime(n, t)
-    ab2 = abs(b) ** 2
-    abp2 = abs(bp) ** 2
-    inner = (
-        co.b3 * ab2
-        + co.b4 * (bp.conjugate() * b + ab2 * m)
-        + co.b5 * (bp * b.conjugate() + ab2 * m)
-        + co.b6 * (abp2 + abp2 * ab2 * m**2 + ab2 * m**2)
-        + co.b7 * (bp.conjugate() + ab2 * (m**2 + n - 1))
-        + co.b8 * (abp2 + abp2 * ab2 * (m**2 + n - 1) * m**2 * (n - 2) + ab2 * m * (m**2 + n - 1))
-    )
-    xi1 = 2.0 * (m * inner).real
-    xi2 = m * (co.b1 * b + co.b2 * bp + co.b2 * b * m)
-    return WeakNoiseChannel(z_sq_0=ab2, xi1=xi1, xi2=xi2, eta=eta)
+    times = [float(t) for t in times]
+    for t in times:
+        _require_eta_and_t(eta, t)
+    channels = []
+    for t, co in zip(times, b_coefficient_grid(n, times)):
+        b = beta(n, t)
+        bp = beta_prime(n, t)
+        ab2 = abs(b) ** 2
+        abp2 = abs(bp) ** 2
+        inner = (
+            co.b3 * ab2
+            + co.b4 * (bp.conjugate() * b + ab2 * m)
+            + co.b5 * (bp * b.conjugate() + ab2 * m)
+            + co.b6 * (abp2 + abp2 * ab2 * m**2 + ab2 * m**2)
+            + co.b7 * (bp.conjugate() + ab2 * (m**2 + n - 1))
+            + co.b8 * (abp2 + abp2 * ab2 * (m**2 + n - 1) * m**2 * (n - 2) + ab2 * m * (m**2 + n - 1))
+        )
+        xi1 = 2.0 * (m * inner).real
+        xi2 = m * (co.b1 * b + co.b2 * bp + co.b2 * b * m)
+        channels.append(WeakNoiseChannel(z_sq_0=ab2, xi1=xi1, xi2=xi2, eta=eta))
+    return channels
 
 
 def first_order_numeric(n: int, m: int, eta: float, t: float) -> WeakNoiseChannel:

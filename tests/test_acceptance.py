@@ -262,8 +262,8 @@ class TestCriterion5FirstOrderScaling:
 class TestCriterion6EnhancementWindows:
     def test_windows_exist_across_sizes(self, criterion_log):
         # the fig2 scan: n = 4..12 at m = n - 2, eta = 0.01, t = k 4 pi / 2000
-        records = run_scan_fig2({"t_steps": 2000})
-        missing = [n for n in range(4, 13) if not any(r.delta > 0 for r in records if r.n == n)]
+        scan = run_scan_fig2({"t_steps": 2000})
+        missing = [n for n in range(4, 13) if not any(np.any(s.delta > 0) for s in scan if s.n == n)]
         passed = missing == []
         criterion_log(
             "6a enhancement window exists for n=4..12 (m=n-2)",
@@ -276,10 +276,10 @@ class TestCriterion6EnhancementWindows:
         # the fig3 scan: n = 10, m = 2..8, eta = 0.01, t = k 4 pi / steps
         steps = 16000
         dt = 4 * math.pi / steps
-        records = run_scan_fig3({"t_steps": steps})
+        scan = run_scan_fig3({"t_steps": steps})
         widths = []
         for m in range(2, 9):
-            prof = np.array([r.delta for r in records if r.m == m])
+            prof = np.concatenate([s.delta for s in scan if s.m == m])
             assert np.any(prof > 0), f"no enhancement window at n=10, m={m}"
             widths.append(longest_positive_run(prof) * dt)
         gaps = np.diff(widths)

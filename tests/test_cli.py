@@ -21,7 +21,7 @@ from spinnet.cli import (
     CSV_HEADER,
     ConfigError,
     ExperimentConfig,
-    ScanRecord,
+    ScanSeries,
     main,
     records_to_csv,
     run_scan_fig1,
@@ -154,9 +154,9 @@ class TestCsvShape:
             "perturbation-numeric",
             "perturbation-printed",
         ):
-            records = run_simulate(_cfg(method=method))
-            assert len(records) == 2
-            assert all(r.method == method for r in records)
+            [series] = run_simulate(_cfg(method=method))
+            assert len(series.t) == 2
+            assert series.method == method
 
     def test_perturbation_numeric_may_leave_physical_range(self, tmp_path, capsys):
         # at eta t of order one the first-order state is no state, and
@@ -178,12 +178,15 @@ class TestCsvShape:
 
     def test_engine_row_outside_physical_range_raises(self):
         with pytest.raises(RuntimeError, match=r"fidelity 1.1 outside \[1/2, 1\] at t=1.0"):
-            ScanRecord(4, 2, 1.0, 1.0, 1.1, 1.0, 1.0, None, "lindblad", 0)
+            ScanSeries(
+                4, 2, 1.0, "lindblad", 0,
+                t=np.array([0.5, 1.0]), fidelity=np.array([1.0, 1.1]), abs_z=np.ones(2), dephasing=np.ones(2),
+            )
 
     def test_trajectories_method_runs(self):
-        records = run_simulate(_cfg(method="trajectories", n_traj=30, t_steps=1))
-        assert len(records) == 1
-        assert 0.5 <= records[0].fidelity <= 1.0
+        [series] = run_simulate(_cfg(method="trajectories", n_traj=30, t_steps=1))
+        assert len(series.t) == 1
+        assert 0.5 <= series.fidelity[0] <= 1.0
 
     def test_trajectory_grid_rows_equal_one_point_runs(self):
         # one pass over the grid writes the bytes of a run at each time
@@ -198,30 +201,31 @@ class TestCsvShape:
 
 class TestFigureScans:
     def test_fig1_grid_contains_landmarks(self):
-        records = run_scan_fig1({"eta_values": [0.0]})
-        times = {round(r.t, 12) for r in records}
+        [series] = run_scan_fig1({"eta_values": [0.0]})
+        times = {round(t, 12) for t in series.t.tolist()}
         assert round(math.pi / 4, 12) in times
         assert round(3 * math.pi / 2, 12) in times
-        assert len(records) == 64
+        assert len(series.t) == 64
 
     def test_fig1_exceptional_points_match_expm(self):
         # eta = 4 and 8 are exceptional points of the four-node generator,
         # where an eigenbasis loses accuracy; a plain exponential per
         # point is the reference
-        records = run_scan_fig1({"eta_values": [4, 8], "t_steps": 256})
-        assert len(records) == 512
+        scan = run_scan_fig1({"eta_values": [4, 8], "t_steps": 256})
+        assert sum(len(series.t) for series in scan) == 512
         a, b = math.cos(math.pi / 4), math.sin(math.pi / 4)
         rho0 = np.zeros((5, 5), dtype=complex)
         rho0[np.ix_([0, 1], [0, 1])] = [[a * a, a * b], [a * b, b * b]]
         worst = 0.0
-        for eta in (4.0, 8.0):
+        for eta, series in zip((4.0, 8.0), scan):
+            assert series.eta == eta
             generator = DenseLiouvillian(4, standard_noise_spec(4, 2, eta)).generator
-            for r in (r for r in records if r.eta == eta):
-                v = scipy.linalg.expm(generator * r.t) @ rho0.reshape(-1, order="F")
+            for t, f, abs_z in zip(series.t, series.fidelity, series.abs_z):
+                v = scipy.linalg.expm(generator * t) @ rho0.reshape(-1, order="F")
                 rho = v.reshape((5, 5), order="F")
                 prob = rho[2, 2].real / (b * b)
                 fidelity = 0.5 + abs(rho[2, 0]) / (3 * a * b) + prob / 6
-                worst = max(worst, abs(r.fidelity - fidelity), abs(r.abs_z - math.sqrt(prob)))
+                worst = max(worst, abs(f - fidelity), abs(abs_z - math.sqrt(prob)))
         assert worst < 1e-12
 
     def test_fig2_scale_free(self):
@@ -229,45 +233,101 @@ class TestFigureScans:
         # engine runs it in milliseconds
         n, t_steps = 10**4, 50
         start = time.perf_counter()
-        clean = run_scan_fig2({"n_min": n, "n_max": n, "eta": 0.0, "t_steps": t_steps})
-        noisy = run_scan_fig2({"n_min": n, "n_max": n, "t_steps": t_steps})
+        [clean] = run_scan_fig2({"n_min": n, "n_max": n, "eta": 0.0, "t_steps": t_steps})
+        [noisy] = run_scan_fig2({"n_min": n, "n_max": n, "t_steps": t_steps})
         assert time.perf_counter() - start < 30.0
-        assert len(clean) == len(noisy) == t_steps
-        for r in clean:
-            prob = (2.0 / n**2) * (1.0 - math.cos(n * r.t))
-            assert abs(r.abs_z**2 - prob) < 1e-12
-            assert abs(r.fidelity - (0.5 + math.sqrt(prob) / 3 + prob / 6)) < 1e-12
-        assert max(r.delta for r in noisy) > 0.0
+        assert len(clean.t) == len(noisy.t) == t_steps
+        prob = (2.0 / n**2) * (1.0 - np.cos(n * clean.t))
+        assert np.all(np.abs(clean.abs_z**2 - prob) < 1e-12)
+        assert np.all(np.abs(clean.fidelity - (0.5 + np.sqrt(prob) / 3 + prob / 6)) < 1e-12)
+        assert noisy.delta.max() > 0.0
 
     def test_fig1_unknown_override_rejected(self):
         with pytest.raises(ConfigError, match="etas"):
             run_scan_fig1({"etas": [1]})
 
     def test_fig2_rows_cover_size_range(self):
-        records = run_scan_fig2({"n_min": 4, "n_max": 5, "t_steps": 10})
-        assert {r.n for r in records} == {4, 5}
-        assert all(r.m == r.n - 2 for r in records)
-        assert all(r.delta is not None and r.delta >= 0.0 for r in records)
+        scan = run_scan_fig2({"n_min": 4, "n_max": 5, "t_steps": 10})
+        assert {series.n for series in scan} == {4, 5}
+        assert all(series.m == series.n - 2 for series in scan)
+        assert all(series.delta is not None and np.all(series.delta >= 0.0) for series in scan)
 
     def test_fig3_gain_at_large_noisy_set(self):
         # n = 10, m = 8, eta = 0.01 gains over the clean peak, and a scan
         # of its best time alone reads the same Delta
-        records = run_scan_fig3({"m_values": [8]})
-        best = max(records, key=lambda r: r.delta)
-        assert best.delta > 1e-4
-        [alone] = run_scan_fig3({"m_values": [8], "t_max": best.t, "t_steps": 1})
-        assert alone.t == best.t
-        assert alone.delta == pytest.approx(best.delta, abs=1e-12)
+        [series] = run_scan_fig3({"m_values": [8]})
+        best = int(np.argmax(series.delta))
+        assert series.delta[best] > 1e-4
+        [alone] = run_scan_fig3({"m_values": [8], "t_max": float(series.t[best]), "t_steps": 1})
+        assert alone.t.tolist() == [series.t[best]]
+        assert alone.delta[0] == pytest.approx(series.delta[best], abs=1e-12)
 
     def test_fig2_no_gain_without_noise(self):
-        records = run_scan_fig2({"n_max": 4, "eta": 0.0, "t_max": 6.0, "t_steps": 12})
-        assert len(records) == 12
-        assert max(r.delta for r in records) == 0.0
+        [series] = run_scan_fig2({"n_max": 4, "eta": 0.0, "t_max": 6.0, "t_steps": 12})
+        assert len(series.t) == 12
+        assert series.delta.max() == 0.0
 
     def test_fig3_rows_cover_m_range(self):
-        records = run_scan_fig3({"m_values": [2, 4], "t_steps": 10})
-        assert {r.m for r in records} == {2, 4}
-        assert all(r.n == 10 for r in records)
+        scan = run_scan_fig3({"m_values": [2, 4], "t_steps": 10})
+        assert {series.m for series in scan} == {2, 4}
+        assert all(series.n == 10 for series in scan)
+
+
+class TestSeriesCheck:
+    """A series checks its rows when made and names the first bad one, as each row once did."""
+
+    # fig1 over two noise strengths: two series of five rows on t = k 2 pi / 5
+    SCAN = {"eta_values": [0.0, 1.0], "t_steps": 5}
+    T = (np.arange(1, 6) * (2.0 * math.pi / 5)).tolist()
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("fidelity", 1.1, "fidelity 1.1 outside [1/2, 1]"),
+            # an engine row's range check comes first, and NaN is outside it
+            ("fidelity", math.nan, "fidelity nan outside [1/2, 1]"),
+            ("abs_z", math.inf, "abs_z inf not finite"),
+            ("dephasing", math.nan, "lambda nan not finite"),
+        ],
+        ids=["F-above-1", "nan-F", "inf-abs-z", "nan-lambda"],
+    )
+    def test_first_bad_row_named(self, column, value, message, tmp_path, capsys, monkeypatch):
+        # the defect sits on the middle row of the second series, and a
+        # later row of it carries another one that must not be named
+        fidelity_curve = lindblad.fidelity_curve
+        calls = []
+
+        def defective(engine, times, *args):
+            curve = fidelity_curve(engine, times, *args)
+            calls.append(curve)
+            if len(calls) == 2:
+                columns = {"amplitude": curve.amplitude.copy(), "dephasing": curve.dephasing.copy(),
+                           "fidelity": curve.fidelity.copy()}
+                columns["amplitude" if column == "abs_z" else column][2] = value
+                columns["fidelity"][3] = 2.0
+                curve = lindblad.FidelityCurve(**columns)
+            return curve
+
+        monkeypatch.setattr(lindblad, "fidelity_curve", defective)
+        expected = f"numeric failure: {message} at t={self.T[2]}"
+        with pytest.raises(RuntimeError) as err:
+            run_scan_fig1(self.SCAN)
+        assert str(err.value) == expected
+        calls.clear()
+        code, err = _main(["fig1"], self.SCAN, tmp_path, capsys)
+        assert code == 2
+        assert err == expected + "\n"
+
+    def test_clean_scan_passes(self):
+        assert [len(series.t) for series in run_scan_fig1(self.SCAN)] == [5, 5]
+
+    @pytest.mark.parametrize("method", ["perturbation-numeric", "perturbation-printed"])
+    def test_first_order_rows_may_leave_range_but_not_be_infinite(self, method):
+        columns = {"t": np.array([0.5, 1.0]), "abs_z": np.ones(2), "dephasing": np.ones(2)}
+        ScanSeries(4, 2, 1.0, method, 0, fidelity=np.array([1.1, 0.2]), **columns)
+        with pytest.raises(RuntimeError) as err:
+            ScanSeries(4, 2, 1.0, method, 0, fidelity=np.array([1.1, math.nan]), **columns)
+        assert str(err.value) == "numeric failure: fidelity nan not finite at t=1.0"
 
 
 def _main(args, config, tmp_path, capsys):
@@ -301,7 +361,7 @@ class TestFailureExits:
             ("fig1", {"eta_values": [0.0], "t_steps": 1}),
             ("fig2", {"n_max": 4, "t_steps": 1}),
             ("fig3", {"m_values": [2], "t_steps": 1}),
-            ("report", {"n_traj": 1}),
+            ("report", {"n_traj": 2}),
         ],
     )
     def test_seed_outside_64_bits_exits_1(self, command, config, seed, tmp_path, capsys):
@@ -481,6 +541,8 @@ _BAD_FIELDS = [
     ("fig3", {}, "t_steps", 0),
     ("fig3", {}, "t_steps", 1.5),
     ("report", {}, "n_traj", 0),
+    # one trajectory has a standard error of 0
+    ("report", {}, "n_traj", 1),
     ("report", {}, "n_traj", "x"),
     ("report", {}, "dt", -1),
     ("report", {}, "dt", "x"),

@@ -24,15 +24,18 @@ import scipy.optimize
 from oracle import eigh_propagator
 
 from spinnet.analytics import _max_noisy_fidelity, _windowed_maximum
+from spinnet import perturbation
 from spinnet.lindblad import DenseLiouvillian, FidelityCurve, LumpedLiouvillian, fidelity_curve
 from spinnet.network import single_excitation_hamiltonian, standard_noise_spec
 from spinnet.perturbation import (
     WeakNoiseChannel,
+    b_coefficient_grid,
     b_coefficients,
     beta,
     beta_prime,
     first_order_numeric,
     printed_weak_noise_channel,
+    printed_weak_noise_curve,
 )
 from spinnet.propagator import (
     BlochInput,
@@ -167,6 +170,67 @@ class TestCoefficientIntegrals:
     def test_rejects_bad_t(self, t):
         with pytest.raises(ValueError, match="^t must be finite and >= 0"):
             b_coefficients(4, t)
+
+
+class TestCoefficientGrid:
+    """b1..b8 over a time grid, carried from one grid time to the next."""
+
+    @staticmethod
+    def _values(co):
+        return np.array([co.b1, co.b2, co.b3, co.b4, co.b5, co.b6, co.b7, co.b8])
+
+    @pytest.mark.parametrize(
+        "n, times",
+        [
+            (4, np.linspace(0.0, 2.0 * math.pi, 64)),
+            (10, np.linspace(0.0, 100.0, 64)),
+            (7, [2.5, 0.0, 1.0, 2.5, 0.3, 0.3004]),
+            (40, np.linspace(0.1, 3.0, 17)),
+            (3, [0.0, 1.0, 2.0]),
+        ],
+        ids=["n4-default-grid", "n10-long-horizon", "unsorted-repeats", "n40", "n3-zeros"],
+    )
+    def test_grid_equals_per_time_quadrature(self, n, times):
+        # within the one part in 1e8 that halving the step may move a value
+        grid = b_coefficient_grid(n, times)
+        assert len(grid) == len(times)
+        for t, co in zip(times, grid):
+            got, want = self._values(co), self._values(b_coefficients(n, float(t)))
+            assert np.all(np.abs(got - want) <= 1e-8 * np.abs(want))
+
+    def test_single_time_is_b_coefficients(self):
+        for n, t in [(4, 1.0), (10, 6.3), (40, 1.9)]:
+            assert b_coefficient_grid(n, [t]) == [b_coefficients(n, t)]
+
+    def test_nodes_linear_in_horizon(self, monkeypatch):
+        # each gap between grid times is integrated once, at most
+        # gap / step + 3 nodes (an even panel count of at least 2, plus
+        # the last node); the sum over per-time rules would be 32 times that
+        integrands = perturbation._integrands
+        nodes = []
+
+        def counted(n, tau):
+            nodes.append(tau.size)
+            return integrands(n, tau)
+
+        monkeypatch.setattr(perturbation, "_integrands", counted)
+        horizon, step, times = 1000.0, 1e-3, np.linspace(0.0, 1000.0, 64)
+        b_coefficient_grid(10, times)
+        assert horizon / step <= sum(nodes) <= horizon / step + 3 * (len(times) - 1)
+
+    def test_rejects_bad_time_in_grid(self):
+        with pytest.raises(ValueError, match="^t must be finite and >= 0"):
+            b_coefficient_grid(4, [1.0, math.nan])
+
+    def test_printed_curve_at_each_time(self):
+        times = np.linspace(0.0, 20.0, 9)
+        curve = printed_weak_noise_curve(10, 8, 0.01, times)
+        for t, channel in zip(times, curve):
+            alone = printed_weak_noise_channel(10, 8, 0.01, float(t))
+            assert channel.z_sq_0 == alone.z_sq_0
+            assert channel.xi1 == pytest.approx(alone.xi1, rel=1e-8, abs=1e-14)
+            assert channel.xi2 == pytest.approx(alone.xi2, rel=1e-8, abs=1e-14)
+        assert printed_weak_noise_curve(10, 8, 0.01, [2.0]) == [printed_weak_noise_channel(10, 8, 0.01, 2.0)]
 
 
 class TestWeakNoiseChannel:
